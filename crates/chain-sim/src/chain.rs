@@ -163,10 +163,25 @@ impl ClosedChain {
 
     /// Cyclic index normalization: maps any signed offset from an index into
     /// `0..n`.
+    ///
+    /// Every neighbor read of the strategies goes through here, so the
+    /// common case `-n ≤ i < 2n` (an index plus a view offset on a chain
+    /// longer than the view) wraps with one compare and add; only tiny
+    /// chains, where the view horizon exceeds `n`, pay for the division.
     #[inline]
     pub fn cyc(&self, i: isize) -> usize {
         let n = self.pos.len() as isize;
-        (((i % n) + n) % n) as usize
+        if i >= 0 {
+            if i < n {
+                return i as usize;
+            }
+            if i < 2 * n {
+                return (i - n) as usize;
+            }
+        } else if i >= -n {
+            return (i + n) as usize;
+        }
+        i.rem_euclid(n) as usize
     }
 
     /// Neighbor `delta` steps away from `i` along the chain (cyclic).
@@ -199,8 +214,9 @@ impl ClosedChain {
         &self.id
     }
 
-    /// Chain-order index of the robot with id `id` (linear scan — intended
-    /// for tests and auditors, not hot paths).
+    /// Chain-order index of the robot with id `id`, by an O(n) linear scan.
+    /// Tests, auditors and debug assertions use it; no per-round path does
+    /// (the strategy keeps its per-robot state parallel to the chain).
     pub fn index_of(&self, id: RobotId) -> Option<usize> {
         self.id.iter().position(|&x| x == id)
     }
@@ -320,19 +336,20 @@ impl ClosedChain {
 
         // Walk the cycle from the anchor, grouping equal consecutive
         // positions.
+        let wrap = |i: usize| if i >= n { i - n } else { i }; // i < 2n
         let mut k = 0;
         while k < n {
-            let gi = (anchor + k) % n;
+            let gi = wrap(anchor + k);
             let p = self.pos[gi];
             let mut glen = 1;
-            while glen < n && self.pos[(anchor + k + glen) % n] == p {
+            while glen < n && self.pos[wrap(anchor + k + glen)] == p {
                 glen += 1;
             }
             if glen > 1 {
                 let keeper_idx = gi;
                 let mut removed = Vec::with_capacity(glen - 1);
                 for j in 1..glen {
-                    let ri = (anchor + k + j) % n;
+                    let ri = wrap(anchor + k + j);
                     removed.push(self.id[ri]);
                     log.removed_indices.push(ri);
                     log.keeper_indices.push(keeper_idx);
@@ -350,13 +367,17 @@ impl ClosedChain {
             return 0;
         }
 
-        // Sort parallel arrays by removed index (ascending) for remap().
-        let mut order: Vec<usize> = (0..log.removed_indices.len()).collect();
-        order.sort_unstable_by_key(|&i| log.removed_indices[i]);
-        let removed_sorted: Vec<usize> = order.iter().map(|&i| log.removed_indices[i]).collect();
-        let keepers_sorted: Vec<usize> = order.iter().map(|&i| log.keeper_indices[i]).collect();
-        log.removed_indices = removed_sorted;
-        log.keeper_indices = keepers_sorted;
+        // The walk visited anchor..n and then 0..anchor, so the log is
+        // ascending with exactly one wrap; rotating the part before the wrap
+        // to the back sorts both parallel arrays by removed index (for
+        // remap()).
+        let before_wrap = log
+            .removed_indices
+            .iter()
+            .take_while(|&&r| r >= anchor)
+            .count();
+        log.removed_indices.rotate_left(before_wrap);
+        log.keeper_indices.rotate_left(before_wrap);
 
         // Splice out removed indices (single compaction sweep).
         let mut write = 0;
@@ -462,6 +483,130 @@ mod tests {
         assert_eq!(c.nb(1, -6), 3);
         assert_eq!(c.cyc(-1), 3);
         assert_eq!(c.cyc(4), 0);
+    }
+
+    /// `cyc`/`nb` agree with the Euclidean modulo for every chain length up
+    /// to 40 and every offset within three laps, so both the compare-and-add
+    /// wrap and the tiny-chain fallback are pinned.
+    #[test]
+    fn cyclic_indexing_matches_euclidean_modulo() {
+        for n in 1..=40usize {
+            let c = ClosedChain {
+                pos: vec![Point::new(0, 0); n],
+                id: (0..n as u64).map(RobotId).collect(),
+            };
+            let ni = n as isize;
+            for delta in -3 * ni..=3 * ni {
+                assert_eq!(
+                    c.cyc(delta),
+                    delta.rem_euclid(ni) as usize,
+                    "cyc({delta}), n={n}"
+                );
+                for i in 0..n {
+                    let want = (i as isize + delta).rem_euclid(ni) as usize;
+                    assert_eq!(c.nb(i, delta), want, "nb({i}, {delta}), n={n}");
+                }
+            }
+        }
+    }
+
+    /// The merge pass as it was before the log was sorted by one rotation:
+    /// walk from the anchor, then sort the parallel arrays with
+    /// `sort_unstable_by_key` — the reference for the randomized test.
+    fn reference_merge(c: &ClosedChain) -> (Vec<usize>, Vec<usize>, Vec<MergeEvent>) {
+        let (pos, id, n) = (&c.pos, &c.id, c.len());
+        let (mut removed, mut keepers, mut events) = (Vec::new(), Vec::new(), Vec::new());
+        if pos.iter().all(|&p| p == pos[0]) {
+            let ev = MergeEvent {
+                keeper: id[0],
+                removed: id[1..].to_vec(),
+                at: pos[0],
+            };
+            return ((1..n).collect(), vec![0; n - 1], vec![ev]);
+        }
+        let mut anchor = 0;
+        while pos[(anchor + n - 1) % n] == pos[anchor] {
+            anchor += 1;
+        }
+        let mut k = 0;
+        while k < n {
+            let gi = (anchor + k) % n;
+            let mut glen = 1;
+            while glen < n && pos[(anchor + k + glen) % n] == pos[gi] {
+                glen += 1;
+            }
+            if glen > 1 {
+                let ris: Vec<usize> = (1..glen).map(|j| (anchor + k + j) % n).collect();
+                events.push(MergeEvent {
+                    keeper: id[gi],
+                    removed: ris.iter().map(|&r| id[r]).collect(),
+                    at: pos[gi],
+                });
+                keepers.extend(std::iter::repeat_n(gi, ris.len()));
+                removed.extend(ris);
+            }
+            k += glen;
+        }
+        let mut order: Vec<usize> = (0..removed.len()).collect();
+        order.sort_unstable_by_key(|&i| removed[i]);
+        let removed_sorted = order.iter().map(|&i| removed[i]).collect();
+        let keepers_sorted = order.iter().map(|&i| keepers[i]).collect();
+        (removed_sorted, keepers_sorted, events)
+    }
+
+    /// Randomized: the rotated splice log equals the sorted reference on
+    /// closed walks with random stay-steps (coincidence groups of any
+    /// length, wrapping index 0 after a random origin rotation), including
+    /// the all-on-one-point collapse, with one log reused throughout.
+    #[test]
+    fn merge_pass_log_matches_sorted_reference() {
+        use crate::rng::SplitMix64;
+        let dirs = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut wrapped_groups = 0;
+        let mut log = SpliceLog::default();
+        for case in 0..2000 {
+            // Out along a random walk, back along its reverse: closed and
+            // connected, with a zero step (a coincidence) wherever a stay
+            // was drawn; every 50th walk stays put throughout.
+            let m = rng.range_usize(1, 24);
+            let stay_odds = if case % 50 == 0 { 1 } else { 3 };
+            let steps: Vec<Offset> = (0..m)
+                .map(|_| {
+                    if rng.below(stay_odds) == 0 {
+                        Offset::ZERO
+                    } else {
+                        *rng.choose(&dirs)
+                    }
+                })
+                .collect();
+            let mut out = vec![Point::new(0, 0)];
+            for &s in &steps {
+                out.push(*out.last().unwrap() + s);
+            }
+            let pos: Vec<Point> = out.iter().chain(out[1..m].iter().rev()).copied().collect();
+            let n = pos.len();
+            let mut c = ClosedChain {
+                id: (0..n as u64).map(RobotId).collect(),
+                pos,
+            };
+            c.check_connected().expect("closed walk is connected");
+            c.rotate_origin(rng.range_usize(0, n));
+            if c.pos[0] == c.pos[n - 1] && c.pos.iter().any(|&p| p != c.pos[0]) {
+                wrapped_groups += 1;
+            }
+            let (removed, keepers, events) = reference_merge(&c);
+            let count = c.merge_pass(&mut log);
+            assert_eq!(count, removed.len(), "case {case}");
+            assert_eq!(log.removed_indices, removed, "case {case}");
+            assert_eq!(log.keeper_indices, keepers, "case {case}");
+            assert_eq!(log.events, events, "case {case}");
+            assert!(log.removed_indices.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert!(
+            wrapped_groups > 50,
+            "only {wrapped_groups} wrapping groups drawn"
+        );
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! [`Observer`]s ([`Sim::observe`]) instead of owning a second loop.
 //!
 //! The round loop is the simulator's hot path. With no observers attached
-//! it performs no per-round allocation and retains nothing: the hop buffer
-//! and splice log are reused across rounds and only the [`Progress`]
-//! aggregates (a few counters) are folded in-place. Observers see each
-//! round through a borrowed [`RoundCtx`] and pay for exactly what they
-//! retain.
+//! it retains nothing: the hop buffer and splice log are reused across
+//! rounds (each merge event still allocates its list of removed ids) and
+//! only the [`Progress`] aggregates (a few counters) are folded in-place.
+//! Observers see each round through a borrowed [`RoundCtx`] and pay for
+//! exactly what they retain.
 
 use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
 use crate::observe::{AnyObserver, Observer, RoundCtx};
@@ -209,6 +209,10 @@ pub struct Sim<S: Strategy> {
     observers: Vec<Box<dyn AnyObserver<S>>>,
     rounds_since_merge: u64,
     rounds_since_move: u64,
+    /// The gathering criterion on the current chain: computed at
+    /// construction and by every round's summary, so the run loop does not
+    /// recompute the O(n) bounding box.
+    gathered: bool,
     /// Chain-safety guard switch (see [`crate::safety`]): seeded from
     /// [`Strategy::wants_chain_guard`], overridable with
     /// [`Sim::with_chain_guard`].
@@ -239,6 +243,7 @@ impl<S: Strategy> Sim<S> {
         strategy.init(&chain);
         let n = chain.len();
         let guard = strategy.wants_chain_guard();
+        let gathered = chain.is_gathered();
         Sim {
             chain,
             strategy,
@@ -253,6 +258,7 @@ impl<S: Strategy> Sim<S> {
             observers: Vec::new(),
             rounds_since_merge: 0,
             rounds_since_move: 0,
+            gathered,
             guard,
             guard_cancels: 0,
             broken: None,
@@ -383,7 +389,7 @@ impl<S: Strategy> Sim<S> {
 
     /// `true` if the gathering criterion (2×2 bounding box) holds.
     pub fn is_gathered(&self) -> bool {
-        self.chain.is_gathered()
+        self.gathered
     }
 
     /// Execute one round: schedule (activation mask), look/compute
@@ -446,8 +452,7 @@ impl<S: Strategy> Sim<S> {
         // Move (simultaneous).
         let moved = self.hops.iter().filter(|h| **h != Offset::ZERO).count();
         if let Err(e) = self.chain.apply_hops(&self.hops) {
-            self.broken = Some(e.clone());
-            return Err(e);
+            return Err(self.break_chain(e));
         }
         if moved > 0 {
             // Fold hop lengths into the per-robot travel totals (the
@@ -488,8 +493,7 @@ impl<S: Strategy> Sim<S> {
         // Post-round invariant: taut chain (unless fully collapsed).
         if self.chain.len() > 1 {
             if let Err(e) = self.chain.validate() {
-                self.broken = Some(e.clone());
-                return Err(e);
+                return Err(self.break_chain(e));
             }
         }
         if let Some(c) = clock.as_mut() {
@@ -514,6 +518,7 @@ impl<S: Strategy> Sim<S> {
             len_after: self.chain.len(),
             gathered: self.chain.is_gathered(),
         };
+        self.gathered = summary.gathered;
         self.progress.record_round(moved, removed);
         if !self.observers.is_empty() {
             let ctx = RoundCtx {
@@ -532,6 +537,14 @@ impl<S: Strategy> Sim<S> {
         Ok(summary)
     }
 
+    /// Latch a chain error: the simulation refuses further rounds, and the
+    /// gathered flag follows the (broken) chain the round left behind.
+    fn break_chain(&mut self, e: ChainError) -> ChainError {
+        self.broken = Some(e.clone());
+        self.gathered = self.chain.is_gathered();
+        e
+    }
+
     /// Run until gathered or a limit trips. Fires [`Observer::on_finish`]
     /// before returning — once per decided outcome: calling `run` again
     /// and deciding the identical outcome (e.g. after `Gathered`) does
@@ -540,7 +553,7 @@ impl<S: Strategy> Sim<S> {
     /// finishes again.
     pub fn run(&mut self, limits: RunLimits) -> Outcome {
         let outcome = loop {
-            if self.chain.is_gathered() {
+            if self.gathered {
                 break Outcome::Gathered { rounds: self.round };
             }
             if self.round >= limits.max_rounds {

@@ -56,11 +56,7 @@ fn main() {
                 r,
                 rep.len_after,
                 rep.removed,
-                sim.strategy()
-                    .cells()
-                    .iter()
-                    .map(|c| c.count())
-                    .sum::<usize>()
+                sim.strategy().runs().len()
             );
             println!("{}", render(&sim));
         }

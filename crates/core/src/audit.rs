@@ -9,7 +9,7 @@
 //! model — and produce the violation counts and distributions reported in
 //! EXPERIMENTS.md (tables T2–T4).
 
-use crate::runs::{RunMode, StopReason};
+use crate::runs::{PlacedRun, RunMode, StopReason};
 use crate::strategy::{ClosedChainGathering, RunEvent};
 use chain_sim::observe::{Observer, RoundCtx};
 use chain_sim::{ClosedChain, MergeEvent, RobotId};
@@ -314,45 +314,43 @@ impl LemmaAuditor {
         }
         let mut now: HashMap<u64, RunTrack> = HashMap::new();
         let mut sees_now: Vec<u64> = Vec::new();
-        let cells = strategy.cells();
-        for (i, cell) in cells.iter().enumerate() {
-            for run in cell.iter() {
-                let robot = chain.id(i);
-                let succ = chain.id(chain.nb(i, run.dir()));
-                now.insert(
-                    run.id,
-                    RunTrack {
-                        robot,
-                        expected_next: succ,
-                    },
-                );
-                // Lemma 3.3: no sequent run visible in front *on the same
-                // quasi line* (same direction, same line orientation,
-                // within the line's visible extent) — mirrors the
-                // strategy's own scoping of Table 1.1.
-                if run.mode == RunMode::Normal {
-                    let horizon = self.view.min(chain.len().saturating_sub(1));
-                    let ring = chain_sim::Ring::with_horizon(chain, i, self.view.max(3) + 1);
-                    let line_extent = crate::quasi::quasi_break_ahead(
-                        &ring,
-                        run.dir(),
-                        run.fold_side,
-                        horizon as isize,
-                    )
-                    .map_or(horizon as isize, |b| b.distance);
-                    for j in 1..=horizon as isize {
-                        let other = &cells[chain.nb(i, j * run.dir())];
-                        if let Some(s) = other.get(run.dir()) {
-                            let same_axis = (s.fold_side.dx == 0) == (run.fold_side.dx == 0);
-                            if same_axis && j <= line_extent {
-                                if self.saw_sequent.contains(&run.id) {
-                                    self.summary.sequent_visibility_violations += 1;
-                                } else {
-                                    sees_now.push(run.id);
-                                }
+        let slots = strategy.run_slots();
+        for &PlacedRun { at: i, run } in strategy.runs() {
+            let robot = chain.id(i);
+            let succ = chain.id(chain.nb(i, run.dir()));
+            now.insert(
+                run.id,
+                RunTrack {
+                    robot,
+                    expected_next: succ,
+                },
+            );
+            // Lemma 3.3: no sequent run visible in front *on the same
+            // quasi line* (same direction, same line orientation,
+            // within the line's visible extent) — mirrors the
+            // strategy's own scoping of Table 1.1.
+            if run.mode == RunMode::Normal {
+                let horizon = self.view.min(chain.len().saturating_sub(1));
+                let ring = chain_sim::Ring::with_horizon(chain, i, self.view.max(3) + 1);
+                let line_extent = crate::quasi::quasi_break_ahead(
+                    &ring,
+                    run.dir(),
+                    run.fold_side,
+                    horizon as isize,
+                )
+                .map_or(horizon as isize, |b| b.distance);
+                for j in 1..=horizon as isize {
+                    let other = slots[chain.nb(i, j * run.dir())];
+                    if let Some(side) = other.fold_side(run.dir()) {
+                        let same_axis = (side.dx == 0) == (run.fold_side.dx == 0);
+                        if same_axis && j <= line_extent {
+                            if self.saw_sequent.contains(&run.id) {
+                                self.summary.sequent_visibility_violations += 1;
+                            } else {
+                                sees_now.push(run.id);
                             }
-                            break;
                         }
+                        break;
                     }
                 }
             }
@@ -419,7 +417,7 @@ impl LemmaAuditor {
             .max()
             .unwrap_or(0);
         self.summary.total_merged_robots = self.summary.initial_n - self.summary.final_n;
-        self.summary.live_runs_at_end = strategy.cells().iter().map(|c| c.count()).sum();
+        self.summary.live_runs_at_end = strategy.runs().len();
     }
 
     /// The pair records collected so far.

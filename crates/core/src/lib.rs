@@ -53,6 +53,6 @@ pub use config::GatherConfig;
 pub use local::{merge_role_at, LocalMergeRole};
 pub use merge::{MergePattern, MergeScan};
 pub use quasi::StartShape;
-pub use runs::{Run, RunCell, RunMode, RunStats, StopReason};
+pub use runs::{PlacedRun, Run, RunMode, RunStats, StopReason};
 pub use ssync::SsyncGathering;
 pub use strategy::{ClosedChainGathering, RunEvent};

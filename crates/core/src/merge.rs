@@ -78,6 +78,10 @@ pub struct MergeScan {
 impl MergeScan {
     fn reset(&mut self, n: usize) {
         self.patterns.clear();
+        // At most one pattern per maximal monotone run plus one per fold
+        // tip: reserving 2n once keeps later (shorter) rounds from
+        // allocating.
+        self.patterns.reserve(2 * n);
         self.hop.clear();
         self.hop.resize(n, Offset::ZERO);
         self.black.clear();

@@ -8,10 +8,12 @@
 //! toward each other that cannot enable a merge *pass* each other without
 //! reshaping (Fig. 8/14).
 //!
-//! The gathering strategy stores one optional run per chain direction per
-//! robot ([`RunCell`]). Two same-direction runs can never share a robot:
-//! termination condition 1 of Table 1 removes the rear run before contact
-//! (pipelining distance L = 13 > V = 11 keeps fresh runs apart).
+//! The gathering strategy keeps its runs in a compact table of
+//! [`PlacedRun`]s, sorted by chain index, plus one `RunSlots` byte per
+//! robot that the ahead-scans read. A robot holds at most one run per chain
+//! direction. Two same-direction runs can never share a robot: termination
+//! condition 1 of Table 1 removes the rear run before contact (pipelining
+//! distance L = 13 > V = 11 keeps fresh runs apart).
 
 use crate::quasi::StartShape;
 use chain_sim::RobotId;
@@ -76,50 +78,67 @@ impl Run {
     }
 }
 
-/// The runs held by one robot: at most one per chain direction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunCell {
-    pub fwd: Option<Run>,
-    pub bwd: Option<Run>,
+/// A live run and the chain index of the robot carrying it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlacedRun {
+    /// Chain index of the runner.
+    pub at: usize,
+    /// The run state.
+    pub run: Run,
 }
 
-impl RunCell {
-    pub const EMPTY: RunCell = RunCell {
-        fwd: None,
-        bwd: None,
-    };
+impl PlacedRun {
+    /// Table order: by chain index, the forward run before the backward one.
+    #[inline]
+    pub(crate) fn order_key(&self) -> usize {
+        2 * self.at + usize::from(self.run.dir < 0)
+    }
+}
+
+/// Which runs one robot carries, in one byte: per chain direction a
+/// presence bit and the run's fold side as a 2-bit direction code. This is
+/// all the sequent/opposing-run scans of a runner read about the robots
+/// ahead of it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RunSlots(u8);
+
+impl RunSlots {
+    pub const EMPTY: RunSlots = RunSlots(0);
+
+    /// The fold sides a slot code can hold, indexed by their 2-bit code.
+    const SIDES: [Offset; 4] = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
 
     #[inline]
-    pub fn get(&self, dir: isize) -> Option<&Run> {
+    fn shift(dir: isize) -> u32 {
         if dir > 0 {
-            self.fwd.as_ref()
+            0
         } else {
-            self.bwd.as_ref()
+            3
         }
     }
 
+    /// Fold side of the run moving in direction `dir`, if the robot has one.
     #[inline]
-    pub fn slot_mut(&mut self, dir: isize) -> &mut Option<Run> {
-        if dir > 0 {
-            &mut self.fwd
-        } else {
-            &mut self.bwd
-        }
+    pub fn fold_side(self, dir: isize) -> Option<Offset> {
+        let bits = self.0 >> Self::shift(dir);
+        (bits & 0b100 != 0).then(|| Self::SIDES[usize::from(bits & 0b11)])
     }
 
+    /// Record a run moving in direction `dir` with the given (unit) fold
+    /// side.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.fwd.is_none() && self.bwd.is_none()
+    pub fn set(&mut self, dir: isize, fold_side: Offset) {
+        let code = Self::SIDES
+            .iter()
+            .position(|&s| s == fold_side)
+            .expect("fold side is a unit step") as u8;
+        self.0 |= (0b100 | code) << Self::shift(dir);
     }
 
-    /// Number of runs on this robot (0..=2).
+    /// Forget the run moving in direction `dir`.
     #[inline]
-    pub fn count(&self) -> usize {
-        usize::from(self.fwd.is_some()) + usize::from(self.bwd.is_some())
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &Run> {
-        self.fwd.iter().chain(self.bwd.iter())
+    pub fn clear(&mut self, dir: isize) {
+        self.0 &= !(0b111 << Self::shift(dir));
     }
 }
 
@@ -198,14 +217,22 @@ mod tests {
 
     #[test]
     fn cell_slots_by_direction() {
-        let mut cell = RunCell::EMPTY;
-        assert!(cell.is_empty());
-        *cell.slot_mut(1) = Some(run(1));
-        *cell.slot_mut(-1) = Some(run(-1));
-        assert_eq!(cell.count(), 2);
-        assert_eq!(cell.get(1).unwrap().dir, 1);
-        assert_eq!(cell.get(-1).unwrap().dir, -1);
-        assert_eq!(cell.iter().count(), 2);
+        for fwd in RunSlots::SIDES {
+            for bwd in RunSlots::SIDES {
+                let mut s = RunSlots::EMPTY;
+                s.set(1, fwd);
+                assert_eq!((s.fold_side(1), s.fold_side(-1)), (Some(fwd), None));
+                s.set(-1, bwd);
+                assert_eq!((s.fold_side(1), s.fold_side(-1)), (Some(fwd), Some(bwd)));
+                s.clear(1);
+                assert_eq!((s.fold_side(1), s.fold_side(-1)), (None, Some(bwd)));
+                s.clear(-1);
+                assert_eq!(s, RunSlots::EMPTY);
+            }
+        }
+        let placed = |at, dir| PlacedRun { at, run: run(dir) };
+        assert!(placed(3, 1).order_key() < placed(3, -1).order_key());
+        assert!(placed(3, -1).order_key() < placed(4, 1).order_key());
     }
 
     #[test]

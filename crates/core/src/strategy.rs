@@ -20,7 +20,7 @@
 use crate::config::GatherConfig;
 use crate::merge::MergeScan;
 use crate::quasi::{self, StartShape};
-use crate::runs::{Run, RunAction, RunCell, RunMode, RunStats, StopReason};
+use crate::runs::{PlacedRun, Run, RunAction, RunMode, RunSlots, RunStats, StopReason};
 use chain_sim::{ClosedChain, Ring, RobotId, SpliceLog, Strategy};
 use grid_geom::Offset;
 
@@ -58,10 +58,19 @@ pub enum RunEvent {
 pub struct ClosedChainGathering {
     cfg: GatherConfig,
     scan: MergeScan,
-    cells: Vec<RunCell>,
-    staged: Vec<RunCell>,
-    /// Fold hop each robot's runs agreed on this round (`None` = no fold).
-    fold_hop: Vec<Option<Offset>>,
+    /// Live runs, sorted by `PlacedRun::order_key`: the order in which
+    /// they decide, and in which their events are emitted.
+    runs: Vec<PlacedRun>,
+    /// Per-robot occupancy of `runs` (parallel to the chain): what the
+    /// ahead-scans of `decide` read.
+    slots: Vec<RunSlots>,
+    /// The next round's table and occupancy while `compute` stages it.
+    /// Between rounds `staged` is empty and every `staged_slots` entry is
+    /// empty, so staging costs O(live runs), not O(n).
+    staged: Vec<PlacedRun>,
+    staged_slots: Vec<RunSlots>,
+    /// Fold hops the runs agreed on this round, by ascending runner index.
+    folds: Vec<(usize, Offset)>,
     /// Per-robot local-view signatures of the previous two rounds and the
     /// oscillation-suppression countdown (see `detect_oscillation`).
     sig_prev: Vec<u64>,
@@ -71,6 +80,10 @@ pub struct ClosedChainGathering {
     /// Previous round's inherent pattern sizes, compacted through splices
     /// (drives staggered suppression expiry).
     prev_inherent_k: Vec<u8>,
+    /// `post_merge` scratch: keeper flags by pre-splice index, and the
+    /// sorted ids of every robot of a merge group.
+    keeper_flags: Vec<bool>,
+    merged_ids: Vec<RobotId>,
     next_run_id: u64,
     stats: RunStats,
     events: Vec<RunEvent>,
@@ -83,14 +96,18 @@ impl ClosedChainGathering {
         ClosedChainGathering {
             cfg,
             scan: MergeScan::default(),
-            cells: Vec::new(),
+            runs: Vec::new(),
+            slots: Vec::new(),
             staged: Vec::new(),
-            fold_hop: Vec::new(),
+            staged_slots: Vec::new(),
+            folds: Vec::new(),
             sig_prev: Vec::new(),
             sig_prev2: Vec::new(),
             suppress: Vec::new(),
             suppress_flags: Vec::new(),
             prev_inherent_k: Vec::new(),
+            keeper_flags: Vec::new(),
+            merged_ids: Vec::new(),
             next_run_id: 0,
             stats: RunStats::default(),
             events: Vec::new(),
@@ -117,9 +134,16 @@ impl ClosedChainGathering {
         &self.stats
     }
 
-    /// Current run cells (parallel to chain indices) — for auditors/tests.
-    pub fn cells(&self) -> &[RunCell] {
-        &self.cells
+    /// Live runs, sorted by chain index (forward run first) — for
+    /// auditors/tests.
+    pub fn runs(&self) -> &[PlacedRun] {
+        &self.runs
+    }
+
+    /// Per-robot run occupancy (parallel to chain indices) — for the
+    /// auditor.
+    pub(crate) fn run_slots(&self) -> &[RunSlots] {
+        &self.slots
     }
 
     /// Drain recorded events.
@@ -209,7 +233,7 @@ impl ClosedChainGathering {
 
     /// Decide what one run does this round (pure w.r.t. `self` except for
     /// statistics/events, which are recorded by the caller).
-    fn decide(&self, chain: &ClosedChain, round: u64, i: usize, run: &Run) -> RunAction {
+    fn decide(&self, chain: &ClosedChain, i: usize, run: &Run) -> RunAction {
         let n = chain.len();
         let d = run.dir();
         let horizon = self.cfg.view.min(n.saturating_sub(1));
@@ -228,16 +252,15 @@ impl ClosedChainGathering {
         let same_axis = |a: Offset, b: Offset| (a.dx == 0) == (b.dx == 0);
         let mut opposing: Option<(isize, Offset)> = None;
         for j in 1..=horizon as isize {
-            let idx = chain.nb(i, j * d);
-            let cell = &self.cells[idx];
-            if let Some(s) = cell.get(d) {
-                if same_axis(s.fold_side, run.fold_side) && j <= line_extent {
+            let slots = self.slots[chain.nb(i, j * d)];
+            if let Some(side) = slots.fold_side(d) {
+                if same_axis(side, run.fold_side) && j <= line_extent {
                     return RunAction::Die(StopReason::SequentAhead);
                 }
             }
             if opposing.is_none() {
-                if let Some(o) = cell.get(-d) {
-                    opposing = Some((j, o.fold_side));
+                if let Some(side) = slots.fold_side(-d) {
+                    opposing = Some((j, side));
                 }
             }
         }
@@ -258,10 +281,11 @@ impl ClosedChainGathering {
             if chain.id(i) == target {
                 // Arrived at the target corner: return to normal operation.
                 next.mode = RunMode::Normal;
-            } else if chain.index_of(target).is_none() {
-                // Target corner removed by a merge (Table 1.4/5).
-                return RunAction::Die(StopReason::TargetRemoved);
             } else {
+                // The target is still on the chain: `post_merge` stops every
+                // passing run whose target was merged, keeper or removed
+                // robot alike (Table 1.4/5), in the round of the merge.
+                debug_assert!(chain.index_of(target).is_some(), "passing target gone");
                 return RunAction::Advance { fold: None, next };
             }
         }
@@ -301,8 +325,19 @@ impl ClosedChainGathering {
         if next.walk_budget > 0 {
             next.walk_budget -= 1;
         }
-        let _ = round;
         RunAction::Advance { fold: None, next }
+    }
+
+    /// Stage `run` on robot `at` for the next round; `false` if a run
+    /// moving the same way is already staged there.
+    fn stage(&mut self, at: usize, run: Run) -> bool {
+        let slots = &mut self.staged_slots[at];
+        if slots.fold_side(run.dir()).is_some() {
+            return false;
+        }
+        slots.set(run.dir(), run.fold_side);
+        self.staged.push(PlacedRun { at, run });
+        true
     }
 
     /// Evaluate run starts (Fig. 5) at robot `i`; returns fresh runs.
@@ -310,11 +345,6 @@ impl ClosedChainGathering {
         let v = Ring::with_horizon(chain, i, self.cfg.view.max(4));
         for d in [1isize, -1] {
             if let Some((shape, fold_side)) = quasi::run_start(&v, d) {
-                let slot = self.staged[i].slot_mut(d);
-                if slot.is_some() {
-                    // Occupied (arriving run): skip the start.
-                    continue;
-                }
                 let run = Run {
                     id: self.next_run_id,
                     dir: d as i8,
@@ -325,8 +355,11 @@ impl ClosedChainGathering {
                     walk_budget: 0,
                     op_c_pending: self.cfg.op_c_walk && shape == StartShape::CornerEnd,
                 };
+                if !self.stage(i, run) {
+                    // Occupied (arriving run): skip the start.
+                    continue;
+                }
                 self.next_run_id += 1;
-                *slot = Some(run);
                 match shape {
                     StartShape::StairwayEnd => self.stats.started_stairway += 1,
                     StartShape::CornerEnd => self.stats.started_corner += 1,
@@ -351,12 +384,23 @@ impl Strategy for ClosedChainGathering {
 
     fn init(&mut self, chain: &ClosedChain) {
         let n = chain.len();
-        self.cells.clear();
-        self.cells.resize(n, RunCell::EMPTY);
+        // Capacity for the largest state a round can need — two runs per
+        // robot, a fold per robot, every robot merged — so that no later
+        // round allocates (the chain only shrinks).
+        self.runs.clear();
+        self.runs.reserve(2 * n);
         self.staged.clear();
-        self.staged.resize(n, RunCell::EMPTY);
-        self.fold_hop.clear();
-        self.fold_hop.resize(n, None);
+        self.staged.reserve(2 * n);
+        self.slots.clear();
+        self.slots.resize(n, RunSlots::EMPTY);
+        self.staged_slots.clear();
+        self.staged_slots.resize(n, RunSlots::EMPTY);
+        self.folds.clear();
+        self.folds.reserve(n);
+        self.keeper_flags.clear();
+        self.keeper_flags.reserve(n);
+        self.merged_ids.clear();
+        self.merged_ids.reserve(n);
         self.sig_prev.clear();
         self.sig_prev.resize(n, u64::MAX);
         self.sig_prev2.clear();
@@ -371,7 +415,7 @@ impl Strategy for ClosedChainGathering {
 
     fn compute(&mut self, chain: &ClosedChain, round: u64, hops: &mut [Offset]) {
         let n = chain.len();
-        debug_assert_eq!(self.cells.len(), n, "cell array out of sync");
+        debug_assert_eq!(self.slots.len(), n, "run slots out of sync");
 
         // Step 0: oscillation detection (constant-memory symmetry breaker
         // for closed interference cycles of merge patterns).
@@ -382,90 +426,91 @@ impl Strategy for ClosedChainGathering {
         self.scan.scan_suppressed(chain, &self.cfg, &flags);
         self.suppress_flags = flags;
 
-        // Step 2: run operations.
-        self.staged.clear();
-        self.staged.resize(n, RunCell::EMPTY);
-        self.fold_hop.clear();
-        self.fold_hop.resize(n, None);
-        let mut fold_conflict = false;
-
-        // Decide all runs from the same snapshot; stage arrivals.
-        for i in 0..n {
-            let cell = self.cells[i];
-            for run in [cell.fwd, cell.bwd].into_iter().flatten() {
-                if run.born >= round {
-                    // Born this round boundary: acts from the next round.
-                    *self.staged[i].slot_mut(run.dir()) = Some(run);
-                    continue;
+        // Step 2: run operations. Decide all runs from the same snapshot
+        // (`slots` is not touched until the round is staged); stage
+        // arrivals.
+        debug_assert!(self.staged.is_empty());
+        self.folds.clear();
+        let runs = std::mem::take(&mut self.runs);
+        for &PlacedRun { at: i, run } in &runs {
+            if run.born >= round {
+                // Born this round boundary: acts from the next round, and
+                // takes its slot over from any arrival.
+                if !self.stage(i, run) {
+                    let held = self
+                        .staged
+                        .iter_mut()
+                        .find(|p| p.at == i && p.run.dir == run.dir)
+                        .expect("an occupied slot has a staged run");
+                    held.run = run;
+                    self.staged_slots[i].clear(run.dir());
+                    self.staged_slots[i].set(run.dir(), run.fold_side);
                 }
-                match self.decide(chain, round, i, &run) {
-                    RunAction::Die(reason) => {
-                        self.stop_run(round, &run, chain.id(i), reason);
+                continue;
+            }
+            match self.decide(chain, i, &run) {
+                RunAction::Die(reason) => {
+                    self.stop_run(round, &run, chain.id(i), reason);
+                }
+                RunAction::Advance { fold, next } => {
+                    if next.mode != run.mode {
+                        if let RunMode::Passing { target } = next.mode {
+                            self.stats.passings_started += 1;
+                            self.emit(RunEvent::PassingStarted {
+                                round,
+                                run_id: run.id,
+                                robot: chain.id(i),
+                                target,
+                            });
+                        }
                     }
-                    RunAction::Advance { fold, next } => {
-                        if next.mode != run.mode {
-                            if let RunMode::Passing { target } = next.mode {
-                                self.stats.passings_started += 1;
-                                self.emit(RunEvent::PassingStarted {
+                    if let Some(h) = fold {
+                        // A robot's runs decide consecutively, so an earlier
+                        // fold on this robot is the last one recorded.
+                        match self.folds.last() {
+                            Some(&(j, existing)) if j == i => {
+                                if existing != h {
+                                    // Two runs demanding different folds on
+                                    // one robot: both walk (safety).
+                                    self.folds.pop();
+                                }
+                            }
+                            _ => {
+                                self.folds.push((i, h));
+                                self.stats.folds += 1;
+                                self.emit(RunEvent::Folded {
                                     round,
                                     run_id: run.id,
                                     robot: chain.id(i),
-                                    target,
                                 });
                             }
                         }
-                        if let Some(h) = fold {
-                            match self.fold_hop[i] {
-                                None => {
-                                    self.fold_hop[i] = Some(h);
-                                    self.stats.folds += 1;
-                                    self.emit(RunEvent::Folded {
-                                        round,
-                                        run_id: run.id,
-                                        robot: chain.id(i),
-                                    });
-                                }
-                                Some(existing) if existing == h => {}
-                                Some(_) => {
-                                    // Two runs demanding different folds on
-                                    // one robot: both walk (safety).
-                                    self.fold_hop[i] = None;
-                                    fold_conflict = true;
-                                }
-                            }
-                        } else {
-                            self.stats.walks += 1;
-                        }
-                        // Move the run state one robot further (Lemma 3.1).
-                        let dest = chain.nb(i, next.dir());
-                        let slot = self.staged[dest].slot_mut(next.dir());
-                        if slot.is_some() {
-                            // Arrival collision (only possible against a
-                            // just-started run; see runs.rs).
-                            self.stop_run(round, &next, chain.id(dest), StopReason::SlotCollision);
-                        } else {
-                            *slot = Some(next);
-                        }
+                    } else {
+                        self.stats.walks += 1;
+                    }
+                    // Move the run state one robot further (Lemma 3.1).
+                    let dest = chain.nb(i, next.dir());
+                    if !self.stage(dest, next) {
+                        // Arrival collision (only possible against a
+                        // just-started run; see runs.rs).
+                        self.stop_run(round, &next, chain.id(dest), StopReason::SlotCollision);
                     }
                 }
             }
         }
-        let _ = fold_conflict;
 
         // Resolve hops: merge hop (blacks) > run fold > stand. Whites of
-        // fired patterns stand still (their runs walked).
-        for (i, hop) in hops.iter_mut().enumerate().take(n) {
-            *hop = if self.scan.black[i] {
-                self.scan.hop[i]
-            } else if self.scan.white[i] {
-                Offset::ZERO
-            } else {
-                self.fold_hop[i].unwrap_or(Offset::ZERO)
-            };
+        // fired patterns stand still (their runs walked); the scan's hop is
+        // zero for everyone but the blacks.
+        hops[..n].copy_from_slice(&self.scan.hop);
+        for &(i, h) in &self.folds {
+            if !self.scan.participates(i) {
+                hops[i] = h;
+            }
         }
 
         // Step 3: start new runs every L-th round, from the same snapshot.
-        // The started runs are placed in `staged` and act from round + 1.
+        // The started runs are staged and act from round + 1.
         if round.is_multiple_of(self.cfg.l_period) {
             for (i, hop) in hops.iter().enumerate().take(n) {
                 if *hop == Offset::ZERO && !self.scan.participates(i) {
@@ -474,104 +519,130 @@ impl Strategy for ClosedChainGathering {
             }
         }
 
-        std::mem::swap(&mut self.cells, &mut self.staged);
+        // The staged table becomes the round's state: empty the old
+        // occupancy run by run, then swap tables and occupancies.
+        for p in &runs {
+            self.slots[p.at] = RunSlots::EMPTY;
+        }
+        std::mem::swap(&mut self.slots, &mut self.staged_slots);
+        self.runs = std::mem::replace(&mut self.staged, runs);
+        self.staged.clear();
+        self.runs.sort_unstable_by_key(PlacedRun::order_key);
         self.prev_inherent_k.clear();
         self.prev_inherent_k
             .extend_from_slice(&self.scan.inherent_k);
-        let live: u64 = self.cells.iter().map(|c| c.count() as u64).sum();
-        self.stats.max_live_runs = self.stats.max_live_runs.max(live);
+        self.stats.max_live_runs = self.stats.max_live_runs.max(self.runs.len() as u64);
     }
 
     fn post_merge(&mut self, chain: &ClosedChain, round: u64, log: &SpliceLog) {
         if log.is_empty() {
-            debug_assert_eq!(self.cells.len(), chain.len());
+            debug_assert_eq!(self.slots.len(), chain.len());
             return;
         }
-        // Terminate runs on removed robots and on keepers (Table 1.3), then
-        // compact all per-robot state to the post-splice indexing.
-        let old_n = self.cells.len();
-        let mut keeper_flags = vec![false; old_n];
+        let old_n = self.slots.len();
+        self.keeper_flags.clear();
+        self.keeper_flags.resize(old_n, false);
         for &k in &log.keeper_indices {
-            keeper_flags[k] = true;
+            self.keeper_flags[k] = true;
         }
-        let mut new_cells = vec![RunCell::EMPTY; chain.len()];
-        let mut new_sig_prev = vec![u64::MAX; chain.len()];
-        let mut new_sig_prev2 = vec![u64::MAX - 1; chain.len()];
-        let mut new_suppress = vec![0u16; chain.len()];
-        let mut new_prev_k = vec![0u8; chain.len()];
-        let mut rm = log.removed_indices.iter().peekable();
+
+        // Terminate runs on removed robots and on keepers (Table 1.3) and
+        // move the others to their post-splice indices. Table and removed
+        // indices are both ascending, so one merged sweep remaps them.
+        let mut runs = std::mem::take(&mut self.runs);
+        let removed = &log.removed_indices;
+        let mut shift = 0; // removed indices below the run's robot
+        let mut kept = 0;
+        for r in 0..runs.len() {
+            let PlacedRun { at, run } = runs[r];
+            while shift < removed.len() && removed[shift] < at {
+                shift += 1;
+            }
+            if removed.get(shift) == Some(&at) {
+                self.stats.record_stop(StopReason::RobotRemoved);
+                self.emit(RunEvent::Stopped {
+                    round,
+                    run_id: run.id,
+                    robot: RobotId(u64::MAX),
+                    reason: StopReason::RobotRemoved,
+                });
+            } else if self.keeper_flags[at] {
+                self.stop_run(round, &run, chain.id(at - shift), StopReason::Merged);
+            } else {
+                runs[kept] = PlacedRun {
+                    at: at - shift,
+                    run,
+                };
+                kept += 1;
+            }
+        }
+        runs.truncate(kept);
+
+        // Compact the per-robot state in place (write ≤ read). Keepers'
+        // runs are gone, and their signature histories and suppression
+        // reset (their neighborhood was rewritten by the merge, and which
+        // group member survives is an arbitrary labeling that must not
+        // influence the dynamics); others carry their state over.
+        let mut rm = removed.iter().peekable();
         let mut write = 0usize;
-        for (read, &keeper) in keeper_flags.iter().enumerate() {
-            let removed = rm.peek() == Some(&&read);
-            if removed {
+        for read in 0..old_n {
+            if rm.peek() == Some(&&read) {
                 rm.next();
+                continue;
             }
-            let cell = self.cells[read];
-            for run in cell.iter() {
-                if removed {
-                    self.stats.record_stop(StopReason::RobotRemoved);
-                    self.emit(RunEvent::Stopped {
-                        round,
-                        run_id: run.id,
-                        robot: RobotId(u64::MAX),
-                        reason: StopReason::RobotRemoved,
-                    });
-                } else if keeper {
-                    self.stop_run(round, run, chain.id(write), StopReason::Merged);
-                }
+            if self.keeper_flags[read] {
+                self.slots[write] = RunSlots::EMPTY;
+                self.sig_prev[write] = u64::MAX;
+                self.sig_prev2[write] = u64::MAX - 1;
+                self.suppress[write] = 0;
+                self.prev_inherent_k[write] = 0;
+            } else {
+                self.slots[write] = self.slots[read];
+                self.sig_prev[write] = self.sig_prev[read];
+                self.sig_prev2[write] = self.sig_prev2[read];
+                self.suppress[write] = self.suppress[read];
+                self.prev_inherent_k[write] = self.prev_inherent_k[read];
             }
-            if !removed {
-                if !keeper {
-                    new_cells[write] = cell;
-                }
-                // Keepers' signature histories and suppression reset (their
-                // neighborhood was rewritten by the merge, and which group
-                // member survives is an arbitrary labeling that must not
-                // influence the dynamics); others carry their state over.
-                if !keeper {
-                    new_sig_prev[write] = self.sig_prev[read];
-                    new_sig_prev2[write] = self.sig_prev2[read];
-                    new_suppress[write] = self.suppress[read];
-                    new_prev_k[write] = self.prev_inherent_k[read];
-                }
-                write += 1;
-            }
+            write += 1;
         }
         debug_assert_eq!(write, chain.len());
-        self.cells = new_cells;
-        self.sig_prev = new_sig_prev;
-        self.sig_prev2 = new_sig_prev2;
-        self.suppress = new_suppress;
-        self.prev_inherent_k = new_prev_k;
-        self.staged.clear();
-        self.staged.resize(chain.len(), RunCell::EMPTY);
+        self.slots.truncate(write);
+        self.staged_slots.truncate(write);
+        self.sig_prev.truncate(write);
+        self.sig_prev2.truncate(write);
+        self.suppress.truncate(write);
+        self.prev_inherent_k.truncate(write);
 
         // Table 1.4/5: a passing run terminates when its target corner was
         // "removed because of a merge operation". Both members of a spliced
         // coincidence group count as removed — which one keeps its id is an
         // arbitrary labeling the robots cannot observe.
-        let mut merged_ids: Vec<RobotId> = Vec::new();
+        self.merged_ids.clear();
         for ev in &log.events {
-            merged_ids.push(ev.keeper);
-            merged_ids.extend_from_slice(&ev.removed);
+            self.merged_ids.push(ev.keeper);
+            self.merged_ids.extend_from_slice(&ev.removed);
         }
-        merged_ids.sort_unstable();
-        for i in 0..self.cells.len() {
-            let cell = self.cells[i];
-            for run in cell.iter() {
-                if let crate::runs::RunMode::Passing { target } = run.mode {
-                    if merged_ids.binary_search(&target).is_ok() {
-                        self.stop_run(round, run, chain.id(i), StopReason::TargetRemoved);
-                        *self.cells[i].slot_mut(run.dir()) = None;
-                    }
+        self.merged_ids.sort_unstable();
+        let mut kept = 0;
+        for r in 0..runs.len() {
+            let PlacedRun { at, run } = runs[r];
+            if let RunMode::Passing { target } = run.mode {
+                if self.merged_ids.binary_search(&target).is_ok() {
+                    self.stop_run(round, &run, chain.id(at), StopReason::TargetRemoved);
+                    self.slots[at].clear(run.dir());
+                    continue;
                 }
             }
+            runs[kept] = runs[r];
+            kept += 1;
         }
+        runs.truncate(kept);
+        self.runs = runs;
     }
 
     fn marker(&self, index: usize) -> Option<char> {
-        let cell = self.cells.get(index)?;
-        match (cell.fwd.is_some(), cell.bwd.is_some()) {
+        let slots = self.slots.get(index)?;
+        match (slots.fold_side(1).is_some(), slots.fold_side(-1).is_some()) {
             (true, true) => Some('X'),
             (true, false) => Some('>'),
             (false, true) => Some('<'),

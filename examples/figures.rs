@@ -185,7 +185,7 @@ fn fig9_pipelining() {
             break;
         }
         sim.step().unwrap();
-        let live: usize = sim.strategy().cells().iter().map(|c| c.count()).sum();
+        let live = sim.strategy().runs().len();
         max_live = max_live.max(live);
     }
     println!(

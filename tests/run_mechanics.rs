@@ -106,12 +106,7 @@ fn stop_reasons_accounted_consistently() {
     let outcome = sim.run(RunLimits::for_chain_len(len));
     assert!(outcome.is_gathered());
     let stats = sim.strategy().stats();
-    let live: u64 = sim
-        .strategy()
-        .cells()
-        .iter()
-        .map(|c| c.count() as u64)
-        .sum();
+    let live = sim.strategy().runs().len() as u64;
     assert_eq!(
         stats.started_total(),
         stats.stopped_total() + live,
