@@ -116,6 +116,24 @@ impl SpliceLog {
         self.removed_indices.is_empty()
     }
 
+    /// Remove the logged indices from `v`, an array parallel to the
+    /// pre-splice chain, keeping the order of the rest: the merge pass's
+    /// own compaction, for per-robot state kept beside the chain. Moves
+    /// only what lies past the first removed index, one block per gap.
+    pub fn splice<T: Copy>(&self, v: &mut Vec<T>) {
+        let removed = &self.removed_indices;
+        let Some(&first) = removed.first() else {
+            return;
+        };
+        let mut write = first;
+        for (j, &r) in removed.iter().enumerate() {
+            let end = removed.get(j + 1).copied().unwrap_or(v.len());
+            v.copy_within(r + 1..end, write);
+            write += end - r - 1;
+        }
+        v.truncate(write);
+    }
+
     /// Map a pre-splice index to its post-splice index, or `None` if the
     /// robot at that index was removed.
     pub fn remap(&self, old: usize) -> Option<usize> {
@@ -124,6 +142,32 @@ impl SpliceLog {
             Err(shift) => Some(old - shift),
         }
     }
+}
+
+/// What [`ClosedChain::apply_hops_swept`] saw of the moved chain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MoveSweep {
+    /// Robots that performed a nonzero hop.
+    pub moved: usize,
+    /// Bounding box of the moved chain. The merge pass keeps it: every
+    /// robot it removes coincides with its keeper.
+    pub bounds: Rect,
+    /// Some chain edge has length 0, so the merge pass has work. When it
+    /// is `false` every edge has length exactly 1: the chain is taut.
+    pub coincident: bool,
+}
+
+/// [`edge_class`] bit of a zero-length edge.
+const EDGE_COINCIDENT: u32 = 1;
+/// [`edge_class`] bit of an edge longer than one step.
+const EDGE_LONG: u32 = 4;
+
+/// One bit per edge length class: [`EDGE_COINCIDENT`] for 0, 2 for a
+/// unit step, [`EDGE_LONG`] for anything longer. Branch-free: the squared
+/// Euclidean length is 0, 1 or ≥ 2 exactly when the Manhattan length is.
+#[inline]
+fn edge_class(d: Offset) -> u32 {
+    1 << (d.dx * d.dx + d.dy * d.dy).min(2)
 }
 
 /// The closed chain of robots (struct-of-arrays layout: positions and ids).
@@ -295,6 +339,58 @@ impl ClosedChain {
         self.check_connected()
     }
 
+    /// [`ClosedChain::apply_hops`] in one sweep over the chain that also
+    /// counts the movers, takes the bounding box and measures every edge
+    /// (see [`MoveSweep`]) — what the engine needs after a move, without
+    /// the separate connectivity, taut-chain and gathering passes.
+    ///
+    /// Errors are those of `apply_hops`, in the same state: an illegal hop
+    /// is reported before anything moves; a broken edge after the move,
+    /// by [`ClosedChain::check_connected`].
+    pub fn apply_hops_swept(&mut self, hops: &[Offset]) -> Result<MoveSweep, ChainError> {
+        assert_eq!(hops.len(), self.pos.len(), "one hop per robot");
+        // Without short-circuit, so the common all-legal case is one
+        // branch-free pass; the position is looked up only on failure.
+        if hops.iter().fold(false, |bad, h| bad | !h.is_hop()) {
+            let index = hops
+                .iter()
+                .position(|h| !h.is_hop())
+                .expect("the fold saw an illegal hop");
+            return Err(ChainError::IllegalHop {
+                index,
+                hop: hops[index],
+            });
+        }
+        let first = self.pos[0] + hops[0];
+        self.pos[0] = first;
+        let mut moved = usize::from(hops[0] != Offset::ZERO);
+        let (mut min, mut max) = (first, first);
+        // The length classes of every edge seen (see `edge_class`).
+        let mut lens = 0u32;
+        let mut prev = first;
+        for (p, &h) in self.pos[1..].iter_mut().zip(&hops[1..]) {
+            let q = *p + h;
+            *p = q;
+            moved += usize::from(h != Offset::ZERO);
+            min = Point::new(min.x.min(q.x), min.y.min(q.y));
+            max = Point::new(max.x.max(q.x), max.y.max(q.y));
+            lens |= edge_class(q - prev);
+            prev = q;
+        }
+        // The closing edge (for n = 1, the robot to itself).
+        lens |= edge_class(first - prev);
+        if lens & EDGE_LONG != 0 {
+            return Err(self
+                .check_connected()
+                .expect_err("an edge longer than 1 disconnects the chain"));
+        }
+        Ok(MoveSweep {
+            moved,
+            bounds: Rect { min, max },
+            coincident: lens & EDGE_COINCIDENT != 0,
+        })
+    }
+
     /// The merge pass: splice out robots coinciding with chain neighbors.
     ///
     /// Maximal groups of cyclically-consecutive robots on one grid point are
@@ -379,20 +475,8 @@ impl ClosedChain {
         log.removed_indices.rotate_left(before_wrap);
         log.keeper_indices.rotate_left(before_wrap);
 
-        // Splice out removed indices (single compaction sweep).
-        let mut write = 0;
-        let mut rm_iter = log.removed_indices.iter().peekable();
-        for read in 0..n {
-            if rm_iter.peek() == Some(&&read) {
-                rm_iter.next();
-                continue;
-            }
-            self.pos[write] = self.pos[read];
-            self.id[write] = self.id[read];
-            write += 1;
-        }
-        self.pos.truncate(write);
-        self.id.truncate(write);
+        log.splice(&mut self.pos);
+        log.splice(&mut self.id);
         log.removed_indices.len()
     }
 
@@ -607,6 +691,31 @@ mod tests {
             wrapped_groups > 50,
             "only {wrapped_groups} wrapping groups drawn"
         );
+    }
+
+    /// `SpliceLog::splice` keeps exactly the entries whose index is not
+    /// logged, in order, for every removal set of small arrays.
+    #[test]
+    fn splice_matches_filtering() {
+        for n in 0..=9usize {
+            for set in 0u32..(1 << n) {
+                let removed: Vec<usize> = (0..n).filter(|i| set >> i & 1 == 1).collect();
+                let log = SpliceLog {
+                    keeper_indices: vec![0; removed.len()],
+                    removed_indices: removed,
+                    events: Vec::new(),
+                };
+                let mut v: Vec<usize> = (100..100 + n).collect();
+                let want: Vec<usize> = v
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| set >> i & 1 == 0)
+                    .map(|(_, &x)| x)
+                    .collect();
+                log.splice(&mut v);
+                assert_eq!(v, want, "n={n} removed={:?}", log.removed_indices);
+            }
+        }
     }
 
     #[test]

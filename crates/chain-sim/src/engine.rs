@@ -17,6 +17,10 @@
 //! it retains nothing: the hop buffer and splice log are reused across
 //! rounds (each merge event still allocates its list of removed ids) and
 //! only the [`Progress`] aggregates (a few counters) are folded in-place.
+//! After the move one sweep ([`ClosedChain::apply_hops_swept`]) counts
+//! the movers, takes the bounding box and measures every edge; the merge
+//! pass and the taut-chain check run only on rounds where an edge
+//! collapsed to length 0.
 //! Observers see each round through a borrowed [`RoundCtx`] and pay for
 //! exactly what they retain.
 
@@ -27,6 +31,7 @@ use crate::strategy::Strategy;
 use crate::trace::Progress;
 use grid_geom::Offset;
 use obs::{Phase, PhaseTimer};
+use std::f64::consts::SQRT_2;
 use std::sync::Arc;
 
 /// Rounds without a single robot movement (and without a merge) after
@@ -449,18 +454,22 @@ impl<S: Strategy> Sim<S> {
             c.mark(Phase::Guard);
         }
 
-        // Move (simultaneous).
-        let moved = self.hops.iter().filter(|h| **h != Offset::ZERO).count();
-        if let Err(e) = self.chain.apply_hops(&self.hops) {
-            return Err(self.break_chain(e));
-        }
+        // Move (simultaneous), in one sweep that also counts the movers,
+        // takes the bounding box and measures every edge of the moved
+        // chain.
+        let sweep = match self.chain.apply_hops_swept(&self.hops) {
+            Ok(sweep) => sweep,
+            Err(e) => return Err(self.break_chain(e)),
+        };
+        let moved = sweep.moved;
         if moved > 0 {
             // Fold hop lengths into the per-robot travel totals (the
             // min-max objective): unit steps cost 1, diagonal hops √2.
+            // Indexed by the number of nonzero components; travel totals
+            // are never negative, so adding 0.0 leaves them bit for bit.
+            const COST: [f64; 3] = [0.0, 1.0, SQRT_2];
             for (t, h) in self.travel.iter_mut().zip(&self.hops) {
-                if *h != Offset::ZERO {
-                    *t += ((h.dx * h.dx + h.dy * h.dy) as f64).sqrt();
-                }
+                *t += COST[usize::from(h.dx != 0) + usize::from(h.dy != 0)];
             }
         }
         self.strategy.post_move(&self.chain, self.round);
@@ -468,30 +477,30 @@ impl<S: Strategy> Sim<S> {
             c.mark(Phase::Apply);
         }
 
-        // Merge pass (the paper's progress).
-        let removed = self.chain.merge_pass(&mut self.splice);
+        // Merge pass (the paper's progress); only a zero-length edge gives
+        // it work.
+        let removed = if sweep.coincident {
+            self.chain.merge_pass(&mut self.splice)
+        } else {
+            self.splice.clear();
+            0
+        };
         if removed > 0 {
             // Mirror the splice in the travel totals: removed robots
             // retire theirs into the running maximum, survivors compact
-            // down (removed_indices is ascending, like the chain sweep).
-            let mut rm = self.splice.removed_indices.iter().peekable();
-            let mut write = 0;
-            for read in 0..self.travel.len() {
-                if rm.peek() == Some(&&read) {
-                    rm.next();
-                    self.retired_travel = self.retired_travel.max(self.travel[read]);
-                } else {
-                    self.travel[write] = self.travel[read];
-                    write += 1;
-                }
+            // down as the chain did.
+            for &r in &self.splice.removed_indices {
+                self.retired_travel = self.retired_travel.max(self.travel[r]);
             }
-            self.travel.truncate(write);
+            self.splice.splice(&mut self.travel);
         }
         self.strategy
             .post_merge(&self.chain, self.round, &self.splice);
 
-        // Post-round invariant: taut chain (unless fully collapsed).
-        if self.chain.len() > 1 {
+        // Post-round invariant: taut chain (unless fully collapsed). A
+        // round without a splice left every edge at length 1, which the
+        // sweep has checked already.
+        if removed > 0 && self.chain.len() > 1 {
             if let Err(e) = self.chain.validate() {
                 return Err(self.break_chain(e));
             }
@@ -516,7 +525,8 @@ impl<S: Strategy> Sim<S> {
             moved,
             removed,
             len_after: self.chain.len(),
-            gathered: self.chain.is_gathered(),
+            // Splicing keeps the point set, so the sweep's box holds.
+            gathered: sweep.bounds.is_gathered_2x2(),
         };
         self.gathered = summary.gathered;
         self.progress.record_round(moved, removed);
@@ -1032,6 +1042,203 @@ mod tests {
             assert_eq!(a.step().ok(), b.step().ok());
         }
         assert_eq!(a.chain().positions(), b.chain().positions());
+    }
+
+    /// Plays a fixed hop vector per round.
+    struct Scripted(Vec<Vec<Offset>>);
+
+    impl Strategy for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn init(&mut self, _chain: &ClosedChain) {}
+        fn compute(&mut self, _chain: &ClosedChain, round: u64, hops: &mut [Offset]) {
+            hops.copy_from_slice(&self.0[round as usize]);
+        }
+    }
+
+    /// The round as the engine ran it before the post-move sweep:
+    /// `apply_hops` → `merge_pass` → `validate`, travel by `sqrt`, the
+    /// gathering criterion from a fresh bounding box.
+    struct Reference {
+        chain: ClosedChain,
+        splice: SpliceLog,
+        travel: Vec<f64>,
+        retired: f64,
+    }
+
+    impl Reference {
+        fn step(&mut self, hops: &[Offset]) -> Result<(usize, usize, bool), ChainError> {
+            let moved = hops.iter().filter(|h| **h != Offset::ZERO).count();
+            self.chain.apply_hops(hops)?;
+            for (t, h) in self.travel.iter_mut().zip(hops) {
+                if *h != Offset::ZERO {
+                    *t += ((h.dx * h.dx + h.dy * h.dy) as f64).sqrt();
+                }
+            }
+            let removed = self.chain.merge_pass(&mut self.splice);
+            let mut write = 0;
+            for read in 0..self.travel.len() {
+                if self.splice.removed_indices.contains(&read) {
+                    self.retired = self.retired.max(self.travel[read]);
+                } else {
+                    self.travel[write] = self.travel[read];
+                    write += 1;
+                }
+            }
+            self.travel.truncate(write);
+            if self.chain.len() > 1 {
+                self.chain.validate()?;
+            }
+            Ok((moved, removed, self.chain.is_gathered()))
+        }
+
+        fn max_travel(&self) -> f64 {
+            self.travel.iter().fold(self.retired, |acc, &t| acc.max(t))
+        }
+    }
+
+    /// A random taut closed chain of `2m` robots: `m` random unit steps
+    /// and their opposites, shuffled.
+    fn random_chain(rng: &mut crate::rng::SplitMix64, m: usize) -> ClosedChain {
+        let dirs = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
+        let mut steps: Vec<Offset> = (0..m).map(|_| *rng.choose(&dirs)).collect();
+        steps.extend(steps.clone().into_iter().map(|s| -s));
+        rng.shuffle(&mut steps);
+        let mut p = Point::new(0, 0);
+        let pos = steps
+            .iter()
+            .map(|&s| {
+                let q = p;
+                p += s;
+                q
+            })
+            .collect();
+        ClosedChain::new(pos).unwrap()
+    }
+
+    #[test]
+    fn diagonal_travel_constant_is_the_sqrt() {
+        assert_eq!(std::f64::consts::SQRT_2, 2f64.sqrt());
+    }
+
+    /// The fused post-move sweep is the old round, outcome for outcome:
+    /// on random chains, after a legal translation round, a second round
+    /// with one illegal hop, one single-robot hop (often chain-breaking),
+    /// a fold tip collapsing onto its neighbours, or sparse random hops
+    /// gives the same `ChainError` or summary, the same chain, merges and
+    /// `max_travel` as the reference sequence.
+    #[test]
+    fn fused_sweep_matches_the_unfused_round() {
+        use crate::rng::SplitMix64;
+        let mut rng = SplitMix64::new(0xf05e);
+        let legal: Vec<Offset> = (-1..=1)
+            .flat_map(|dx| (-1..=1).map(move |dy| Offset::new(dx, dy)))
+            .collect();
+        let (mut illegal, mut broken, mut merged, mut plain) = (0, 0, 0, 0);
+        for case in 0..3000 {
+            let m = rng.range_usize(1, 20);
+            let chain = random_chain(&mut rng, m);
+            let n = chain.len();
+            let shift = *rng.choose(&legal);
+            let mut hops = vec![Offset::ZERO; n];
+            match case % 4 {
+                0 => {
+                    for h in hops.iter_mut() {
+                        if rng.chance(1, 4) {
+                            *h = *rng.choose(&legal);
+                        }
+                    }
+                    let far = [-2, 2][rng.range_usize(0, 2)];
+                    let bad = if rng.chance(1, 2) {
+                        Offset::new(far, rng.range_i64_inclusive(-1, 1))
+                    } else {
+                        Offset::new(rng.range_i64_inclusive(-2, 2), far)
+                    };
+                    hops[rng.range_usize(0, n)] = bad;
+                }
+                1 => hops[rng.range_usize(0, n)] = *rng.choose(&legal),
+                2 => {
+                    // Collapse a fold tip onto its coinciding neighbours.
+                    let tips: Vec<usize> = (0..n)
+                        .filter(|&i| chain.pos(chain.nb(i, -1)) == chain.pos(chain.nb(i, 1)))
+                        .collect();
+                    if !tips.is_empty() {
+                        let i = *rng.choose(&tips);
+                        hops[i] = chain.pos(chain.nb(i, 1)) - chain.pos(i);
+                    }
+                }
+                _ => {
+                    for h in hops.iter_mut() {
+                        if rng.chance(1, 3) {
+                            *h = *rng.choose(&legal);
+                        }
+                    }
+                }
+            }
+            let script = vec![vec![shift; n], hops.clone()];
+            let mut sim = Sim::new(chain.clone(), Scripted(script));
+            let mut reference = Reference {
+                chain,
+                splice: SpliceLog::default(),
+                travel: vec![0.0; n],
+                retired: 0.0,
+            };
+            for round_hops in [vec![shift; n], hops] {
+                let want = reference.step(&round_hops);
+                let got = sim.step();
+                match (&want, &got) {
+                    (Err(e), Err(g)) => {
+                        assert_eq!(g, e, "case {case}");
+                        match e {
+                            ChainError::IllegalHop { .. } => illegal += 1,
+                            _ => broken += 1,
+                        }
+                    }
+                    (Ok((moved, removed, gathered)), Ok(s)) => {
+                        assert_eq!(
+                            (s.moved, s.removed, s.gathered),
+                            (*moved, *removed, *gathered)
+                        );
+                        assert_eq!(s.len_after, reference.chain.len(), "case {case}");
+                        assert_eq!(
+                            sim.last_merges(),
+                            &reference.splice.events[..],
+                            "case {case}"
+                        );
+                        if *removed > 0 {
+                            merged += 1;
+                        } else {
+                            plain += 1;
+                        }
+                    }
+                    _ => panic!("case {case}: reference {want:?}, engine {got:?}"),
+                }
+                assert_eq!(
+                    sim.chain().positions(),
+                    reference.chain.positions(),
+                    "case {case}"
+                );
+                assert_eq!(sim.chain().ids(), reference.chain.ids(), "case {case}");
+                assert_eq!(
+                    sim.max_travel().to_bits(),
+                    reference.max_travel().to_bits(),
+                    "case {case}"
+                );
+                assert_eq!(
+                    sim.is_gathered(),
+                    reference.chain.is_gathered(),
+                    "case {case}"
+                );
+                if want.is_err() {
+                    break;
+                }
+            }
+        }
+        assert_eq!(illegal, 750, "illegal-hop rounds");
+        assert!(broken > 1000, "{broken} chain-breaking rounds");
+        assert!(merged > 600, "{merged} merging rounds");
+        assert!(plain > 3000, "{plain} plain rounds");
     }
 
     /// Resuming a limit-bounded run with larger limits finishes again:

@@ -74,6 +74,32 @@ pub fn edge_code(d: Offset) -> Option<u8> {
     }
 }
 
+/// The code of an offset known to be a unit step, without a branch: bit 0
+/// is the axis (`dx == 0`) and bit 1 the sign of `dx − dy`, as in the
+/// table above. Agrees with [`edge_code`] on the four unit steps; debug
+/// builds assert that `d` is one.
+#[inline]
+fn unit_edge_code(d: Offset) -> u8 {
+    debug_assert!(d.is_unit_step(), "{d:?} is not a unit step");
+    u8::from(d.dx == 0) | (u8::from(d.dx - d.dy < 0) << 1)
+}
+
+/// One code per edge of a taut cyclic position sequence, in the byte
+/// layout of [`PackedChain::decode_into`] (byte `i` = edge `i → i+1`),
+/// read straight from the positions. `out` is cleared; a chain of fewer
+/// than two robots has no edges and leaves it empty. Reuses `out`'s
+/// capacity, so a caller that keeps the buffer across rounds of a
+/// shrinking chain allocates once.
+pub fn edge_codes_into(pos: &[Point], out: &mut Vec<u8>) {
+    out.clear();
+    let n = pos.len();
+    if n < 2 {
+        return;
+    }
+    out.extend(pos.windows(2).map(|w| unit_edge_code(w[1] - w[0])));
+    out.push(unit_edge_code(pos[0] - pos[n - 1]));
+}
+
 /// The opposite direction's code.
 #[inline]
 pub const fn opposite(code: u8) -> u8 {
@@ -449,6 +475,9 @@ mod tests {
             assert_eq!(code >> 1 == 1, key_delta < 0);
             assert_eq!(code & 1 == 1, o.dx == 0);
         }
+        for o in [Offset::RIGHT, Offset::DOWN, Offset::LEFT, Offset::UP] {
+            assert_eq!(Some(unit_edge_code(o)), edge_code(o));
+        }
         assert_eq!(edge_code(Offset::ZERO), None);
         assert_eq!(edge_code(Offset::new(1, 1)), None);
     }
@@ -504,6 +533,28 @@ mod tests {
                 .count();
             assert_eq!(packed.turn_count(), brute, "n={n}");
         }
+    }
+
+    #[test]
+    fn edge_codes_match_decoded_packing() {
+        let mut bytes = Vec::new();
+        let mut decoded = Vec::new();
+        let pair = ClosedChain::new(vec![Point::new(0, 0), Point::new(0, 1)]).unwrap();
+        for chain in [
+            pair,
+            ring(2, 2),
+            ring(3, 2),
+            ring(40, 2),
+            ring(19, 23),
+            staircase(40),
+        ] {
+            let packed = PackedChain::from_chain(&chain).unwrap();
+            packed.decode_into(&mut decoded);
+            edge_codes_into(chain.positions(), &mut bytes);
+            assert_eq!(bytes, decoded, "n={}", chain.len());
+        }
+        edge_codes_into(&[Point::new(3, 3)], &mut bytes);
+        assert!(bytes.is_empty());
     }
 
     #[test]

@@ -45,9 +45,13 @@ pub mod local;
 pub mod merge;
 pub mod quasi;
 pub mod runs;
+mod signature;
 pub mod ssync;
 pub mod strategy;
 pub mod theory;
+
+#[cfg(test)]
+mod testutil;
 
 pub use config::GatherConfig;
 pub use local::{merge_role_at, LocalMergeRole};

@@ -167,7 +167,9 @@ pub fn merge_role_at(v: &Ring<'_>, cfg: &GatherConfig) -> LocalMergeRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::MergeScan;
+    use crate::merge::{MergePattern, MergeScan};
+    use crate::testutil::shuffled_loop;
+    use chain_sim::rng::SplitMix64;
     use chain_sim::ClosedChain;
     use grid_geom::Point;
 
@@ -242,6 +244,150 @@ mod tests {
                 let c = fam.generate(80, seed);
                 assert_equivalent(&c, &cfg);
             }
+        }
+    }
+
+    /// Every merge pattern by brute force over (first black, k), read
+    /// straight from the positions: the definition the scan implements.
+    fn brute_patterns(chain: &ClosedChain, cfg: &GatherConfig) -> Vec<MergePattern> {
+        let n = chain.len();
+        let mut out = Vec::new();
+        if n < 4 {
+            return out;
+        }
+        let step = |i: usize, d: isize| chain.step(chain.nb(i, d));
+        for f in 0..n {
+            let (s_in, u) = (step(f, -1), step(f, 0));
+            if s_in == -u {
+                out.push(MergePattern {
+                    first_black: f,
+                    k: 1,
+                    dir: u,
+                });
+            }
+            // k ≥ 2: the k − 1 steps from f on all equal `u` and the run
+            // ends there; the flanks are opposite and perpendicular to it.
+            for k in 2..=cfg.effective_max_k().min(n) {
+                if step(f, k as isize - 2) != u {
+                    break;
+                }
+                let s_out = step(f, k as isize - 1);
+                if s_out == u {
+                    continue;
+                }
+                if s_in == -s_out && s_out.perpendicular_to(u) {
+                    out.push(MergePattern {
+                        first_black: f,
+                        k,
+                        dir: s_out,
+                    });
+                }
+                break;
+            }
+        }
+        out
+    }
+
+    /// The scan under a suppression mask equals the brute-force patterns
+    /// with every pattern holding a suppressed black dropped: fired
+    /// patterns, hops, black and white roles, and the inherent `k` of
+    /// every detected pattern.
+    fn assert_suppressed_matches_brute(
+        scan: &mut MergeScan,
+        chain: &ClosedChain,
+        cfg: &GatherConfig,
+        mask: &[bool],
+    ) {
+        let n = chain.len();
+        scan.scan_suppressed(chain, cfg, mask);
+        let detected = brute_patterns(chain, cfg);
+        let mut inherent_k = vec![0u8; n];
+        let mut hop = vec![Offset::ZERO; n];
+        let (mut black, mut white) = (vec![false; n], vec![false; n]);
+        let mut fired = Vec::new();
+        for p in &detected {
+            for b in p.blacks(chain) {
+                inherent_k[b] = inherent_k[b].max(p.k as u8);
+            }
+            if p.blacks(chain).any(|b| mask[b]) {
+                continue;
+            }
+            for b in p.blacks(chain) {
+                hop[b] += p.dir;
+                black[b] = true;
+            }
+            white[p.w1(chain)] = true;
+            white[p.w2(chain)] = true;
+            fired.push(*p);
+        }
+        let key = |p: &MergePattern| (p.first_black, p.k, p.dir);
+        let mut got = scan.patterns.clone();
+        got.sort_by_key(key);
+        fired.sort_by_key(key);
+        assert_eq!(got, fired, "fired patterns, n = {n}, mask {mask:?}");
+        assert_eq!(scan.hop, hop, "hops, n = {n}");
+        assert_eq!(scan.black, black, "blacks, n = {n}");
+        assert_eq!(scan.white, white, "whites, n = {n}");
+        assert_eq!(scan.inherent_k, inherent_k, "inherent k, n = {n}");
+    }
+
+    /// Chains of 4 to 8 robots, where patterns and the view wrap around
+    /// the whole chain: the local rule still agrees with the scan, and the
+    /// suppressed scan with the brute force under random masks.
+    #[test]
+    fn oracle_equivalence_tiny_chains_with_suppression() {
+        let mut rng = SplitMix64::new(0x7e57);
+        let mut scan = MergeScan::default();
+        for cfg in [GatherConfig::paper(), GatherConfig::proof_mode()] {
+            for m in 2..=4 {
+                for _ in 0..400 {
+                    let c = shuffled_loop(&mut rng, m);
+                    assert_equivalent(&c, &cfg);
+                    let mask: Vec<bool> = (0..c.len()).map(|_| rng.chance(1, 3)).collect();
+                    assert_suppressed_matches_brute(&mut scan, &c, &cfg, &mask);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn suppressed_scan_matches_brute_force() {
+        let mut rng = SplitMix64::new(0x5c4e);
+        let mut scan = MergeScan::default();
+        let cfg = GatherConfig::paper();
+        let mut chains: Vec<ClosedChain> =
+            (0..20u64).map(|s| workloads::random_loop(60, s)).collect();
+        chains.extend(workloads::Family::ALL.iter().map(|f| f.generate(80, 5)));
+        for c in &chains {
+            assert_suppressed_matches_brute(&mut scan, c, &cfg, &vec![false; c.len()]);
+            for density in [8, 3, 1] {
+                let mask: Vec<bool> = (0..c.len()).map(|_| rng.chance(1, density)).collect();
+                assert_suppressed_matches_brute(&mut scan, c, &cfg, &mask);
+            }
+        }
+    }
+
+    /// One scan reused on two different chains of the same length gives
+    /// what a fresh scan gives on the second: nothing of the first chain's
+    /// edge codes survives.
+    #[test]
+    fn reused_scan_has_no_stale_codes() {
+        let cfg = GatherConfig::paper();
+        let mut rng = SplitMix64::new(0x2e05);
+        let mut reused = MergeScan::default();
+        for seed in 0..30u64 {
+            let a = workloads::random_loop(64, seed);
+            let b = shuffled_loop(&mut rng, a.len() / 2);
+            assert_eq!(a.len(), b.len());
+            reused.scan(&a, &cfg);
+            reused.scan(&b, &cfg);
+            let mut fresh = MergeScan::default();
+            fresh.scan(&b, &cfg);
+            assert_eq!(reused.patterns, fresh.patterns, "seed {seed}");
+            assert_eq!(reused.hop, fresh.hop, "seed {seed}");
+            assert_eq!(reused.black, fresh.black, "seed {seed}");
+            assert_eq!(reused.white, fresh.white, "seed {seed}");
+            assert_eq!(reused.inherent_k, fresh.inherent_k, "seed {seed}");
         }
     }
 

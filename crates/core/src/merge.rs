@@ -27,6 +27,7 @@
 //! describes — a property checked by `tests::local_equivalence`.
 
 use crate::config::GatherConfig;
+use chain_sim::packed::{edge_codes_into, edge_offset, opposite};
 use chain_sim::ClosedChain;
 use grid_geom::Offset;
 
@@ -73,6 +74,30 @@ pub struct MergeScan {
     /// ones) in which the robot is a black; 0 if none. Drives the
     /// staggered expiry of oscillation suppression (strategy.rs).
     pub inherent_k: Vec<u8>,
+    /// Edge codes of the chain being scanned, for the standalone entry
+    /// points ([`MergeScan::scan`], [`MergeScan::scan_suppressed`]);
+    /// refilled on every call.
+    codes: Vec<u8>,
+}
+
+/// `i + 1` on a cycle of `n` (`i < n`).
+#[inline]
+fn succ(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
+
+/// `i − 1` on a cycle of `n` (`i < n`).
+#[inline]
+fn pred(i: usize, n: usize) -> usize {
+    if i == 0 {
+        n - 1
+    } else {
+        i - 1
+    }
 }
 
 impl MergeScan {
@@ -119,20 +144,37 @@ impl MergeScan {
         cfg: &GatherConfig,
         suppressed: &[bool],
     ) {
-        let n = chain.len();
+        let mut codes = std::mem::take(&mut self.codes);
+        edge_codes_into(chain.positions(), &mut codes);
+        self.scan_codes(chain.len(), &codes, cfg, suppressed);
+        self.codes = codes;
+    }
+
+    /// [`MergeScan::scan_suppressed`] on a chain of `n` robots given as its
+    /// edge codes (`chain_sim::packed::edge_codes_into`: byte `i` is the
+    /// step from robot `i` to robot `i + 1`). The paper strategy fills the
+    /// codes once per round and shares them with oscillation detection.
+    pub(crate) fn scan_codes(
+        &mut self,
+        n: usize,
+        codes: &[u8],
+        cfg: &GatherConfig,
+        suppressed: &[bool],
+    ) {
         self.reset(n);
         if n < 4 {
             // n = 2 is always gathered; n = 3 cannot be a closed grid chain
             // (odd step parity); nothing to do.
             return;
         }
+        debug_assert_eq!(codes.len(), n);
         debug_assert!(suppressed.is_empty() || suppressed.len() == n);
         let max_k = cfg.effective_max_k();
 
         // Decompose the cyclic step sequence into maximal monotone runs.
         // Anchor at a run boundary so no run wraps.
         let mut anchor = 0;
-        while chain.step(chain.nb(anchor, -1)) == chain.step(anchor) {
+        while codes[pred(anchor, n)] == codes[anchor] {
             anchor += 1;
             if anchor == n {
                 // All steps equal — impossible for a closed chain (the step
@@ -142,81 +184,91 @@ impl MergeScan {
             }
         }
 
-        // Walk runs: `s` indexes steps cyclically starting at `anchor`.
-        let mut s = 0;
-        while s < n {
-            let step_idx = (anchor + s) % n;
-            let u = chain.step(step_idx);
+        // Walk the runs from the anchor. A run of `len` equal steps `u`
+        // covers robots first ..= first + len: k = len + 1 black
+        // candidates. Its flanks are the previous run's step (into
+        // `first`) and the next run's first step (out of the last robot).
+        // Opposite codes differ in bit 1 only; perpendicular ones differ
+        // in bit 0 (the axis).
+        let mut i = anchor;
+        let mut flank_in = codes[pred(anchor, n)];
+        let mut remaining = n;
+        while remaining > 0 {
+            let first = i;
+            let u = codes[i];
             let mut len = 1;
-            while len < n - s && chain.step((anchor + s + len) % n) == u {
+            i = succ(i, n);
+            while len < remaining && codes[i] == u {
                 len += 1;
+                i = succ(i, n);
             }
-            // Run of `len` equal steps covers robots
-            // first .. first + len (len + 1 robots) where
-            // first = (anchor + s) % n is the robot the first step leaves.
-            let first = (anchor + s) % n;
-            let k = len + 1; // black candidate length
-            let flank_in = chain.step(chain.nb(first, -1)); // step into first
-            let flank_out = chain.step(chain.nb(first, len as isize)); // step out of last
-            if k <= max_k && flank_in == -flank_out && flank_out.perpendicular_to(u) {
+            // `i` is the next run's first edge (the anchor after the last
+            // run).
+            let flank_out = codes[i];
+            let k = len + 1;
+            if k <= max_k && flank_in == opposite(flank_out) && (flank_out ^ u) & 1 == 1 {
                 self.try_push(
-                    chain,
+                    n,
                     MergePattern {
                         first_black: first,
                         k,
-                        dir: flank_out,
+                        dir: edge_offset(flank_out),
                     },
                     suppressed,
                 );
             }
-            s += len;
+            flank_in = u;
+            remaining -= len;
         }
 
         // k = 1 patterns: a robot whose two incident steps are exact
         // opposites (fold/hairpin tip, Fig. 2 bottom). These robots sit
         // *between* two monotone runs and are not covered above.
-        for i in 0..n {
-            let s_in = chain.step(chain.nb(i, -1));
-            let s_out = chain.step(i);
-            if s_in == -s_out {
+        let mut s_in = codes[n - 1];
+        for (i, &s_out) in codes.iter().enumerate() {
+            if s_in == opposite(s_out) {
                 self.try_push(
-                    chain,
+                    n,
                     MergePattern {
                         first_black: i,
                         k: 1,
-                        dir: s_out,
+                        dir: edge_offset(s_out),
                     },
                     suppressed,
                 );
             }
+            s_in = s_out;
         }
     }
 
-    fn try_push(&mut self, chain: &ClosedChain, p: MergePattern, suppressed: &[bool]) {
+    fn try_push(&mut self, n: usize, p: MergePattern, suppressed: &[bool]) {
         // Inherent blackness is recorded for every *detected* pattern,
         // fired or not — it drives the staggered expiry of oscillation
         // suppression.
-        for b in p.blacks(chain) {
-            self.inherent_k[b] = self.inherent_k[b].max(p.k.min(255) as u8);
-        }
-        if !suppressed.is_empty() {
+        let k8 = p.k.min(255) as u8;
+        let mut b = p.first_black;
+        let mut any_suppressed = false;
+        for _ in 0..p.k {
+            self.inherent_k[b] = self.inherent_k[b].max(k8);
             // Oscillation suppression is pattern-wide over the *blacks*: a
             // pattern with any suppressed black does not fire (partial
             // firing would break the rigid-translation safety of the black
             // segment). Suppressed whites are fine — they stand still,
             // which is exactly what a merge target must do.
-            if p.blacks(chain).any(|r| suppressed[r]) {
-                return;
-            }
+            any_suppressed |= !suppressed.is_empty() && suppressed[b];
+            b = succ(b, n);
         }
-        self.push_pattern(chain, p);
+        if !any_suppressed {
+            self.push_pattern(n, p);
+        }
     }
 
-    fn push_pattern(&mut self, chain: &ClosedChain, p: MergePattern) {
+    fn push_pattern(&mut self, n: usize, p: MergePattern) {
         // Accumulate roles. Two black roles on one robot are always
         // orthogonal (a horizontal and a vertical pattern meeting at a
         // corner, Fig. 3b) — the sum is the paper's diagonal hop.
-        for b in p.blacks(chain) {
+        let mut b = p.first_black;
+        for _ in 0..p.k {
             debug_assert!(
                 (self.hop[b] + p.dir).is_hop(),
                 "conflicting black roles at {b}: {:?} + {:?}",
@@ -225,9 +277,12 @@ impl MergeScan {
             );
             self.hop[b] += p.dir;
             self.black[b] = true;
+            b = succ(b, n);
         }
-        self.white[p.w1(chain)] = true;
-        self.white[p.w2(chain)] = true;
+        // The whites: the robots before the first and after the last black
+        // (`b` is now the latter).
+        self.white[pred(p.first_black, n)] = true;
+        self.white[b] = true;
         self.patterns.push(p);
     }
 

@@ -21,6 +21,8 @@ use crate::config::GatherConfig;
 use crate::merge::MergeScan;
 use crate::quasi::{self, StartShape};
 use crate::runs::{PlacedRun, Run, RunAction, RunMode, RunSlots, RunStats, StopReason};
+use crate::signature::{self, Signatures};
+use chain_sim::packed::edge_codes_into;
 use chain_sim::{ClosedChain, Ring, RobotId, SpliceLog, Strategy};
 use grid_geom::Offset;
 
@@ -57,6 +59,10 @@ pub enum RunEvent {
 /// The paper's algorithm as a [`Strategy`].
 pub struct ClosedChainGathering {
     cfg: GatherConfig,
+    /// The round's edge codes (`chain_sim::packed::edge_codes_into`),
+    /// filled once at the top of `compute`: oscillation detection and the
+    /// merge scan read these instead of the positions.
+    codes: Vec<u8>,
     scan: MergeScan,
     /// Live runs, sorted by `PlacedRun::order_key`: the order in which
     /// they decide, and in which their events are emitted.
@@ -95,6 +101,7 @@ impl ClosedChainGathering {
         cfg.validate().expect("invalid gathering configuration");
         ClosedChainGathering {
             cfg,
+            codes: Vec::new(),
             scan: MergeScan::default(),
             runs: Vec::new(),
             slots: Vec::new(),
@@ -162,26 +169,10 @@ impl ClosedChainGathering {
         }
     }
 
-    /// Local-view signature: a hash of the relative positions of the ±3
-    /// chain neighbors. Constant-size robot memory, used to witness the
-    /// period-2 "swap" livelock (DESIGN.md §2.3): a closed cycle of
-    /// mutually interfering merge patterns makes every participant hop
-    /// back and forth between exactly two local views without any merge.
-    fn local_signature(chain: &ClosedChain, i: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let p = chain.pos(i);
-        for d in [-3isize, -2, -1, 1, 2, 3] {
-            let q = chain.pos(chain.nb(i, d));
-            for v in [q.x - p.x, q.y - p.y] {
-                h ^= v as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
     /// Update signature histories and the suppression countdowns; fill
-    /// `suppress_flags` for this round's merge scan.
+    /// `suppress_flags` for this round's merge scan. Signatures
+    /// ([`signature::local_signature`]) are read from the round's edge
+    /// codes through the window table ([`Signatures`]).
     ///
     /// A robot that sees its local view alternate with period 2
     /// (`s_t == s_{t-2} ≠ s_{t-1}`) suppresses its merge participation:
@@ -205,19 +196,26 @@ impl ClosedChainGathering {
         // Inherent pattern sizes from the previous round's scan, compacted
         // through splices in post_merge so indices stay aligned.
         let prev_k = &self.prev_inherent_k;
+        let (sig_prev, sig_prev2) = (&mut self.sig_prev[..n], &mut self.sig_prev2[..n]);
+        let (suppress, flags) = (&mut self.suppress[..n], &mut self.suppress_flags[..n]);
+        let mut sigs = Signatures::new(&self.codes);
         for i in 0..n {
-            let sig = Self::local_signature(chain, i);
-            if self.suppress[i] > 0 {
-                self.suppress[i] -= 1;
-            }
-            if sig == self.sig_prev2[i] && sig != self.sig_prev[i] {
+            // A one-robot chain has no edges, hence no windows.
+            let sig = sigs.next().unwrap_or(signature::COLLAPSED);
+            debug_assert_eq!(
+                sig,
+                signature::local_signature(chain, i),
+                "robot {i} of {n}"
+            );
+            suppress[i] = suppress[i].saturating_sub(1);
+            if sig == sig_prev2[i] && sig != sig_prev[i] {
                 let k = prev_k.get(i).copied().unwrap_or(0) as u64;
-                self.suppress[i] = (base - k.min(self.cfg.l_period)) as u16;
+                suppress[i] = (base - k.min(self.cfg.l_period)) as u16;
                 self.stats.suppressions += 1;
             }
-            self.suppress_flags[i] = self.suppress[i] > 0;
-            self.sig_prev2[i] = self.sig_prev[i];
-            self.sig_prev[i] = sig;
+            flags[i] = suppress[i] > 0;
+            sig_prev2[i] = sig_prev[i];
+            sig_prev[i] = sig;
         }
     }
 
@@ -397,6 +395,8 @@ impl Strategy for ClosedChainGathering {
         self.staged_slots.resize(n, RunSlots::EMPTY);
         self.folds.clear();
         self.folds.reserve(n);
+        self.codes.clear();
+        self.codes.reserve(n);
         self.keeper_flags.clear();
         self.keeper_flags.reserve(n);
         self.merged_ids.clear();
@@ -417,14 +417,17 @@ impl Strategy for ClosedChainGathering {
         let n = chain.len();
         debug_assert_eq!(self.slots.len(), n, "run slots out of sync");
 
+        // One pass reads every edge of the snapshot; steps 0 and 1 work on
+        // the codes.
+        edge_codes_into(chain.positions(), &mut self.codes);
+
         // Step 0: oscillation detection (constant-memory symmetry breaker
         // for closed interference cycles of merge patterns).
         self.detect_oscillation(chain);
 
         // Step 1: merge patterns (suppressed robots' patterns do not fire).
-        let flags = std::mem::take(&mut self.suppress_flags);
-        self.scan.scan_suppressed(chain, &self.cfg, &flags);
-        self.suppress_flags = flags;
+        self.scan
+            .scan_codes(n, &self.codes, &self.cfg, &self.suppress_flags);
 
         // Step 2: run operations. Decide all runs from the same snapshot
         // (`slots` is not touched until the round is staged); stage

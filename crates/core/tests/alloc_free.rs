@@ -1,10 +1,12 @@
 //! The paper round allocates nothing on the heap once it is warm:
 //! `ClosedChainGathering::compute` from round 1 on (round 0 sizes the merge
-//! scan's buffers) and `post_merge` in every round, counted by a global
-//! allocator on the calling thread.
+//! scan's buffers; `init` reserves the edge-code buffer) and `post_merge`
+//! in every round, counted by a global allocator on the calling thread.
+//! A standalone `MergeScan` reused on a chain no longer than its first one
+//! allocates nothing either: it refills its own code buffer in place.
 
 use chain_sim::{ClosedChain, RunLimits, Sim, SpliceLog, Strategy};
-use gathering_core::ClosedChainGathering;
+use gathering_core::{ClosedChainGathering, GatherConfig, MergeScan};
 use grid_geom::Offset;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,4 +117,26 @@ fn merging_rectangle_round_is_allocation_free() {
 #[test]
 fn random_loop_round_is_allocation_free() {
     assert_allocation_free(workloads::random_loop(256, 7));
+}
+
+#[test]
+fn skyline_round_is_allocation_free() {
+    assert_allocation_free(workloads::Family::Skyline.generate(256, 3));
+}
+
+#[test]
+fn reused_merge_scan_is_allocation_free() {
+    let cfg = GatherConfig::paper();
+    let mut scan = MergeScan::default();
+    scan.scan(&workloads::random_loop(256, 1), &cfg);
+    let chains: Vec<ClosedChain> = (2..12)
+        .map(|s| workloads::random_loop(256 - 16 * s as usize, s))
+        .collect();
+    let mask = vec![false; 256];
+    let before = allocs();
+    for c in &chains {
+        scan.scan(c, &cfg);
+        scan.scan_suppressed(c, &cfg, &mask[..c.len()]);
+    }
+    assert_eq!(allocs() - before, 0, "a warm merge scan allocated");
 }
