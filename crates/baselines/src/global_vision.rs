@@ -35,8 +35,8 @@ impl Strategy for GlobalVision {
         // Center of the smallest enclosing square (ties toward min — every
         // robot computes the same point from the same global view).
         let center = enclosing_center(chain.bounding());
-        for (i, hop) in hops.iter_mut().enumerate() {
-            *hop = center_hop(chain.pos(i), center);
+        for (hop, &p) in hops.iter_mut().zip(chain.positions()) {
+            *hop = center_hop(p, center);
         }
         cancel_breaking_hops(chain, hops);
     }

@@ -65,118 +65,14 @@ const fn build_midpoint_hop() -> [[u8; 4]; 4] {
     t
 }
 
-/// Edge-survival table: `EDGE_OK[e][hl][hr]` is `true` iff the edge of
-/// code `e` stays chain-adjacent (manhattan ≤ 1) when its tail robot
-/// hops `hl` and its head robot hops `hr` — the per-edge predicate of
-/// the cancel fixpoint, in code space. One table serves both neighbor
-/// checks of a robot: the head-side test of an edge is the tail-side
-/// test of the same edge with the offset negated, and manhattan length
-/// is symmetric under negation.
-pub static EDGE_OK: [[[bool; 9]; 9]; 4] = build_edge_ok();
+pub use chain_sim::safety::EDGE_OK;
 
-const fn build_edge_ok() -> [[[bool; 9]; 9]; 4] {
-    let mut t = [[[false; 9]; 9]; 4];
-    let mut e = 0;
-    while e < 4 {
-        let eo = edge_offset(e as u8);
-        let mut hl = 0;
-        while hl < 9 {
-            let lo = chain_sim::kernel::hop_offset(hl as u8);
-            let mut hr = 0;
-            while hr < 9 {
-                let ro = chain_sim::kernel::hop_offset(hr as u8);
-                let dx = eo.dx + ro.dx - lo.dx;
-                let dy = eo.dy + ro.dy - lo.dy;
-                t[e][hl][hr] = dx.abs() + dy.abs() <= 1;
-                hr += 1;
-            }
-            hl += 1;
-        }
-        e += 1;
-    }
-    t
-}
-
-/// [`EDGE_OK`] with the head-hop axis packed into a bitmask:
-/// `EDGE_OK_BITS[e·9 + hl] >> hr & 1`. 36 `u16`s — the whole cancel
-/// predicate in two cache lines.
-static EDGE_OK_BITS: [u16; 36] = build_edge_ok_bits();
-
-const fn build_edge_ok_bits() -> [u16; 36] {
-    let mut t = [0u16; 36];
-    let mut e = 0;
-    while e < 4 {
-        let mut hl = 0;
-        while hl < 9 {
-            let mut hr = 0;
-            while hr < 9 {
-                if EDGE_OK[e][hl][hr] {
-                    t[e * 9 + hl] |= 1 << hr;
-                }
-                hr += 1;
-            }
-            hl += 1;
-        }
-        e += 1;
-    }
-    t
-}
-
-#[inline]
-fn edge_ok(e: u8, hl: u8, hr: u8) -> bool {
-    EDGE_OK_BITS[e as usize * 9 + hl as usize] >> hr & 1 != 0
-}
-
-/// The crate-level `cancel_breaking_hops` fixpoint, translated to hop
-/// codes over a decoded edge scratch (one byte per lane, from
-/// [`chain_sim::PackedChain::decode_into`]): the identical in-place sweep
-/// (ascending index, loop to fixpoint, earlier cancellations of a sweep
-/// visible to later tests), with both neighbor checks as [`EDGE_OK`]
-/// lookups. Each sweep pays one table probe per lane: a robot's
-/// prev-side check is the previous lane's next-side check, so it rolls
-/// forward in a register and is only re-probed when a cancellation
-/// invalidates it.
+/// The crate-level `cancel_breaking_hops` fixpoint over hop codes and a
+/// decoded edge scratch (one byte per lane, from
+/// [`chain_sim::PackedChain::decode_into`]): the engine's guard,
+/// [`chain_sim::safety::cancel_breaking_hops`], in the hop-code alphabet.
 pub fn cancel_breaking_hops_codes(edges: &[u8], hops: &mut [u8]) {
-    let n = edges.len();
-    debug_assert_eq!(hops.len(), n);
-    if n < 2 {
-        return;
-    }
-    loop {
-        let mut changed = false;
-        // ok_left for lane 0: the wrap edge, with hops[n−1] still at its
-        // start-of-sweep value (index 0 is checked first).
-        let mut ok_left = edge_ok(edges[n - 1], hops[n - 1], hops[0]);
-        let mut i = 0;
-        while i < n {
-            // 8-lane fast path: nine identical consecutive hops mean
-            // every edge inside the block keeps its offset, so each
-            // robot's next-side check passes and ok_left carries
-            // through unchanged — provided it was already true.
-            if ok_left && i + 9 <= n {
-                let h0 = u64::from_le_bytes(hops[i..i + 8].try_into().unwrap());
-                let h1 = u64::from_le_bytes(hops[i + 1..i + 9].try_into().unwrap());
-                if h0 == h1 {
-                    i += 8;
-                    continue;
-                }
-            }
-            let h = hops[i];
-            let next = if i + 1 == n { 0 } else { i + 1 };
-            let ok_right = edge_ok(edges[i], h, hops[next]);
-            if h == HOP_ZERO || (ok_left && ok_right) {
-                ok_left = ok_right;
-            } else {
-                hops[i] = HOP_ZERO;
-                changed = true;
-                ok_left = edge_ok(edges[i], HOP_ZERO, hops[next]);
-            }
-            i += 1;
-        }
-        if !changed {
-            return;
-        }
-    }
+    chain_sim::safety::cancel_breaking_hops(edges, hops);
 }
 
 /// Kernel twin of [`CompassSe`](crate::CompassSe): word-parallel strict

@@ -34,10 +34,9 @@ impl Strategy for NaiveLocal {
     fn init(&mut self, _chain: &ClosedChain) {}
 
     fn compute(&mut self, chain: &ClosedChain, _round: u64, hops: &mut [Offset]) {
+        let pos = chain.positions();
         for (i, hop) in hops.iter_mut().enumerate() {
-            let p = chain.pos(i);
-            let a = chain.pos(chain.nb(i, -1));
-            let b = chain.pos(chain.nb(i, 1));
+            let (p, a, b) = (pos[i], pos[chain.nb(i, -1)], pos[chain.nb(i, 1)]);
             *hop = midpoint_hop(p, a, b);
         }
         // Global safety oracle — inadmissible in the paper's local model;

@@ -10,8 +10,13 @@
 //! Robots that coincide but are *not* chain neighbors are left alone
 //! (explicitly so in the paper — the chain may cross itself).
 
+use crate::kernel::{stretched_edge, APPLY_EDGE, EDGE_BROKEN};
+use crate::packed::{
+    edge_code, edge_codes_into, edge_offset, opposite, EDGE_E, EDGE_N, EDGE_S, EDGE_W, EDGE_ZERO,
+};
 use crate::robot::RobotId;
 use grid_geom::{chain_adjacent, Offset, Point, Rect};
+use std::sync::OnceLock;
 
 /// Errors detected by [`ClosedChain::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,17 +126,7 @@ impl SpliceLog {
     /// own compaction, for per-robot state kept beside the chain. Moves
     /// only what lies past the first removed index, one block per gap.
     pub fn splice<T: Copy>(&self, v: &mut Vec<T>) {
-        let removed = &self.removed_indices;
-        let Some(&first) = removed.first() else {
-            return;
-        };
-        let mut write = first;
-        for (j, &r) in removed.iter().enumerate() {
-            let end = removed.get(j + 1).copied().unwrap_or(v.len());
-            v.copy_within(r + 1..end, write);
-            write += end - r - 1;
-        }
-        v.truncate(write);
+        remove_sorted(v, &self.removed_indices, 0);
     }
 
     /// Map a pre-splice index to its post-splice index, or `None` if the
@@ -144,65 +139,226 @@ impl SpliceLog {
     }
 }
 
-/// What [`ClosedChain::apply_hops_swept`] saw of the moved chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MoveSweep {
-    /// Robots that performed a nonzero hop.
-    pub moved: usize,
-    /// Bounding box of the moved chain. The merge pass keeps it: every
-    /// robot it removes coincides with its keeper.
-    pub bounds: Rect,
-    /// Some chain edge has length 0, so the merge pass has work. When it
-    /// is `false` every edge has length exactly 1: the chain is taut.
-    pub coincident: bool,
-}
+/// The offset of each byte code, [`EDGE_ZERO`] last.
+const STEPS: [Offset; 5] = [
+    edge_offset(0),
+    edge_offset(1),
+    edge_offset(2),
+    edge_offset(3),
+    Offset::ZERO,
+];
 
-/// [`edge_class`] bit of a zero-length edge.
-const EDGE_COINCIDENT: u32 = 1;
-/// [`edge_class`] bit of an edge longer than one step.
-const EDGE_LONG: u32 = 4;
-
-/// One bit per edge length class: [`EDGE_COINCIDENT`] for 0, 2 for a
-/// unit step, [`EDGE_LONG`] for anything longer. Branch-free: the squared
-/// Euclidean length is 0, 1 or ≥ 2 exactly when the Manhattan length is.
+/// The offset an edge code denotes, [`EDGE_ZERO`] included.
 #[inline]
-fn edge_class(d: Offset) -> u32 {
-    1 << (d.dx * d.dx + d.dy * d.dy).min(2)
+fn step_offset(code: u8) -> Offset {
+    STEPS[code as usize]
 }
 
-/// The closed chain of robots (struct-of-arrays layout: positions and ids).
+/// The [`crate::kernel`] hop code of `h`, and whether `h` is a legal hop;
+/// an illegal hop is clamped into the tables (and the apply refuses it).
+#[inline]
+fn hop_index(h: Offset) -> (usize, bool) {
+    let (x, y) = ((h.dx as u64).wrapping_add(1), (h.dy as u64).wrapping_add(1));
+    ((x.min(2) * 3 + y.min(2)) as usize, (x < 3) & (y < 3))
+}
+
+/// [`hop_index`] of the zero hop.
+const HOP_STAY: usize = crate::kernel::HOP_ZERO as usize;
+
+/// Bytes `0x7f` in every byte: the exact zero-byte test of [`byte_hits`].
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// High bit of each byte of `word` that equals `code`.
+#[inline]
+fn byte_hits(word: u64, code: u8) -> u64 {
+    let x = word ^ u64::from_ne_bytes([code; 8]);
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// `p` moved along the edges `codes` (collapsed ones included), summing
+/// eight codes per word by counting each direction.
+fn walk(p: Point, codes: &[u8]) -> Point {
+    let mut words = codes.chunks_exact(8);
+    let (mut dx, mut dy) = (0, 0);
+    for word in words.by_ref() {
+        let word = u64::from_ne_bytes(word.try_into().expect("8 codes"));
+        let count = |code| i64::from(byte_hits(word, code).count_ones());
+        dx += count(EDGE_E) - count(EDGE_W);
+        dy += count(EDGE_N) - count(EDGE_S);
+    }
+    words
+        .remainder()
+        .iter()
+        .fold(p + Offset::new(dx, dy), |q, &c| q + step_offset(c))
+}
+
+/// Remove the entries at `removed[k] - shift` (strictly ascending) from
+/// `v`, keeping the order of the rest. Moves only what lies past the first
+/// removed entry, one block per gap.
+fn remove_sorted<T: Copy>(v: &mut Vec<T>, removed: &[usize], shift: usize) {
+    let Some(&first) = removed.first() else {
+        return;
+    };
+    let mut write = first - shift;
+    for (j, &r) in removed.iter().enumerate() {
+        let end = removed.get(j + 1).map_or(v.len(), |&e| e - shift);
+        v.copy_within(r - shift + 1..end, write);
+        write += end - (r - shift) - 1;
+    }
+    v.truncate(write);
+}
+
+/// The indices of the collapsed edges ([`EDGE_ZERO`]) of a code array,
+/// ascending, found eight codes per word test.
+struct CollapsedEdges<'a> {
+    codes: &'a [u8],
+    /// Index of the first code of the current word.
+    base: usize,
+    /// High bit of each byte of the current word still to report.
+    hits: u64,
+}
+
+impl<'a> CollapsedEdges<'a> {
+    /// The collapsed edges of `codes` from index `from` on.
+    fn starting_at(codes: &'a [u8], from: usize) -> Self {
+        let base = from & !7;
+        let hits = Self::word_hits(codes, base) & (u64::MAX << (8 * (from - base)));
+        CollapsedEdges { codes, base, hits }
+    }
+
+    /// High bit of each byte of the word at `base` that is [`EDGE_ZERO`]
+    /// (a short last word padded with directions).
+    fn word_hits(codes: &[u8], base: usize) -> u64 {
+        let mut word = [0u8; 8];
+        let tail = &codes[base.min(codes.len())..];
+        let len = tail.len().min(8);
+        word[..len].copy_from_slice(&tail[..len]);
+        byte_hits(u64::from_le_bytes(word), EDGE_ZERO)
+    }
+}
+
+impl Iterator for CollapsedEdges<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.hits == 0 {
+            self.base += 8;
+            if self.base >= self.codes.len() {
+                return None;
+            }
+            self.hits = Self::word_hits(self.codes, self.base);
+        }
+        let byte = self.hits.trailing_zeros() as usize / 8;
+        self.hits &= self.hits - 1;
+        Some(self.base + byte)
+    }
+}
+
+/// The state of one apply's pass over the edges.
+struct Rewrite {
+    /// Hop code of the robot at the tail of the next edge.
+    tail: usize,
+    /// Every new code or'ed together: bit 2 is set by a collapse
+    /// ([`EDGE_ZERO`]) and bit 7 only by a stretch ([`EDGE_BROKEN`]).
+    marks: u8,
+    /// No hop seen was illegal.
+    legal: bool,
+    /// Robots seen moving (as edge tails).
+    moved: usize,
+}
+
+impl Rewrite {
+    /// Rewrite the edges `codes` into `next`; `heads[k]` is the hop of
+    /// the robot at the head of edge `k`. Branch-free per edge.
+    #[inline]
+    fn edges(&mut self, codes: &[u8], next: &mut [u8], heads: &[Offset]) {
+        for ((&code, out), &h) in codes.iter().zip(next).zip(heads) {
+            let (head, legal) = hop_index(h);
+            self.legal &= legal;
+            // Between rounds every code is a direction (< 4).
+            let new = APPLY_EDGE[usize::from(code & 3)][self.tail][head];
+            *out = new;
+            self.marks |= new;
+            self.moved += usize::from(self.tail != HOP_STAY);
+            self.tail = head;
+        }
+    }
+}
+
+/// The closed chain of robots, stored as its edges: the position of robot
+/// 0 (`origin`), one [`crate::packed`] direction code per edge, and the
+/// robot ids. Positions are decoded from the edges only when asked for
+/// ([`ClosedChain::positions`]) and cached until the next mutation.
+///
+/// A round moves the chain through [`ClosedChain::apply_hops`], which
+/// rewrites every edge from the hops of its two robots
+/// ([`crate::kernel::APPLY_EDGE`]): an edge that collapsed holds
+/// [`EDGE_ZERO`] until [`ClosedChain::merge_pass`] splices it out, and a
+/// hop set that would stretch an edge is refused with the chain left as
+/// it was.
 #[derive(Clone, Debug)]
 pub struct ClosedChain {
-    pos: Vec<Point>,
+    origin: Point,
+    /// `codes[i]` is the edge from robot `i` to robot `i + 1` (cyclic);
+    /// empty for a single robot.
+    codes: Vec<u8>,
     id: Vec<RobotId>,
+    /// The last apply collapsed an edge that no merge pass has spliced
+    /// out yet.
+    collapsed: bool,
+    /// The codes an apply writes, swapped in when the move is legal.
+    next: Vec<u8>,
+    /// Decoded positions, dropped on every mutation.
+    pos: OnceLock<Box<[Point]>>,
 }
 
 impl ClosedChain {
-    /// Build a chain from positions; assigns fresh ids `r0, r1, …`.
+    /// Build a chain from positions; assigns fresh ids `r0, r1, …`. The
+    /// chain keeps the edges; the positions are decoded again when asked
+    /// for.
     ///
     /// Returns an error unless the sequence is a valid taut closed chain:
     /// every cyclically-consecutive pair differs by exactly one axis step.
     pub fn new(positions: Vec<Point>) -> Result<Self, ChainError> {
         let n = positions.len();
-        let chain = ClosedChain {
+        if n < 2 {
+            if n == 0 {
+                return Err(ChainError::TooShort { len: 0 });
+            }
+        } else {
+            for (i, &a) in positions.iter().enumerate() {
+                let b = positions[if i + 1 == n { 0 } else { i + 1 }];
+                if a == b {
+                    return Err(ChainError::CoincidentNeighbors { index: i, at: a });
+                }
+                if !chain_adjacent(a, b) {
+                    return Err(ChainError::Disconnected { index: i, a, b });
+                }
+            }
+        }
+        let mut codes = Vec::new();
+        edge_codes_into(&positions, &mut codes);
+        Ok(ClosedChain {
+            origin: positions[0],
+            codes,
             id: (0..n as u64).map(RobotId).collect(),
-            pos: positions,
-        };
-        chain.validate()?;
-        Ok(chain)
+            collapsed: false,
+            next: Vec::new(),
+            pos: OnceLock::new(),
+        })
     }
 
     /// Number of robots currently on the chain.
     #[inline]
     pub fn len(&self) -> usize {
-        self.pos.len()
+        self.id.len()
     }
 
     /// `true` if the chain holds no robots (never the case for a validated
     /// chain; provided for the `len`/`is_empty` API convention).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
+        self.id.is_empty()
     }
 
     /// Cyclic index normalization: maps any signed offset from an index into
@@ -214,7 +370,7 @@ impl ClosedChain {
     /// chains, where the view horizon exceeds `n`, pay for the division.
     #[inline]
     pub fn cyc(&self, i: isize) -> usize {
-        let n = self.pos.len() as isize;
+        let n = self.id.len() as isize;
         if i >= 0 {
             if i < n {
                 return i as usize;
@@ -234,10 +390,11 @@ impl ClosedChain {
         self.cyc(i as isize + delta)
     }
 
-    /// Position of robot `i`.
+    /// Position of robot `i` (decodes all positions on first use after a
+    /// mutation).
     #[inline]
     pub fn pos(&self, i: usize) -> Point {
-        self.pos[i]
+        self.positions()[i]
     }
 
     /// Id of robot `i`.
@@ -246,10 +403,34 @@ impl ClosedChain {
         self.id[i]
     }
 
-    /// All positions (chain order).
-    #[inline]
+    /// All positions (chain order), decoded from the edges on first use
+    /// after a mutation and cached until the next one.
     pub fn positions(&self) -> &[Point] {
-        &self.pos
+        self.pos.get_or_init(|| {
+            let mut out = Vec::with_capacity(self.len());
+            let mut p = self.origin;
+            out.push(p);
+            for &c in &self.codes[..self.len() - 1] {
+                p += step_offset(c);
+                out.push(p);
+            }
+            out.into_boxed_slice()
+        })
+    }
+
+    /// Position of robot 0.
+    #[inline]
+    pub fn origin(&self) -> Point {
+        self.origin
+    }
+
+    /// The edge codes in the [`crate::packed`] layout, one byte per edge:
+    /// byte `i` is the step from robot `i` to robot `i + 1` (cyclic). A
+    /// single robot has none. Between an apply and the merge pass a
+    /// collapsed edge reads [`EDGE_ZERO`].
+    #[inline]
+    pub fn codes(&self) -> &[u8] {
+        &self.codes
     }
 
     /// All ids (chain order).
@@ -268,13 +449,26 @@ impl ClosedChain {
     /// The step from robot `i` to its successor (`pos[i+1] - pos[i]`).
     #[inline]
     pub fn step(&self, i: usize) -> Offset {
-        let j = self.nb(i, 1);
-        self.pos[j] - self.pos[i]
+        self.codes.get(i).map_or(Offset::ZERO, |&c| step_offset(c))
     }
 
-    /// Bounding box of all robots.
+    /// Position of robot `k`, from the cache or by walking the edges.
+    fn point_at(&self, k: usize) -> Point {
+        match self.pos.get() {
+            Some(pos) => pos[k],
+            None => walk(self.origin, &self.codes[..k]),
+        }
+    }
+
+    /// Bounding box of all robots, walked from the edges.
     pub fn bounding(&self) -> Rect {
-        Rect::bounding(self.pos.iter().copied()).expect("chain is non-empty")
+        let mut p = self.origin;
+        let mut r = Rect::point(p);
+        for &c in &self.codes[..self.len() - 1] {
+            p += step_offset(c);
+            r.expand(p);
+        }
+        r
     }
 
     /// The paper's gathering criterion: all robots within a 2×2 subgrid.
@@ -282,258 +476,292 @@ impl ClosedChain {
         self.bounding().is_gathered_2x2()
     }
 
-    /// Validate the taut closed-chain invariant.
+    /// Validate the taut closed-chain invariant. An edge-backed chain
+    /// cannot hold a stretched edge, so the only failure is an edge left
+    /// collapsed by an apply that no merge pass followed.
     pub fn validate(&self) -> Result<(), ChainError> {
-        let n = self.pos.len();
-        if n < 2 {
-            // A chain of 1 robot is the fully merged terminal state; treat
-            // length 0/1 as valid terminals except for construction.
-            return if n == 1 {
-                Ok(())
+        if self.is_empty() {
+            return Err(ChainError::TooShort { len: 0 });
+        }
+        match self.codes.iter().position(|&c| c == EDGE_ZERO) {
+            Some(index) => Err(ChainError::CoincidentNeighbors {
+                index,
+                at: self.point_at(index),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Apply one hop per robot simultaneously (the move step of FSYNC);
+    /// returns the number of robots that performed a nonzero hop.
+    ///
+    /// Hops must have components in `{-1, 0, 1}`. Edges that collapse stay
+    /// in the chain, at length 0, until [`ClosedChain::merge_pass`].
+    ///
+    /// Every edge is rewritten through [`APPLY_EDGE`] from the hops of its
+    /// two robots, in one pass into a second code buffer that replaces
+    /// the codes only if the move is legal. An illegal hop is reported
+    /// first, then the first edge that would stretch, as
+    /// [`ChainError::Disconnected`] with the post-move positions of its
+    /// two robots; the chain is then left as it was.
+    ///
+    /// # Panics
+    /// If `hops` is not one hop per robot, or if a previous apply left
+    /// collapsed edges that no merge pass spliced out.
+    pub fn apply_hops(&mut self, hops: &[Offset]) -> Result<usize, ChainError> {
+        let n = self.len();
+        assert_eq!(hops.len(), n, "one hop per robot");
+        assert!(
+            !self.collapsed,
+            "a merge pass must follow an apply that collapsed edges"
+        );
+        if n == 1 {
+            if !hops[0].is_hop() {
+                return Err(ChainError::IllegalHop {
+                    index: 0,
+                    hop: hops[0],
+                });
+            }
+            let moved = usize::from(hops[0] != Offset::ZERO);
+            self.origin += hops[0];
+            self.pos.take();
+            return Ok(moved);
+        }
+        let ClosedChain { codes, next, .. } = self;
+        next.resize(n, 0);
+        let mut acc = Rewrite {
+            tail: hop_index(hops[0]).0,
+            marks: 0,
+            legal: true,
+            moved: 0,
+        };
+        // Blocks of eight edges; nine standing robots keep the eight edges
+        // between them (and the next block's first robot stands).
+        let mut i = 0;
+        while i + 9 <= n {
+            if hops[i..i + 9].iter().fold(0, |a, h| a | h.dx | h.dy) == 0 {
+                next[i..i + 8].copy_from_slice(&codes[i..i + 8]);
             } else {
-                Err(ChainError::TooShort { len: n })
-            };
-        }
-        for i in 0..n {
-            let a = self.pos[i];
-            let b = self.pos[self.nb(i, 1)];
-            if a == b {
-                return Err(ChainError::CoincidentNeighbors { index: i, at: a });
+                acc.edges(&codes[i..i + 8], &mut next[i..i + 8], &hops[i + 1..i + 9]);
             }
-            if !chain_adjacent(a, b) {
-                return Err(ChainError::Disconnected { index: i, a, b });
-            }
+            i += 8;
         }
-        Ok(())
-    }
-
-    /// Check connectivity only (used mid-round, where coincidences are
-    /// expected and legal until the merge pass runs).
-    pub fn check_connected(&self) -> Result<(), ChainError> {
-        let n = self.pos.len();
-        for i in 0..n {
-            let a = self.pos[i];
-            let b = self.pos[self.nb(i, 1)];
-            if !chain_adjacent(a, b) {
-                return Err(ChainError::Disconnected { index: i, a, b });
-            }
-        }
-        Ok(())
-    }
-
-    /// Apply one hop per robot simultaneously (the move step of FSYNC).
-    ///
-    /// Hops must have components in `{-1, 0, 1}`. Connectivity is checked
-    /// after application; on failure the chain state is the (broken)
-    /// post-move state, so callers can render diagnostics.
-    pub fn apply_hops(&mut self, hops: &[Offset]) -> Result<(), ChainError> {
-        assert_eq!(hops.len(), self.pos.len(), "one hop per robot");
-        for (i, h) in hops.iter().enumerate() {
-            if !h.is_hop() {
-                return Err(ChainError::IllegalHop { index: i, hop: *h });
-            }
-        }
-        for (p, h) in self.pos.iter_mut().zip(hops) {
-            *p += *h;
-        }
-        self.check_connected()
-    }
-
-    /// [`ClosedChain::apply_hops`] in one sweep over the chain that also
-    /// counts the movers, takes the bounding box and measures every edge
-    /// (see [`MoveSweep`]) — what the engine needs after a move, without
-    /// the separate connectivity, taut-chain and gathering passes.
-    ///
-    /// Errors are those of `apply_hops`, in the same state: an illegal hop
-    /// is reported before anything moves; a broken edge after the move,
-    /// by [`ClosedChain::check_connected`].
-    pub fn apply_hops_swept(&mut self, hops: &[Offset]) -> Result<MoveSweep, ChainError> {
-        assert_eq!(hops.len(), self.pos.len(), "one hop per robot");
-        // Without short-circuit, so the common all-legal case is one
-        // branch-free pass; the position is looked up only on failure.
-        if hops.iter().fold(false, |bad, h| bad | !h.is_hop()) {
+        acc.edges(&codes[i..n - 1], &mut next[i..n - 1], &hops[i + 1..]);
+        acc.edges(&codes[n - 1..], &mut next[n - 1..], &hops[..1]);
+        let Rewrite {
+            marks,
+            legal,
+            moved,
+            ..
+        } = acc;
+        if !legal {
             let index = hops
                 .iter()
                 .position(|h| !h.is_hop())
-                .expect("the fold saw an illegal hop");
+                .expect("an illegal hop was seen");
             return Err(ChainError::IllegalHop {
                 index,
                 hop: hops[index],
             });
         }
-        let first = self.pos[0] + hops[0];
-        self.pos[0] = first;
-        let mut moved = usize::from(hops[0] != Offset::ZERO);
-        let (mut min, mut max) = (first, first);
-        // The length classes of every edge seen (see `edge_class`).
-        let mut lens = 0u32;
-        let mut prev = first;
-        for (p, &h) in self.pos[1..].iter_mut().zip(&hops[1..]) {
-            let q = *p + h;
-            *p = q;
-            moved += usize::from(h != Offset::ZERO);
-            min = Point::new(min.x.min(q.x), min.y.min(q.y));
-            max = Point::new(max.x.max(q.x), max.y.max(q.y));
-            lens |= edge_class(q - prev);
-            prev = q;
+        if marks & 0x80 != 0 {
+            let j = next
+                .iter()
+                .position(|&c| c == EDGE_BROKEN)
+                .expect("a stretched edge was seen");
+            let next = if j + 1 == n { 0 } else { j + 1 };
+            let step = edge_offset(self.codes[j]);
+            return Err(stretched_edge(
+                j,
+                self.point_at(j),
+                step,
+                [hops[j], hops[next]],
+            ));
         }
-        // The closing edge (for n = 1, the robot to itself).
-        lens |= edge_class(first - prev);
-        if lens & EDGE_LONG != 0 {
-            return Err(self
-                .check_connected()
-                .expect_err("an edge longer than 1 disconnects the chain"));
+        std::mem::swap(&mut self.codes, &mut self.next);
+        self.collapsed = marks & EDGE_ZERO != 0;
+        if moved > 0 {
+            self.origin += hops[0];
+            self.pos.take();
         }
-        Ok(MoveSweep {
-            moved,
-            bounds: Rect { min, max },
-            coincident: lens & EDGE_COINCIDENT != 0,
-        })
+        Ok(moved)
     }
 
     /// The merge pass: splice out robots coinciding with chain neighbors.
     ///
-    /// Maximal groups of cyclically-consecutive robots on one grid point are
-    /// collapsed to their first member (first in chain order, with wrapping
-    /// groups anchored at their true start). The neighborhoods merge exactly
-    /// as in the paper: the keeper inherits the group's outside neighbors.
+    /// Maximal groups of cyclically-consecutive robots on one point (runs
+    /// of collapsed edges) are collapsed to their first member (first in
+    /// chain order, with wrapping groups anchored at their true start).
+    /// The neighborhoods merge exactly as in the paper: the keeper
+    /// inherits the group's outside neighbors. Events are logged in keeper
+    /// order (the group that wraps index 0 last), the removed indices
+    /// ascending.
     ///
     /// Returns the number of robots removed; details land in `log`.
     pub fn merge_pass(&mut self, log: &mut SpliceLog) -> usize {
         log.clear();
-        let n = self.pos.len();
-        if n < 2 {
+        if !self.collapsed {
             return 0;
         }
-
-        // Everyone on one point and n ≥ 2: collapse to a single robot.
-        if self.pos.iter().all(|&p| p == self.pos[0]) {
-            let keeper = self.id[0];
-            let at = self.pos[0];
-            let removed: Vec<RobotId> = self.id[1..].to_vec();
+        self.collapsed = false;
+        self.pos.take();
+        let n = self.len();
+        let codes = &self.codes;
+        let lead = codes.iter().take_while(|&&c| c == EDGE_ZERO).count();
+        if lead == n {
+            // Every edge collapsed: everyone on one point.
             log.removed_indices.extend(1..n);
             log.keeper_indices.extend(std::iter::repeat_n(0, n - 1));
             log.events.push(MergeEvent {
-                keeper,
-                removed,
-                at,
+                keeper: self.id[0],
+                removed: self.id[1..].to_vec(),
+                at: self.origin,
             });
-            self.pos.truncate(1);
+            self.codes.clear();
             self.id.truncate(1);
             return n - 1;
         }
-
-        // Find the start of a group boundary so groups never wrap: an index
-        // whose predecessor sits on a different point.
-        let mut anchor = 0;
-        while self.pos[self.nb(anchor, -1)] == self.pos[anchor] {
-            anchor += 1; // terminates: not all positions equal
-        }
-
-        // Walk the cycle from the anchor, grouping equal consecutive
-        // positions.
-        let wrap = |i: usize| if i >= n { i - n } else { i }; // i < 2n
-        let mut k = 0;
-        while k < n {
-            let gi = wrap(anchor + k);
-            let p = self.pos[gi];
-            let mut glen = 1;
-            while glen < n && self.pos[wrap(anchor + k + glen)] == p {
-                glen += 1;
+        // Robot 0 goes when the closing edge collapsed. Its group starts at
+        // the last run of collapsed edges and takes in the leading run
+        // (edges 0..lead) too.
+        let wraps = codes[n - 1] == EDGE_ZERO;
+        let lead = if wraps { lead } else { 0 };
+        if wraps {
+            let mut start = n - 1;
+            while codes[start - 1] == EDGE_ZERO {
+                start -= 1;
             }
-            if glen > 1 {
-                let keeper_idx = gi;
-                let mut removed = Vec::with_capacity(glen - 1);
-                for j in 1..glen {
-                    let ri = wrap(anchor + k + j);
-                    removed.push(self.id[ri]);
-                    log.removed_indices.push(ri);
-                    log.keeper_indices.push(keeper_idx);
-                }
-                log.events.push(MergeEvent {
-                    keeper: self.id[keeper_idx],
-                    removed,
-                    at: p,
-                });
+            log.removed_indices.extend(0..=lead);
+            log.keeper_indices
+                .extend(std::iter::repeat_n(start, lead + 1));
+        }
+        // One run of collapsed edges per group; a prefix walk from the
+        // origin finds each keeper's point and stops at the last keeper.
+        let (mut at, mut walked) = (self.origin, 0);
+        let mut zeros = CollapsedEdges::starting_at(codes, lead).peekable();
+        while let Some(keeper) = zeros.next() {
+            let mut last = keeper;
+            while zeros.next_if_eq(&(last + 1)).is_some() {
+                last += 1;
             }
-            k += glen;
+            // One past the group's last robot: n + 1 for the group that
+            // wraps, whose robots n and on are 0 ..= lead.
+            let stop = last + 2;
+            let wrap_group = stop > n;
+            let mut removed =
+                Vec::with_capacity(stop - keeper - 1 + if wrap_group { lead } else { 0 });
+            removed.extend_from_slice(&self.id[keeper + 1..stop.min(n)]);
+            if wrap_group {
+                removed.extend_from_slice(&self.id[..=lead]);
+            }
+            for r in keeper + 1..stop.min(n) {
+                log.removed_indices.push(r);
+                log.keeper_indices.push(keeper);
+            }
+            at = walk(at, &codes[walked..keeper]);
+            walked = keeper;
+            log.events.push(MergeEvent {
+                keeper: self.id[keeper],
+                removed,
+                at,
+            });
         }
-
-        if log.removed_indices.is_empty() {
-            return 0;
-        }
-
-        // The walk visited anchor..n and then 0..anchor, so the log is
-        // ascending with exactly one wrap; rotating the part before the wrap
-        // to the back sorts both parallel arrays by removed index (for
-        // remap()).
-        let before_wrap = log
-            .removed_indices
-            .iter()
-            .take_while(|&&r| r >= anchor)
-            .count();
-        log.removed_indices.rotate_left(before_wrap);
-        log.keeper_indices.rotate_left(before_wrap);
-
-        log.splice(&mut self.pos);
+        // The collapsed edges are those into the removed robots.
         log.splice(&mut self.id);
+        if wraps {
+            // Robot 0's edge in is the last; the first survivor becomes
+            // robot 0, and its out-edge was the first edge that kept its
+            // length.
+            remove_sorted(&mut self.codes, &log.removed_indices[1..], 1);
+            self.codes.pop();
+            self.origin += edge_offset(self.codes[0]);
+            self.codes.rotate_left(1);
+        } else {
+            remove_sorted(&mut self.codes, &log.removed_indices, 1);
+        }
+        debug_assert!(!self.codes.contains(&EDGE_ZERO));
         log.removed_indices.len()
     }
 
     /// Sum of chain edge lengths (all 1 when taut) — the chain length in
     /// the paper's sense is simply `len()`, provided here for reports.
     pub fn edge_count(&self) -> usize {
-        self.pos.len()
+        self.len()
+    }
+
+    /// The symmetry helpers below act on a taut chain.
+    fn assert_taut(&self) {
+        assert!(!self.collapsed, "chain has unmerged collapsed edges");
     }
 
     /// Test/workload helper: rotate the chain origin (`r_0`) by `k`
     /// positions. The configuration is unchanged; indistinguishability means
     /// strategies must behave identically (checked by symmetry tests).
     pub fn rotate_origin(&mut self, k: usize) {
-        let n = self.pos.len();
+        self.assert_taut();
+        let n = self.len();
         if n == 0 {
             return;
         }
         let k = k % n;
-        self.pos.rotate_left(k);
+        self.origin = self.point_at(k);
+        self.codes.rotate_left(k);
         self.id.rotate_left(k);
+        self.pos.take();
     }
 
     /// Test/workload helper: reverse chain orientation. The paper's chains
     /// have a local orientation; the algorithm must be equivariant under
     /// reversing it (checked by symmetry tests).
     pub fn reverse_orientation(&mut self) {
-        self.pos.reverse();
+        self.assert_taut();
+        let n = self.len();
+        if n >= 2 {
+            // Robot n−1 becomes robot 0; every edge turns around.
+            self.origin -= edge_offset(self.codes[n - 1]);
+            self.codes[..n - 1].reverse();
+            for c in &mut self.codes {
+                *c = opposite(*c);
+            }
+        }
         self.id.reverse();
+        self.pos.take();
     }
 
     /// Translate all robots by `o` (symmetry tests: no global coordinates).
     pub fn translate(&mut self, o: Offset) {
-        for p in &mut self.pos {
-            *p += o;
-        }
+        self.origin += o;
+        self.pos.take();
     }
 
     /// Apply a grid isometry to all positions: rotate by 90° `quarter`
     /// times counter-clockwise around the origin, then mirror x if asked.
     /// (Symmetry tests: no compass.)
     pub fn transform(&mut self, quarters: u8, mirror_x: bool) {
-        for p in &mut self.pos {
-            let mut q = *p;
+        self.assert_taut();
+        let map = |o: Offset| {
+            let mut q = o;
             for _ in 0..(quarters % 4) {
-                q = Point::new(-q.y, q.x);
+                q = Offset::new(-q.dy, q.dx);
             }
             if mirror_x {
-                q = Point::new(-q.x, q.y);
+                q = Offset::new(-q.dx, q.dy);
             }
-            *p = q;
+            q
+        };
+        self.origin = Point::ORIGIN + map(self.origin - Point::ORIGIN);
+        for c in &mut self.codes {
+            *c = edge_code(map(edge_offset(*c))).expect("an isometry keeps unit steps");
         }
+        self.pos.take();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::PosChain;
+    use crate::rng::SplitMix64;
 
     fn chain(coords: &[(i64, i64)]) -> ClosedChain {
         ClosedChain::new(coords.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
@@ -576,8 +804,12 @@ mod tests {
     fn cyclic_indexing_matches_euclidean_modulo() {
         for n in 1..=40usize {
             let c = ClosedChain {
-                pos: vec![Point::new(0, 0); n],
+                origin: Point::new(0, 0),
+                codes: Vec::new(),
                 id: (0..n as u64).map(RobotId).collect(),
+                collapsed: false,
+                next: Vec::new(),
+                pos: OnceLock::new(),
             };
             let ni = n as isize;
             for delta in -3 * ni..=3 * ni {
@@ -594,103 +826,221 @@ mod tests {
         }
     }
 
-    /// The merge pass as it was before the log was sorted by one rotation:
-    /// walk from the anchor, then sort the parallel arrays with
-    /// `sort_unstable_by_key` — the reference for the randomized test.
-    fn reference_merge(c: &ClosedChain) -> (Vec<usize>, Vec<usize>, Vec<MergeEvent>) {
-        let (pos, id, n) = (&c.pos, &c.id, c.len());
-        let (mut removed, mut keepers, mut events) = (Vec::new(), Vec::new(), Vec::new());
-        if pos.iter().all(|&p| p == pos[0]) {
-            let ev = MergeEvent {
-                keeper: id[0],
-                removed: id[1..].to_vec(),
-                at: pos[0],
-            };
-            return ((1..n).collect(), vec![0; n - 1], vec![ev]);
+    const DIRS: [Offset; 4] = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
+
+    /// A random taut closed walk: `m` random unit steps and their
+    /// opposites, shuffled, with an accordion (a step and its opposite,
+    /// repeated) folded in at a random place — fold tips whose collapse
+    /// merges groups of any odd length.
+    fn random_walk(rng: &mut SplitMix64, m: usize) -> Vec<Point> {
+        let mut steps: Vec<Offset> = (0..m).map(|_| *rng.choose(&DIRS)).collect();
+        steps.extend(steps.clone().into_iter().map(|s| -s));
+        rng.shuffle(&mut steps);
+        let s = *rng.choose(&DIRS);
+        let at = rng.range_usize(0, steps.len() + 1);
+        for _ in 0..rng.range_usize(0, 5) {
+            steps.splice(at..at, [s, -s]);
         }
-        let mut anchor = 0;
-        while pos[(anchor + n - 1) % n] == pos[anchor] {
-            anchor += 1;
-        }
-        let mut k = 0;
-        while k < n {
-            let gi = (anchor + k) % n;
-            let mut glen = 1;
-            while glen < n && pos[(anchor + k + glen) % n] == pos[gi] {
-                glen += 1;
-            }
-            if glen > 1 {
-                let ris: Vec<usize> = (1..glen).map(|j| (anchor + k + j) % n).collect();
-                events.push(MergeEvent {
-                    keeper: id[gi],
-                    removed: ris.iter().map(|&r| id[r]).collect(),
-                    at: pos[gi],
-                });
-                keepers.extend(std::iter::repeat_n(gi, ris.len()));
-                removed.extend(ris);
-            }
-            k += glen;
-        }
-        let mut order: Vec<usize> = (0..removed.len()).collect();
-        order.sort_unstable_by_key(|&i| removed[i]);
-        let removed_sorted = order.iter().map(|&i| removed[i]).collect();
-        let keepers_sorted = order.iter().map(|&i| keepers[i]).collect();
-        (removed_sorted, keepers_sorted, events)
+        let mut p = Point::new(
+            rng.range_i64_inclusive(-9, 9),
+            rng.range_i64_inclusive(-9, 9),
+        );
+        steps
+            .iter()
+            .map(|&s| {
+                let q = p;
+                p += s;
+                q
+            })
+            .collect()
     }
 
-    /// Randomized: the rotated splice log equals the sorted reference on
-    /// closed walks with random stay-steps (coincidence groups of any
-    /// length, wrapping index 0 after a random origin rotation), including
-    /// the all-on-one-point collapse, with one log reused throughout.
+    /// Fold tips (both neighbours on one point) hop onto their neighbours,
+    /// no two consecutive tips together: each hop merges, and an accordion
+    /// collapses into one group.
+    fn collapse_tips(rng: &mut SplitMix64, pos: &[Point], hops: &mut [Offset]) {
+        let n = pos.len();
+        for i in 0..n {
+            let (a, b) = (pos[(i + n - 1) % n], pos[(i + 1) % n]);
+            let prev_hops = i > 0 && hops[i - 1] != Offset::ZERO;
+            if a == b && !prev_hops && rng.chance(3, 4) {
+                hops[i] = b - pos[i];
+            }
+        }
+    }
+
+    /// What one round did, for comparison with the oracle.
+    #[derive(Debug, PartialEq)]
+    struct Round {
+        moved: usize,
+        removed: usize,
+        removed_indices: Vec<usize>,
+        keeper_indices: Vec<usize>,
+        events: Vec<MergeEvent>,
+    }
+
+    fn edge_round(c: &mut ClosedChain, hops: &[Offset]) -> Result<Round, ChainError> {
+        let moved = c.apply_hops(hops)?;
+        let mut log = SpliceLog::default();
+        let removed = c.merge_pass(&mut log);
+        Ok(Round {
+            moved,
+            removed,
+            removed_indices: log.removed_indices,
+            keeper_indices: log.keeper_indices,
+            events: log.events,
+        })
+    }
+
+    fn oracle_round(c: &mut PosChain, hops: &[Offset]) -> Result<Round, ChainError> {
+        let moved = c.apply_hops(hops)?;
+        let mut log = SpliceLog::default();
+        let removed = c.merge_pass(&mut log);
+        Ok(Round {
+            moved,
+            removed,
+            removed_indices: log.removed_indices,
+            keeper_indices: log.keeper_indices,
+            events: log.events,
+        })
+    }
+
+    /// The splice log the merge pass builds from runs of collapsed edges
+    /// (events in keeper order, removed indices ascending with the group
+    /// that wraps index 0 first) equals the oracle's, which walks the
+    /// positions and sorts; fold-tip collapses on rotated random walks give
+    /// groups of every odd length, many of them wrapping index 0.
     #[test]
     fn merge_pass_log_matches_sorted_reference() {
-        use crate::rng::SplitMix64;
-        let dirs = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
         let mut rng = SplitMix64::new(0x5eed);
         let mut wrapped_groups = 0;
-        let mut log = SpliceLog::default();
         for case in 0..2000 {
-            // Out along a random walk, back along its reverse: closed and
-            // connected, with a zero step (a coincidence) wherever a stay
-            // was drawn; every 50th walk stays put throughout.
-            let m = rng.range_usize(1, 24);
-            let stay_odds = if case % 50 == 0 { 1 } else { 3 };
-            let steps: Vec<Offset> = (0..m)
-                .map(|_| {
-                    if rng.below(stay_odds) == 0 {
-                        Offset::ZERO
-                    } else {
-                        *rng.choose(&dirs)
-                    }
-                })
-                .collect();
-            let mut out = vec![Point::new(0, 0)];
-            for &s in &steps {
-                out.push(*out.last().unwrap() + s);
-            }
-            let pos: Vec<Point> = out.iter().chain(out[1..m].iter().rev()).copied().collect();
+            let m = rng.range_usize(1, 12);
+            let pos = random_walk(&mut rng, m);
             let n = pos.len();
-            let mut c = ClosedChain {
-                id: (0..n as u64).map(RobotId).collect(),
-                pos,
-            };
-            c.check_connected().expect("closed walk is connected");
-            c.rotate_origin(rng.range_usize(0, n));
-            if c.pos[0] == c.pos[n - 1] && c.pos.iter().any(|&p| p != c.pos[0]) {
-                wrapped_groups += 1;
-            }
-            let (removed, keepers, events) = reference_merge(&c);
-            let count = c.merge_pass(&mut log);
-            assert_eq!(count, removed.len(), "case {case}");
-            assert_eq!(log.removed_indices, removed, "case {case}");
-            assert_eq!(log.keeper_indices, keepers, "case {case}");
-            assert_eq!(log.events, events, "case {case}");
-            assert!(log.removed_indices.windows(2).all(|w| w[0] < w[1]));
+            let mut chain = ClosedChain::new(pos).unwrap();
+            chain.rotate_origin(rng.range_usize(0, n));
+            let mut hops = vec![Offset::ZERO; n];
+            collapse_tips(&mut rng, chain.positions(), &mut hops);
+            let mut oracle = PosChain::of(&chain);
+            let want = oracle_round(&mut oracle, &hops).unwrap();
+            let got = edge_round(&mut chain, &hops).unwrap();
+            assert_eq!(got, want, "case {case}");
+            wrapped_groups += usize::from(want.removed_indices.first() == Some(&0));
         }
         assert!(
-            wrapped_groups > 50,
+            wrapped_groups > 100,
             "only {wrapped_groups} wrapping groups drawn"
         );
+    }
+
+    /// The edge-backed chain against the position-backed oracle, round for
+    /// round, on random closed walks with accordions after a random origin
+    /// rotation. The hop sets: an illegal hop, one random hop (mostly
+    /// chain-breaking), fold-tip collapses, sparse random hops, and the
+    /// total collapse of an accordion ring. Same error (variant, index,
+    /// points) or same movers, splice log and merge events (keeper, removed
+    /// ids, point); then the same positions, ids and gathering flag — on an
+    /// error, the chain as it was before the round.
+    #[test]
+    fn edge_chain_matches_position_oracle() {
+        let mut rng = SplitMix64::new(0x0dd5);
+        let legal: Vec<Offset> = (-1..=1)
+            .flat_map(|dx| (-1..=1).map(move |dy| Offset::new(dx, dy)))
+            .collect();
+        let (mut illegal, mut broken, mut merged, mut plain) = (0, 0, 0, 0);
+        let (mut wrapped, mut big_groups, mut collapses) = (0, 0, 0);
+        for case in 0..6000 {
+            let kind = case % 6;
+            let mut pos = if kind == 5 {
+                // An accordion ring: every other robot drops onto its
+                // neighbours, and the chain collapses to one robot.
+                let s = *rng.choose(&DIRS);
+                let x = Point::new(rng.range_i64_inclusive(-9, 9), 0);
+                (0..2 * rng.range_usize(1, 8))
+                    .map(|i| if i % 2 == 0 { x } else { x + s })
+                    .collect()
+            } else {
+                let m = rng.range_usize(1, 16);
+                random_walk(&mut rng, m)
+            };
+            let n = pos.len();
+            let mut chain = ClosedChain::new(pos.clone()).unwrap();
+            let k = rng.range_usize(0, n);
+            chain.rotate_origin(k);
+            pos.rotate_left(k);
+            let ids: Vec<RobotId> = (0..n as u64)
+                .map(|i| RobotId((i + k as u64) % n as u64))
+                .collect();
+            if case % 2 == 0 {
+                assert_eq!(chain.positions(), &pos[..], "case {case}: rotated");
+            }
+            let mut hops = vec![Offset::ZERO; n];
+            match kind {
+                0 => {
+                    for h in hops.iter_mut() {
+                        if rng.chance(1, 4) {
+                            *h = *rng.choose(&legal);
+                        }
+                    }
+                    hops[rng.range_usize(0, n)] =
+                        Offset::new(2 * rng.range_i64_inclusive(-1, 1), 2);
+                }
+                1 => hops[rng.range_usize(0, n)] = *rng.choose(&legal),
+                2 | 3 => collapse_tips(&mut rng, &pos, &mut hops),
+                4 => {
+                    for h in hops.iter_mut() {
+                        if rng.chance(1, 3) {
+                            *h = *rng.choose(&legal);
+                        }
+                    }
+                }
+                _ => {
+                    for i in (0..n).filter(|&i| pos[i] != pos[0]) {
+                        hops[i] = pos[0] - pos[i];
+                    }
+                }
+            }
+            let mut oracle = PosChain {
+                pos: pos.clone(),
+                id: ids.clone(),
+            };
+            let want = oracle_round(&mut oracle, &hops);
+            let got = edge_round(&mut chain, &hops);
+            match (&want, &got) {
+                (Err(w), Err(g)) => {
+                    assert_eq!(g, w, "case {case}");
+                    match w {
+                        ChainError::IllegalHop { .. } => illegal += 1,
+                        _ => broken += 1,
+                    }
+                    oracle = PosChain { pos, id: ids };
+                }
+                (Ok(w), Ok(g)) => {
+                    assert_eq!(g, w, "case {case}");
+                    if w.removed == 0 {
+                        plain += 1;
+                    } else {
+                        merged += 1;
+                    }
+                    wrapped += usize::from(w.removed_indices.first() == Some(&0));
+                    big_groups += w.events.iter().filter(|e| e.removed.len() >= 2).count();
+                    collapses += usize::from(oracle.pos.len() == 1);
+                }
+                _ => panic!("case {case}: oracle {want:?}, edge chain {got:?}"),
+            }
+            assert_eq!(chain.positions(), &oracle.pos[..], "case {case}");
+            assert_eq!(chain.ids(), &oracle.id[..], "case {case}");
+            assert_eq!(chain.is_gathered(), oracle.is_gathered(), "case {case}");
+            assert_eq!(chain.validate(), oracle.validate(), "case {case}");
+        }
+        assert_eq!(illegal, 1000, "illegal-hop rounds");
+        assert!(broken > 800, "{broken} chain-breaking rounds");
+        assert!(merged > 2500, "{merged} merging rounds");
+        assert!(plain > 150, "{plain} plain rounds");
+        assert!(wrapped > 200, "{wrapped} groups wrapping index 0");
+        assert!(big_groups > 500, "{big_groups} groups of three or more");
+        assert!(collapses >= 1000, "{collapses} total collapses");
     }
 
     /// `SpliceLog::splice` keeps exactly the entries whose index is not

@@ -17,14 +17,16 @@
 //! it retains nothing: the hop buffer and splice log are reused across
 //! rounds (each merge event still allocates its list of removed ids) and
 //! only the [`Progress`] aggregates (a few counters) are folded in-place.
-//! After the move one sweep ([`ClosedChain::apply_hops_swept`]) counts
-//! the movers, takes the bounding box and measures every edge; the merge
-//! pass and the taut-chain check run only on rounds where an edge
-//! collapsed to length 0.
+//! The chain stores its edges ([`ClosedChain`]): the move rewrites each
+//! edge from the hops of its two robots, the merge pass splices the ones
+//! that collapsed, and the gathering flag is kept exact by a stale
+//! bounding box that is recomputed only when it could fit the 2×2
+//! criterion. Nothing on this path decodes positions.
 //! Observers see each round through a borrowed [`RoundCtx`] and pay for
 //! exactly what they retain.
 
 use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
+use crate::kernel::GatherCheck;
 use crate::observe::{AnyObserver, Observer, RoundCtx};
 use crate::scheduler::{Fsync, Scheduler};
 use crate::strategy::Strategy;
@@ -214,10 +216,9 @@ pub struct Sim<S: Strategy> {
     observers: Vec<Box<dyn AnyObserver<S>>>,
     rounds_since_merge: u64,
     rounds_since_move: u64,
-    /// The gathering criterion on the current chain: computed at
-    /// construction and by every round's summary, so the run loop does not
-    /// recompute the O(n) bounding box.
-    gathered: bool,
+    /// The gathering criterion on the current chain, kept exact round by
+    /// round without an O(n) bounding box per round.
+    gather: GatherCheck,
     /// Chain-safety guard switch (see [`crate::safety`]): seeded from
     /// [`Strategy::wants_chain_guard`], overridable with
     /// [`Sim::with_chain_guard`].
@@ -248,7 +249,13 @@ impl<S: Strategy> Sim<S> {
         strategy.init(&chain);
         let n = chain.len();
         let guard = strategy.wants_chain_guard();
-        let gathered = chain.is_gathered();
+        let gather = GatherCheck::new(n, chain.bounding());
+        // Room for the largest merge pass, so that only the merge events'
+        // lists of removed ids allocate.
+        let mut splice = SpliceLog::default();
+        splice.removed_indices.reserve(n);
+        splice.keeper_indices.reserve(n);
+        splice.events.reserve(n / 2);
         Sim {
             chain,
             strategy,
@@ -256,14 +263,14 @@ impl<S: Strategy> Sim<S> {
             round: 0,
             hops: vec![Offset::ZERO; n],
             active: vec![true; n],
-            splice: SpliceLog::default(),
+            splice,
             progress: Progress::default(),
             travel: vec![0.0; n],
             retired_travel: 0.0,
             observers: Vec::new(),
             rounds_since_merge: 0,
             rounds_since_move: 0,
-            gathered,
+            gather,
             guard,
             guard_cancels: 0,
             broken: None,
@@ -394,7 +401,7 @@ impl<S: Strategy> Sim<S> {
 
     /// `true` if the gathering criterion (2×2 bounding box) holds.
     pub fn is_gathered(&self) -> bool {
-        self.gathered
+        self.gather.is_gathered()
     }
 
     /// Execute one round: schedule (activation mask), look/compute
@@ -454,14 +461,12 @@ impl<S: Strategy> Sim<S> {
             c.mark(Phase::Guard);
         }
 
-        // Move (simultaneous), in one sweep that also counts the movers,
-        // takes the bounding box and measures every edge of the moved
-        // chain.
-        let sweep = match self.chain.apply_hops_swept(&self.hops) {
-            Ok(sweep) => sweep,
+        // Move (simultaneous): every edge rewritten from the hops of its
+        // two robots.
+        let moved = match self.chain.apply_hops(&self.hops) {
+            Ok(moved) => moved,
             Err(e) => return Err(self.break_chain(e)),
         };
-        let moved = sweep.moved;
         if moved > 0 {
             // Fold hop lengths into the per-robot travel totals (the
             // min-max objective): unit steps cost 1, diagonal hops √2.
@@ -477,14 +482,9 @@ impl<S: Strategy> Sim<S> {
             c.mark(Phase::Apply);
         }
 
-        // Merge pass (the paper's progress); only a zero-length edge gives
-        // it work.
-        let removed = if sweep.coincident {
-            self.chain.merge_pass(&mut self.splice)
-        } else {
-            self.splice.clear();
-            0
-        };
+        // Merge pass (the paper's progress): splices the collapsed edges
+        // and leaves the chain taut.
+        let removed = self.chain.merge_pass(&mut self.splice);
         if removed > 0 {
             // Mirror the splice in the travel totals: removed robots
             // retire theirs into the running maximum, survivors compact
@@ -497,14 +497,10 @@ impl<S: Strategy> Sim<S> {
         self.strategy
             .post_merge(&self.chain, self.round, &self.splice);
 
-        // Post-round invariant: taut chain (unless fully collapsed). A
-        // round without a splice left every edge at length 1, which the
-        // sweep has checked already.
-        if removed > 0 && self.chain.len() > 1 {
-            if let Err(e) = self.chain.validate() {
-                return Err(self.break_chain(e));
-            }
-        }
+        debug_assert_eq!(self.chain.validate(), Ok(()));
+        // Merges keep the point set, so only moves age the box.
+        let chain = &self.chain;
+        self.gather.refresh(moved, chain.len(), || chain.bounding());
         if let Some(c) = clock.as_mut() {
             c.mark(Phase::Merge);
         }
@@ -525,10 +521,8 @@ impl<S: Strategy> Sim<S> {
             moved,
             removed,
             len_after: self.chain.len(),
-            // Splicing keeps the point set, so the sweep's box holds.
-            gathered: sweep.bounds.is_gathered_2x2(),
+            gathered: self.gather.is_gathered(),
         };
-        self.gathered = summary.gathered;
         self.progress.record_round(moved, removed);
         if !self.observers.is_empty() {
             let ctx = RoundCtx {
@@ -547,11 +541,10 @@ impl<S: Strategy> Sim<S> {
         Ok(summary)
     }
 
-    /// Latch a chain error: the simulation refuses further rounds, and the
-    /// gathered flag follows the (broken) chain the round left behind.
+    /// Latch a chain error: the simulation refuses further rounds. The
+    /// refused move left the chain as the round found it.
     fn break_chain(&mut self, e: ChainError) -> ChainError {
         self.broken = Some(e.clone());
-        self.gathered = self.chain.is_gathered();
         e
     }
 
@@ -563,7 +556,7 @@ impl<S: Strategy> Sim<S> {
     /// finishes again.
     pub fn run(&mut self, limits: RunLimits) -> Outcome {
         let outcome = loop {
-            if self.gathered {
+            if self.gather.is_gathered() {
                 break Outcome::Gathered { rounds: self.round };
             }
             if self.round >= limits.max_rounds {
@@ -614,6 +607,7 @@ impl<S: Strategy> Sim<S> {
 mod tests {
     use super::*;
     use crate::observe::Recorder;
+    use crate::oracle::PosChain;
     use crate::strategy::Stand;
     use grid_geom::Point;
 
@@ -1057,11 +1051,11 @@ mod tests {
         }
     }
 
-    /// The round as the engine ran it before the post-move sweep:
-    /// `apply_hops` → `merge_pass` → `validate`, travel by `sqrt`, the
-    /// gathering criterion from a fresh bounding box.
+    /// The round as the engine ran it on positions: the position-backed
+    /// `apply_hops` → `merge_pass` → `validate` of the oracle, travel by
+    /// `sqrt`, the gathering criterion from a fresh bounding box.
     struct Reference {
-        chain: ClosedChain,
+        chain: PosChain,
         splice: SpliceLog,
         travel: Vec<f64>,
         retired: f64,
@@ -1069,8 +1063,7 @@ mod tests {
 
     impl Reference {
         fn step(&mut self, hops: &[Offset]) -> Result<(usize, usize, bool), ChainError> {
-            let moved = hops.iter().filter(|h| **h != Offset::ZERO).count();
-            self.chain.apply_hops(hops)?;
+            let moved = self.chain.apply_hops(hops)?;
             for (t, h) in self.travel.iter_mut().zip(hops) {
                 if *h != Offset::ZERO {
                     *t += ((h.dx * h.dx + h.dy * h.dy) as f64).sqrt();
@@ -1087,7 +1080,7 @@ mod tests {
                 }
             }
             self.travel.truncate(write);
-            if self.chain.len() > 1 {
+            if self.chain.pos.len() > 1 {
                 self.chain.validate()?;
             }
             Ok((moved, removed, self.chain.is_gathered()))
@@ -1122,12 +1115,14 @@ mod tests {
         assert_eq!(std::f64::consts::SQRT_2, 2f64.sqrt());
     }
 
-    /// The fused post-move sweep is the old round, outcome for outcome:
-    /// on random chains, after a legal translation round, a second round
-    /// with one illegal hop, one single-robot hop (often chain-breaking),
-    /// a fold tip collapsing onto its neighbours, or sparse random hops
-    /// gives the same `ChainError` or summary, the same chain, merges and
-    /// `max_travel` as the reference sequence.
+    /// The engine's round on the edge-backed chain is the round on
+    /// positions, outcome for outcome: on random chains, after a legal
+    /// translation round, a second round with one illegal hop, one
+    /// single-robot hop (often chain-breaking), a fold tip collapsing onto
+    /// its neighbours, or sparse random hops gives the same `ChainError`
+    /// or summary, merges and `max_travel` as the reference sequence, and
+    /// the same chain and gathering flag — on an error, the chain the
+    /// round started from, which a refused move leaves as it was.
     #[test]
     fn fused_sweep_matches_the_unfused_round() {
         use crate::rng::SplitMix64;
@@ -1179,12 +1174,13 @@ mod tests {
             let script = vec![vec![shift; n], hops.clone()];
             let mut sim = Sim::new(chain.clone(), Scripted(script));
             let mut reference = Reference {
-                chain,
+                chain: PosChain::of(&chain),
                 splice: SpliceLog::default(),
                 travel: vec![0.0; n],
                 retired: 0.0,
             };
             for round_hops in [vec![shift; n], hops] {
+                let before = reference.chain.clone();
                 let want = reference.step(&round_hops);
                 let got = sim.step();
                 match (&want, &got) {
@@ -1194,13 +1190,14 @@ mod tests {
                             ChainError::IllegalHop { .. } => illegal += 1,
                             _ => broken += 1,
                         }
+                        reference.chain = before;
                     }
                     (Ok((moved, removed, gathered)), Ok(s)) => {
                         assert_eq!(
                             (s.moved, s.removed, s.gathered),
                             (*moved, *removed, *gathered)
                         );
-                        assert_eq!(s.len_after, reference.chain.len(), "case {case}");
+                        assert_eq!(s.len_after, reference.chain.pos.len(), "case {case}");
                         assert_eq!(
                             sim.last_merges(),
                             &reference.splice.events[..],
@@ -1216,10 +1213,10 @@ mod tests {
                 }
                 assert_eq!(
                     sim.chain().positions(),
-                    reference.chain.positions(),
+                    &reference.chain.pos[..],
                     "case {case}"
                 );
-                assert_eq!(sim.chain().ids(), reference.chain.ids(), "case {case}");
+                assert_eq!(sim.chain().ids(), &reference.chain.id[..], "case {case}");
                 assert_eq!(
                     sim.max_travel().to_bits(),
                     reference.max_travel().to_bits(),

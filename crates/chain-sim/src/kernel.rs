@@ -2,13 +2,13 @@
 //! data-oriented fast path of the engine.
 //!
 //! The boxed engine ([`Sim`](crate::Sim)) pays for its composability —
-//! `Box<dyn Strategy>` virtual dispatch, a `Vec<Point>` it rewrites
-//! every round, a full connectivity validation pass, a full merge scan,
-//! and a full bounding-box scan for the gathering check. None of that
-//! is needed on the *observer-free* path, where nothing inspects
-//! intermediate state: a round is then a pure function of the packed
-//! edge codes, and every per-robot geometric predicate collapses to a
-//! table lookup over 2-bit edge codes and 4-bit hop codes.
+//! `Box<dyn Strategy>` virtual dispatch and a 16-byte `Offset` hop per
+//! robot that the strategy writes and the engine masks, guards and
+//! applies. None of that is needed on the *observer-free* path, where
+//! nothing inspects intermediate state: a round is then a pure function
+//! of the packed edge codes, and every per-robot geometric predicate
+//! collapses to a table lookup over 2-bit edge codes and 4-bit hop
+//! codes.
 //!
 //! This module provides the machinery shared by all kernels:
 //!
@@ -64,8 +64,9 @@ pub fn hop_code(o: Offset) -> u8 {
 }
 
 /// [`APPLY_EDGE`] marker: the edge collapsed to zero (the two robots
-/// now coincide — a merge candidate).
-pub const EDGE_COLLAPSED: u8 = 4;
+/// now coincide — a merge candidate). The byte code
+/// [`crate::packed::EDGE_ZERO`].
+pub const EDGE_COLLAPSED: u8 = crate::packed::EDGE_ZERO;
 /// [`APPLY_EDGE`] marker: the edge left chain adjacency (the hops break
 /// the chain).
 pub const EDGE_BROKEN: u8 = u8::MAX;
@@ -269,40 +270,97 @@ impl LaneWriter {
     }
 }
 
+/// The exact 2×2 gathering flag of a chain, kept with amortized O(1)
+/// work per round. Merges never change the occupied point set, and each
+/// bounding-box side moves at most one step per moving round, so the
+/// exact box is only recomputed once its staleness bound allows the 2×2
+/// criterion at all. [`KernelChain`] and the boxed engine share it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct GatherCheck {
+    bbox: Rect,
+    age: u64,
+    gathered: bool,
+}
+
+impl GatherCheck {
+    /// The flag of a chain of `len` robots with bounding box `bbox`.
+    pub(crate) fn new(len: usize, bbox: Rect) -> Self {
+        GatherCheck {
+            bbox,
+            age: 0,
+            gathered: len == 1 || bbox.is_gathered_2x2(),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn is_gathered(&self) -> bool {
+        self.gathered
+    }
+
+    /// Re-establish the flag after a round in which `moved` robots hopped
+    /// and that left `len` robots; `bounds` computes their exact box.
+    pub(crate) fn refresh(&mut self, moved: usize, len: usize, bounds: impl FnOnce() -> Rect) {
+        if len == 1 {
+            *self = GatherCheck::new(1, bounds());
+            return;
+        }
+        if moved == 0 {
+            return;
+        }
+        self.age += 1;
+        let shrink = 2i64.saturating_mul(self.age as i64);
+        if self.bbox.width().saturating_sub(shrink) > 2
+            || self.bbox.height().saturating_sub(shrink) > 2
+        {
+            self.gathered = false;
+            return;
+        }
+        *self = GatherCheck::new(len, bounds());
+    }
+}
+
+/// The [`ChainError::Disconnected`] of a move whose first stretched edge
+/// is `j`: the post-move positions of its two robots, from robot `j`'s
+/// pre-move position `p`, the edge's pre-move `step` and the two robots'
+/// hops. [`KernelChain::apply_dense`] and
+/// [`ClosedChain::apply_hops`](crate::ClosedChain::apply_hops) report
+/// breaks through it.
+#[cold]
+pub(crate) fn stretched_edge(j: usize, p: Point, step: Offset, hops: [Offset; 2]) -> ChainError {
+    ChainError::Disconnected {
+        index: j,
+        a: p + hops[0],
+        b: p + step + hops[1],
+    }
+}
+
 /// Packed chain state plus the kernel round machinery: hop application,
-/// zero-edge merging, and an amortized-O(1) gathering check.
+/// zero-edge merging, and an amortized-O(1) gathering check
+/// (`GatherCheck`).
 ///
 /// Between rounds the chain is taut (the engine invariant). During a
 /// round, applying hops turns some edges to zero; those lanes are
 /// recorded in a zero-edge list and spliced out by [`KernelChain::merge`]
-/// in the same round, restoring tautness. The gathering flag is kept
-/// exact at all times: the bounding box can shrink by at most 2 per
-/// moving round per axis, so a full recompute is only needed once the
-/// stale box's lower bound reaches the 2×2 criterion.
+/// in the same round, restoring tautness.
 pub struct KernelChain {
     packed: PackedChain,
     zero_edges: Vec<usize>,
     removed: Vec<u64>,
     writer: LaneWriter,
-    bbox: Rect,
-    bbox_age: u64,
-    gathered: bool,
+    gather: GatherCheck,
 }
 
 impl KernelChain {
     /// Wrap packed state; computes the initial bounding box and
     /// gathering flag.
     pub fn new(packed: PackedChain) -> Self {
-        let bbox = packed.bounding();
-        let gathered = packed.len() == 1 || bbox.is_gathered_2x2();
+        let gather = GatherCheck::new(packed.len(), packed.bounding());
         KernelChain {
             packed,
             zero_edges: Vec::new(),
             removed: Vec::new(),
             writer: LaneWriter::default(),
-            bbox,
-            bbox_age: 0,
-            gathered,
+            gather,
         }
     }
 
@@ -333,7 +391,7 @@ impl KernelChain {
     /// The exact 2×2 gathering predicate, maintained incrementally.
     #[inline]
     pub fn is_gathered(&self) -> bool {
-        self.gathered
+        self.gather.is_gathered()
     }
 
     /// Apply hops of a sparse mover set whose members are pairwise
@@ -373,9 +431,10 @@ impl KernelChain {
     /// Apply a whole-chain hop vector (one hop code per robot).
     /// Collapsed edges are queued for [`KernelChain::merge`]; a hop set
     /// that breaks chain adjacency reports the first failing edge with
-    /// the same [`ChainError::Disconnected`] payload the boxed
-    /// `check_connected` computes (post-move endpoint positions), and
-    /// leaves the chain state untouched.
+    /// the same [`ChainError::Disconnected`] payload as
+    /// [`ClosedChain::apply_hops`](crate::ClosedChain::apply_hops)
+    /// (post-move endpoint positions, `stretched_edge`), and leaves the
+    /// chain state untouched.
     pub fn apply_dense(&mut self, hops: &[u8]) -> Result<(), ChainError> {
         let n = self.packed.len();
         debug_assert_eq!(hops.len(), n);
@@ -444,11 +503,9 @@ impl KernelChain {
         for k in 0..j {
             p += edge_offset(self.packed.get(k));
         }
-        let a = p + hop_offset(hops[j]);
-        let b = p
-            + edge_offset(self.packed.get(j))
-            + hop_offset(hops[if j + 1 == n { 0 } else { j + 1 }]);
-        ChainError::Disconnected { index: j, a, b }
+        let hop = |k: usize| hop_offset(hops[k]);
+        let next = if j + 1 == n { 0 } else { j + 1 };
+        stretched_edge(j, p, edge_offset(self.packed.get(j)), [hop(j), hop(next)])
     }
 
     /// Splice out the robots made coincident by the round's collapsed
@@ -529,31 +586,11 @@ impl KernelChain {
     }
 
     /// Re-establish the exact gathering flag after a round in which
-    /// `moved` robots hopped. Merges never change the occupied point
-    /// set, and each bounding-box side moves at most one per round, so
-    /// the exact box is only recomputed once its staleness bound allows
-    /// the 2×2 criterion at all.
+    /// `moved` robots hopped (see `GatherCheck`).
     pub fn refresh_gathered(&mut self, moved: usize) {
-        if self.packed.len() == 1 {
-            self.bbox = Rect::point(self.packed.origin());
-            self.bbox_age = 0;
-            self.gathered = true;
-            return;
-        }
-        if moved == 0 {
-            return;
-        }
-        self.bbox_age += 1;
-        let shrink = 2i64.saturating_mul(self.bbox_age as i64);
-        if self.bbox.width().saturating_sub(shrink) > 2
-            || self.bbox.height().saturating_sub(shrink) > 2
-        {
-            self.gathered = false;
-            return;
-        }
-        self.bbox = self.packed.bounding();
-        self.bbox_age = 0;
-        self.gathered = self.bbox.is_gathered_2x2();
+        let packed = &self.packed;
+        self.gather
+            .refresh(moved, packed.len(), || packed.bounding());
     }
 }
 

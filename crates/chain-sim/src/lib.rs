@@ -62,6 +62,8 @@ pub mod kernel;
 pub mod metrics;
 pub mod observe;
 pub mod open_chain;
+#[cfg(test)]
+mod oracle;
 pub mod packed;
 pub mod replay;
 pub mod rng;
@@ -73,7 +75,7 @@ pub mod strategy;
 pub mod trace;
 pub mod view;
 
-pub use chain::{ChainError, ClosedChain, MergeEvent, MoveSweep, SpliceLog};
+pub use chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
 pub use engine::{Outcome, RoundSummary, RunLimits, Sim, QUIESCENCE_WINDOW};
 pub use kernel::{
     ActivationRule, FsyncRule, KFairRule, KernelChain, KernelSim, RandomRule, RoundKernel,

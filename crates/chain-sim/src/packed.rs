@@ -44,6 +44,11 @@ pub const EDGE_S: u8 = 0b01;
 pub const EDGE_W: u8 = 0b10;
 /// Edge code for a `(0, +1)` (north) unit step.
 pub const EDGE_N: u8 = 0b11;
+/// Byte code of an edge of length 0: two chain neighbours on one point,
+/// between a move and the merge pass that splices one of them out. Only
+/// byte-per-edge code arrays hold it ([`ClosedChain::codes`]); it is the
+/// collapse marker of [`crate::kernel::APPLY_EDGE`].
+pub const EDGE_ZERO: u8 = 4;
 
 /// 2-bit lanes per packed word.
 pub const LANES_PER_WORD: usize = 32;
@@ -96,6 +101,7 @@ pub fn edge_codes_into(pos: &[Point], out: &mut Vec<u8>) {
     if n < 2 {
         return;
     }
+    out.reserve(n);
     out.extend(pos.windows(2).map(|w| unit_edge_code(w[1] - w[0])));
     out.push(unit_edge_code(pos[0] - pos[n - 1]));
 }
@@ -184,12 +190,20 @@ pub struct PackedChain {
 }
 
 impl PackedChain {
-    /// Pack a [`ClosedChain`]. Requires a *taut* chain (every cyclic
-    /// edge a unit step) — the engine's between-rounds invariant. A
-    /// coincident or non-adjacent edge is reported with the same
-    /// [`ChainError`] the boxed validators would raise.
+    /// Pack a [`ClosedChain`] from its edge codes. Requires a *taut*
+    /// chain — the engine's between-rounds invariant: an edge left
+    /// collapsed by a move is reported by [`ClosedChain::validate`].
     pub fn from_chain(chain: &ClosedChain) -> Result<PackedChain, ChainError> {
-        Self::from_positions(chain.positions())
+        chain.validate()?;
+        let mut codes = vec![0u64; chain.codes().len().div_ceil(LANES_PER_WORD)];
+        for (i, &code) in chain.codes().iter().enumerate() {
+            codes[i / LANES_PER_WORD] |= u64::from(code) << ((i % LANES_PER_WORD) * 2);
+        }
+        Ok(PackedChain {
+            origin: chain.origin(),
+            len: chain.len(),
+            codes,
+        })
     }
 
     /// Pack a taut cyclic position sequence (see

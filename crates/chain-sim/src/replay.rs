@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex};
 use crate::chain::{ClosedChain, SpliceLog};
 use crate::engine::{Outcome, RoundSummary};
 use crate::observe::{Observer, RoundCtx};
-use crate::packed::{edge_code, edge_offset};
+use crate::packed::edge_offset;
 use crate::strategy::Strategy;
 use grid_geom::{Offset, Point};
 
@@ -255,16 +255,17 @@ fn code3_get(bytes: &[u8], i: usize) -> u8 {
 fn put_chain(buf: &mut Vec<u8>, chain: &ClosedChain) {
     let n = chain.len();
     put_varint(buf, n as u64);
-    let origin = chain.pos(0);
+    let origin = chain.origin();
     put_varint(buf, zigzag(origin.x));
     put_varint(buf, zigzag(origin.y));
-    put_codes(
-        buf,
-        (0..n.saturating_sub(1)).map(|i| {
-            let (a, b) = (chain.pos(i), chain.pos(i + 1));
-            edge_code(Offset::new(b.x - a.x, b.y - a.y)).expect("taut chain edges are unit steps")
-        }),
-    );
+    put_codes(buf, taut_codes(chain));
+}
+
+/// The codes of edges `0..len-1` of a taut chain (the closing edge is
+/// implied).
+fn taut_codes(chain: &ClosedChain) -> impl ExactSizeIterator<Item = u8> + '_ {
+    debug_assert_eq!(chain.validate(), Ok(()));
+    chain.codes()[..chain.len() - 1].iter().copied()
 }
 
 /// Decode the origin + edge-code geometry payload back into a chain.
@@ -441,14 +442,7 @@ impl LiveFrame {
         finished: bool,
     ) -> Self {
         let mut codes = Vec::new();
-        put_codes(
-            &mut codes,
-            (0..chain.len().saturating_sub(1)).map(|i| {
-                let (a, b) = (chain.pos(i), chain.pos(i + 1));
-                edge_code(Offset::new(b.x - a.x, b.y - a.y))
-                    .expect("taut chain edges are unit steps")
-            }),
-        );
+        put_codes(&mut codes, taut_codes(chain));
         LiveFrame {
             round,
             len: chain.len(),
@@ -456,7 +450,7 @@ impl LiveFrame {
             guard_cancels,
             gathered: chain.is_gathered(),
             finished,
-            origin: chain.pos(0),
+            origin: chain.origin(),
             codes,
         }
     }

@@ -32,18 +32,179 @@
 //!   above applies — `tests/ssync_safety.rs` checks this by enumerating
 //!   every activation subset of every round at small `n`.
 //!
-//! The same fixpoint has guarded the `global-vision` and `naive-local`
-//! baselines since PR 1 (`baselines::cancel_breaking_hops` now delegates
-//! here) and is mirrored over packed hop codes by
-//! `baselines::kernel::cancel_breaking_hops_codes`. PR 7 promotes it to
+//! The same fixpoint guards the `global-vision` and `naive-local`
+//! baselines (`baselines::cancel_breaking_hops` and the kernels'
+//! `baselines::kernel::cancel_breaking_hops_codes` delegate here), and
 //! the engine: a [`Strategy`](crate::Strategy) that opts in via
 //! [`Strategy::wants_chain_guard`](crate::Strategy::wants_chain_guard)
 //! gets it applied by [`Sim::step`](crate::Sim::step) after the
 //! activation mask, which is what makes `gathering-core`'s `paper-ssync`
 //! wrapper survive every scheduler.
+//!
+//! There is one implementation, [`cancel_breaking_hops`]: it reads the
+//! chain's edge codes and judges each edge from the hops of its two
+//! robots, in either hop alphabet of [`GuardHop`].
 
 use crate::chain::ClosedChain;
-use grid_geom::{chain_adjacent, Offset};
+use crate::kernel::hop_offset;
+use crate::packed::{edge_offset, EDGE_ZERO};
+use grid_geom::Offset;
+
+/// Edge-survival table: `EDGE_OK[e][hl][hr]` is `true` iff the edge of
+/// code `e` stays chain-adjacent (manhattan ≤ 1) when its tail robot
+/// hops `hl` and its head robot hops `hr` (hop codes of
+/// [`crate::kernel`]). One table serves both neighbor checks of a robot:
+/// the head-side test of an edge is the tail-side test of the same edge
+/// with the offset negated, and manhattan length is symmetric under
+/// negation.
+pub static EDGE_OK: [[[bool; 9]; 9]; 4] = build_edge_ok();
+
+const fn build_edge_ok() -> [[[bool; 9]; 9]; 4] {
+    let mut t = [[[false; 9]; 9]; 4];
+    let mut e = 0;
+    while e < 4 {
+        let eo = edge_offset(e as u8);
+        let mut hl = 0;
+        while hl < 9 {
+            let lo = hop_offset(hl as u8);
+            let mut hr = 0;
+            while hr < 9 {
+                let ro = hop_offset(hr as u8);
+                let dx = eo.dx + ro.dx - lo.dx;
+                let dy = eo.dy + ro.dy - lo.dy;
+                t[e][hl][hr] = dx.abs() + dy.abs() <= 1;
+                hr += 1;
+            }
+            hl += 1;
+        }
+        e += 1;
+    }
+    t
+}
+
+/// [`EDGE_OK`] with the head-hop axis packed into a bitmask:
+/// `EDGE_OK_BITS[e·9 + hl] >> hr & 1`. 36 `u16`s — the whole cancel
+/// predicate in two cache lines.
+static EDGE_OK_BITS: [u16; 36] = build_edge_ok_bits();
+
+const fn build_edge_ok_bits() -> [u16; 36] {
+    let mut t = [0u16; 36];
+    let mut e = 0;
+    while e < 4 {
+        let mut hl = 0;
+        while hl < 9 {
+            let mut hr = 0;
+            while hr < 9 {
+                if EDGE_OK[e][hl][hr] {
+                    t[e * 9 + hl] |= 1 << hr;
+                }
+                hr += 1;
+            }
+            hl += 1;
+        }
+        e += 1;
+    }
+    t
+}
+
+/// A hop alphabet the guard judges edges in: the hop codes of
+/// [`crate::kernel`] (the kernels) or [`Offset`]s (the boxed engine, where
+/// a strategy may hand in any offset).
+pub trait GuardHop: Copy + PartialEq {
+    /// The zero hop, which is never cancelled.
+    const STAY: Self;
+
+    /// `true` iff the edge of code `e` stays chain adjacent (length ≤ 1)
+    /// when its tail robot hops `tail` and its head robot hops `head`.
+    fn edge_ok(e: u8, tail: Self, head: Self) -> bool;
+
+    /// `true` iff the nine hops from index `i` on are equal.
+    #[inline]
+    fn nine_equal(hops: &[Self], i: usize) -> bool {
+        hops[i..i + 8] == hops[i + 1..i + 9]
+    }
+}
+
+impl GuardHop for u8 {
+    const STAY: u8 = crate::kernel::HOP_ZERO;
+
+    #[inline]
+    fn edge_ok(e: u8, tail: u8, head: u8) -> bool {
+        EDGE_OK_BITS[e as usize * 9 + tail as usize] >> head & 1 != 0
+    }
+
+    #[inline]
+    fn nine_equal(hops: &[u8], i: usize) -> bool {
+        let h0 = u64::from_le_bytes(hops[i..i + 8].try_into().expect("8 hops"));
+        let h1 = u64::from_le_bytes(hops[i + 1..i + 9].try_into().expect("8 hops"));
+        h0 == h1
+    }
+}
+
+impl GuardHop for Offset {
+    const STAY: Offset = Offset::ZERO;
+
+    #[inline]
+    fn edge_ok(e: u8, tail: Offset, head: Offset) -> bool {
+        let edge = if e == EDGE_ZERO {
+            Offset::ZERO
+        } else {
+            edge_offset(e)
+        };
+        (edge + head - tail).manhattan() <= 1
+    }
+}
+
+/// The cancel-to-fixpoint over a chain's edge codes (`edges[i]` is the
+/// edge from robot `i` to robot `i + 1`, cyclic): zero every hop whose
+/// robot would end the round non-adjacent to a neighbor's end-of-round
+/// position, sweeping in ascending index order — a cancellation is seen
+/// by the tests after it in the same sweep — until a sweep cancels
+/// nothing. Returns the number of hops cancelled.
+///
+/// Each sweep pays one edge test per robot: a robot's prev-side check is
+/// the previous robot's next-side check, so it rolls forward and is only
+/// re-tested when a cancellation invalidates it, and nine equal hops
+/// (a rigidly translated stretch) skip eight robots at once.
+pub fn cancel_breaking_hops<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> usize {
+    let n = hops.len();
+    if n < 2 {
+        return 0;
+    }
+    debug_assert_eq!(edges.len(), n);
+    let mut cancelled = 0;
+    loop {
+        let mut changed = false;
+        // ok_left for robot 0: the wrap edge, with hops[n−1] still at its
+        // start-of-sweep value (index 0 is checked first).
+        let mut ok_left = H::edge_ok(edges[n - 1], hops[n - 1], hops[0]);
+        let mut i = 0;
+        while i < n {
+            // Nine identical consecutive hops keep every edge between
+            // them, so each robot's next-side check passes and ok_left
+            // carries through unchanged — provided it was already true.
+            if ok_left && i + 9 <= n && H::nine_equal(hops, i) {
+                i += 8;
+                continue;
+            }
+            let h = hops[i];
+            let next = if i + 1 == n { 0 } else { i + 1 };
+            let ok_right = H::edge_ok(edges[i], h, hops[next]);
+            if h == H::STAY || (ok_left && ok_right) {
+                ok_left = ok_right;
+            } else {
+                hops[i] = H::STAY;
+                cancelled += 1;
+                changed = true;
+                ok_left = H::edge_ok(edges[i], H::STAY, hops[next]);
+            }
+            i += 1;
+        }
+        if !changed {
+            return cancelled;
+        }
+    }
+}
 
 /// `true` if robot `i`'s intended hop would end the round non-adjacent to
 /// one of its chain neighbors' intended end-of-round positions — the
@@ -54,20 +215,18 @@ use grid_geom::{chain_adjacent, Offset};
 /// cannot leave a neighbor (only be left, which is the moving neighbor's
 /// violation to detect).
 pub fn hop_breaks_chain(chain: &ClosedChain, hops: &[Offset], i: usize) -> bool {
-    if hops[i] == Offset::ZERO {
+    if hops[i] == Offset::ZERO || chain.len() < 2 {
         return false;
     }
-    let here = chain.pos(i) + hops[i];
-    let prev = chain.nb(i, -1);
-    let next = chain.nb(i, 1);
-    let p = chain.pos(prev) + hops[prev];
-    let q = chain.pos(next) + hops[next];
-    !chain_adjacent(here, p) || !chain_adjacent(here, q)
+    let codes = chain.codes();
+    let (prev, next) = (chain.nb(i, -1), chain.nb(i, 1));
+    !Offset::edge_ok(codes[prev], hops[prev], hops[i])
+        || !Offset::edge_ok(codes[i], hops[i], hops[next])
 }
 
-/// Cancel-to-fixpoint: zero every hop that fails [`hop_breaks_chain`]
-/// against the surviving intents, sweeping until a full pass cancels
-/// nothing. Returns the number of hops cancelled.
+/// Cancel-to-fixpoint on a chain: [`cancel_breaking_hops`] over its edge
+/// codes, so that no hop fails [`hop_breaks_chain`] against the surviving
+/// intents. Returns the number of hops cancelled.
 ///
 /// `hops` must already reflect the activation mask (inactive robots at
 /// [`Offset::ZERO`]); the engine calls this immediately after masking.
@@ -75,22 +234,8 @@ pub fn hop_breaks_chain(chain: &ClosedChain, hops: &[Offset], i: usize) -> bool 
 /// the module docs for the argument, and `tests/ssync_safety.rs` for the
 /// exhaustive activation-subset check.
 pub fn enforce_chain_safety(chain: &ClosedChain, hops: &mut [Offset]) -> usize {
-    let n = chain.len();
-    debug_assert_eq!(hops.len(), n);
-    let mut cancelled = 0;
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            if hop_breaks_chain(chain, hops, i) {
-                hops[i] = Offset::ZERO;
-                cancelled += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            return cancelled;
-        }
-    }
+    debug_assert_eq!(hops.len(), chain.len());
+    cancel_breaking_hops(chain.codes(), hops)
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 //!
 //! Robots see only the subchain of their next `V` neighbors in both chain
 //! directions ("viewing path length", `V = 11` in the paper), as *relative
-//! positions*. [`Ring`] is a zero-allocation cyclic accessor centered on an
-//! observing robot; all strategy decisions in `gathering-core` go through a
-//! `Ring` bounded to the viewing range, which makes locality structural.
+//! positions*. [`Ring`] is a cyclic accessor centered on an observing
+//! robot, bounded to the viewing range, over the chain's positions (decoded
+//! once after each mutation). The paper strategy reads the same
+//! neighborhood as edge codes, without positions; the observers, the local
+//! pattern detector and the tests that check it read through `Ring`.
 
 use crate::chain::ClosedChain;
 use grid_geom::{Offset, Point};

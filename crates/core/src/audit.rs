@@ -331,9 +331,9 @@ impl LemmaAuditor {
             // strategy's own scoping of Table 1.1.
             if run.mode == RunMode::Normal {
                 let horizon = self.view.min(chain.len().saturating_sub(1));
-                let ring = chain_sim::Ring::with_horizon(chain, i, self.view.max(3) + 1);
                 let line_extent = crate::quasi::quasi_break_ahead(
-                    &ring,
+                    chain.codes(),
+                    i,
                     run.dir(),
                     run.fold_side,
                     horizon as isize,

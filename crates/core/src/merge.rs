@@ -27,7 +27,7 @@
 //! describes — a property checked by `tests::local_equivalence`.
 
 use crate::config::GatherConfig;
-use chain_sim::packed::{edge_codes_into, edge_offset, opposite};
+use chain_sim::packed::{edge_offset, opposite};
 use chain_sim::ClosedChain;
 use grid_geom::Offset;
 
@@ -74,10 +74,6 @@ pub struct MergeScan {
     /// ones) in which the robot is a black; 0 if none. Drives the
     /// staggered expiry of oscillation suppression (strategy.rs).
     pub inherent_k: Vec<u8>,
-    /// Edge codes of the chain being scanned, for the standalone entry
-    /// points ([`MergeScan::scan`], [`MergeScan::scan_suppressed`]);
-    /// refilled on every call.
-    codes: Vec<u8>,
 }
 
 /// `i + 1` on a cycle of `n` (`i < n`).
@@ -102,16 +98,26 @@ fn pred(i: usize, n: usize) -> usize {
 
 impl MergeScan {
     fn reset(&mut self, n: usize) {
+        // Only the last scan's fired patterns set hops and roles: clear
+        // those, on the last scan's chain, instead of the whole arrays.
+        let last_n = self.hop.len();
+        for p in &self.patterns {
+            let mut b = p.first_black;
+            self.white[pred(b, last_n)] = false;
+            for _ in 0..p.k {
+                self.hop[b] = Offset::ZERO;
+                self.black[b] = false;
+                b = succ(b, last_n);
+            }
+            self.white[b] = false;
+        }
         self.patterns.clear();
         // At most one pattern per maximal monotone run plus one per fold
         // tip: reserving 2n once keeps later (shorter) rounds from
         // allocating.
         self.patterns.reserve(2 * n);
-        self.hop.clear();
         self.hop.resize(n, Offset::ZERO);
-        self.black.clear();
         self.black.resize(n, false);
-        self.white.clear();
         self.white.resize(n, false);
         self.inherent_k.clear();
         self.inherent_k.resize(n, 0);
@@ -144,16 +150,12 @@ impl MergeScan {
         cfg: &GatherConfig,
         suppressed: &[bool],
     ) {
-        let mut codes = std::mem::take(&mut self.codes);
-        edge_codes_into(chain.positions(), &mut codes);
-        self.scan_codes(chain.len(), &codes, cfg, suppressed);
-        self.codes = codes;
+        self.scan_codes(chain.len(), chain.codes(), cfg, suppressed);
     }
 
     /// [`MergeScan::scan_suppressed`] on a chain of `n` robots given as its
-    /// edge codes (`chain_sim::packed::edge_codes_into`: byte `i` is the
-    /// step from robot `i` to robot `i + 1`). The paper strategy fills the
-    /// codes once per round and shares them with oscillation detection.
+    /// edge codes ([`ClosedChain::codes`]: byte `i` is the step from robot
+    /// `i` to robot `i + 1`).
     pub(crate) fn scan_codes(
         &mut self,
         n: usize,

@@ -44,6 +44,8 @@
 use crate::config::GatherConfig;
 use crate::strategy::ClosedChainGathering;
 use chain_sim::chain::{ClosedChain, SpliceLog};
+use chain_sim::kernel::{hop_code, APPLY_EDGE, EDGE_BROKEN};
+use chain_sim::packed::edge_offset;
 use chain_sim::Strategy;
 use grid_geom::{Offset, Point};
 
@@ -51,9 +53,11 @@ use grid_geom::{Offset, Point};
 /// opt-in + adaptive SE-drain fallback. Registry name `paper-ssync`.
 pub struct SsyncGathering {
     inner: ClosedChainGathering,
-    /// Where every robot ends this round if all computed hops apply —
-    /// compared against reality in `post_move` to detect SSYNC.
-    predicted: Vec<Point>,
+    /// The chain this round leaves if all computed hops apply — its origin
+    /// and edge codes, compared against reality in `post_move` to detect
+    /// SSYNC.
+    predicted_origin: Point,
+    predicted: Vec<u8>,
     /// `predicted` refers to the current round's compute.
     prediction_live: bool,
     /// Latched the first time a computed hop failed to apply. Never
@@ -68,6 +72,7 @@ impl SsyncGathering {
     pub fn new(cfg: GatherConfig) -> Self {
         SsyncGathering {
             inner: ClosedChainGathering::new(cfg),
+            predicted_origin: Point::ORIGIN,
             predicted: Vec::new(),
             prediction_live: false,
             ssync_observed: false,
@@ -129,31 +134,51 @@ impl Strategy for SsyncGathering {
             // `compass-se` termination argument — so the mix still
             // gathers; where a drain hop and a neighbor's surviving merge
             // hop conflict, the guard arbitrates.
-            for (i, hop) in hops.iter_mut().enumerate() {
-                let p = chain.pos(i);
-                let a = chain.pos(chain.nb(i, -1));
-                let b = chain.pos(chain.nb(i, 1));
-                let key = |q: Point| q.x - q.y;
-                if key(a) > key(p) && key(b) > key(p) {
-                    *hop = Offset::new(
-                        (a.x + b.x - 2 * p.x).signum(),
-                        (a.y + b.y - 2 * p.y).signum(),
-                    );
-                    self.fallback_hops += 1;
+            //
+            // On the edge codes: the key falls along the edge into robot
+            // `i` (bit 1 set) and rises along the edge out of it (bit 1
+            // clear); with neighbours `p − in` and `p + out`, the midpoint
+            // hop is `signum(out − in)`.
+            let codes = chain.codes();
+            if let Some(&last) = codes.last() {
+                let mut c_in = last;
+                for (hop, &c_out) in hops.iter_mut().zip(codes) {
+                    if c_in & 0b10 != 0 && c_out & 0b10 == 0 {
+                        let d = edge_offset(c_out) - edge_offset(c_in);
+                        *hop = Offset::new(d.dx.signum(), d.dy.signum());
+                        self.fallback_hops += 1;
+                    }
+                    c_in = c_out;
                 }
             }
+        } else {
+            // Detection: the chain after the move if every computed hop
+            // applies, each edge rewritten from its robots' hops. An
+            // illegal hop predicts a stretched edge, which no applied move
+            // leaves.
+            let codes = chain.codes();
+            let n = codes.len();
+            let code = |h: Offset| if h.is_hop() { Some(hop_code(h)) } else { None };
+            self.predicted.clear();
+            self.predicted
+                .extend(codes.iter().enumerate().map(|(i, &e)| {
+                    match (
+                        code(hops[i]),
+                        code(hops[if i + 1 == n { 0 } else { i + 1 }]),
+                    ) {
+                        (Some(hl), Some(hr)) => APPLY_EDGE[e as usize][hl as usize][hr as usize],
+                        _ => EDGE_BROKEN,
+                    }
+                }));
+            self.predicted_origin = chain.origin() + hops[0];
+            self.prediction_live = true;
         }
-
-        self.predicted.clear();
-        self.predicted
-            .extend((0..chain.len()).map(|i| chain.pos(i) + hops[i]));
-        self.prediction_live = true;
     }
 
     fn post_move(&mut self, chain: &ClosedChain, round: u64) {
         if self.prediction_live {
             self.prediction_live = false;
-            if !self.ssync_observed && chain.positions() != self.predicted.as_slice() {
+            if chain.origin() != self.predicted_origin || chain.codes() != self.predicted {
                 self.ssync_observed = true;
             }
         }

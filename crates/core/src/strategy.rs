@@ -19,11 +19,11 @@
 
 use crate::config::GatherConfig;
 use crate::merge::MergeScan;
-use crate::quasi::{self, StartShape};
+use crate::quasi::{self, step_code, StartShape};
 use crate::runs::{PlacedRun, Run, RunAction, RunMode, RunSlots, RunStats, StopReason};
 use crate::signature::{self, Signatures};
-use chain_sim::packed::edge_codes_into;
-use chain_sim::{ClosedChain, Ring, RobotId, SpliceLog, Strategy};
+use chain_sim::packed::{edge_code, edge_offset};
+use chain_sim::{ClosedChain, RobotId, SpliceLog, Strategy};
 use grid_geom::Offset;
 
 /// Instrumentation events (consumed by the audit module and tests).
@@ -59,10 +59,6 @@ pub enum RunEvent {
 /// The paper's algorithm as a [`Strategy`].
 pub struct ClosedChainGathering {
     cfg: GatherConfig,
-    /// The round's edge codes (`chain_sim::packed::edge_codes_into`),
-    /// filled once at the top of `compute`: oscillation detection and the
-    /// merge scan read these instead of the positions.
-    codes: Vec<u8>,
     scan: MergeScan,
     /// Live runs, sorted by `PlacedRun::order_key`: the order in which
     /// they decide, and in which their events are emitted.
@@ -79,8 +75,8 @@ pub struct ClosedChainGathering {
     folds: Vec<(usize, Offset)>,
     /// Per-robot local-view signatures of the previous two rounds and the
     /// oscillation-suppression countdown (see `detect_oscillation`).
-    sig_prev: Vec<u64>,
-    sig_prev2: Vec<u64>,
+    sig_prev: Vec<signature::Class>,
+    sig_prev2: Vec<signature::Class>,
     suppress: Vec<u16>,
     suppress_flags: Vec<bool>,
     /// Previous round's inherent pattern sizes, compacted through splices
@@ -101,7 +97,6 @@ impl ClosedChainGathering {
         cfg.validate().expect("invalid gathering configuration");
         ClosedChainGathering {
             cfg,
-            codes: Vec::new(),
             scan: MergeScan::default(),
             runs: Vec::new(),
             slots: Vec::new(),
@@ -171,7 +166,7 @@ impl ClosedChainGathering {
 
     /// Update signature histories and the suppression countdowns; fill
     /// `suppress_flags` for this round's merge scan. Signatures
-    /// ([`signature::local_signature`]) are read from the round's edge
+    /// (`signature::local_signature`) are read from the chain's edge
     /// codes through the window table ([`Signatures`]).
     ///
     /// A robot that sees its local view alternate with period 2
@@ -190,7 +185,7 @@ impl ClosedChainGathering {
     fn detect_oscillation(&mut self, chain: &ClosedChain) {
         let n = chain.len();
         debug_assert_eq!(self.sig_prev.len(), n);
-        self.suppress_flags.clear();
+        // Every flag is written below.
         self.suppress_flags.resize(n, false);
         let base = 2 * self.cfg.l_period + 2;
         // Inherent pattern sizes from the previous round's scan, compacted
@@ -198,15 +193,10 @@ impl ClosedChainGathering {
         let prev_k = &self.prev_inherent_k;
         let (sig_prev, sig_prev2) = (&mut self.sig_prev[..n], &mut self.sig_prev2[..n]);
         let (suppress, flags) = (&mut self.suppress[..n], &mut self.suppress_flags[..n]);
-        let mut sigs = Signatures::new(&self.codes);
+        let mut sigs = Signatures::new(chain.codes());
         for i in 0..n {
             // A one-robot chain has no edges, hence no windows.
             let sig = sigs.next().unwrap_or(signature::COLLAPSED);
-            debug_assert_eq!(
-                sig,
-                signature::local_signature(chain, i),
-                "robot {i} of {n}"
-            );
             suppress[i] = suppress[i].saturating_sub(1);
             if sig == sig_prev2[i] && sig != sig_prev[i] {
                 let k = prev_k.get(i).copied().unwrap_or(0) as u64;
@@ -214,9 +204,11 @@ impl ClosedChainGathering {
                 self.stats.suppressions += 1;
             }
             flags[i] = suppress[i] > 0;
-            sig_prev2[i] = sig_prev[i];
-            sig_prev[i] = sig;
+            // The oldest view gives way to the newest; the swap below
+            // makes it the previous round's.
+            sig_prev2[i] = sig;
         }
+        std::mem::swap(&mut self.sig_prev, &mut self.sig_prev2);
     }
 
     fn stop_run(&mut self, round: u64, run: &Run, robot: RobotId, reason: StopReason) {
@@ -232,14 +224,13 @@ impl ClosedChainGathering {
     /// Decide what one run does this round (pure w.r.t. `self` except for
     /// statistics/events, which are recorded by the caller).
     fn decide(&self, chain: &ClosedChain, i: usize, run: &Run) -> RunAction {
-        let n = chain.len();
+        let (n, codes) = (chain.len(), chain.codes());
         let d = run.dir();
         let horizon = self.cfg.view.min(n.saturating_sub(1));
-        let v = Ring::with_horizon(chain, i, self.cfg.view.max(3) + 1);
 
         // --- Extent of the quasi line ahead (used by conditions 1 and 2):
         // a run only reasons about runs and endpoints *on its own line*.
-        let brk = quasi::quasi_break_ahead(&v, d, run.fold_side, horizon as isize);
+        let brk = quasi::quasi_break_ahead(codes, i, d, run.fold_side, horizon as isize);
         let line_extent: isize = brk.map_or(horizon as isize, |b| b.distance);
 
         // --- Scan ahead: sequent runs (Table 1.1) and opposing runs. ---
@@ -249,8 +240,23 @@ impl ClosedChainGathering {
         // killing for it would mass-extinguish runs on square rings.)
         let same_axis = |a: Offset, b: Offset| (a.dx == 0) == (b.dx == 0);
         let mut opposing: Option<(isize, Offset)> = None;
-        for j in 1..=horizon as isize {
+        // Most runs see no other run ahead: test the slots in one sweep
+        // when they do not wrap around index 0.
+        let ahead = if d > 0 {
+            self.slots.get(i + 1..=i + horizon)
+        } else {
+            i.checked_sub(horizon).map(|from| &self.slots[from..i])
+        };
+        let clear = ahead.is_some_and(|slots| slots.iter().all(|&s| s == RunSlots::EMPTY));
+        for j in 1..=if clear { 0 } else { horizon as isize } {
+            if opposing.is_some() && j > line_extent {
+                // Nothing further ahead can matter.
+                break;
+            }
             let slots = self.slots[chain.nb(i, j * d)];
+            if slots == RunSlots::EMPTY {
+                continue;
+            }
             if let Some(side) = slots.fold_side(d) {
                 if same_axis(side, run.fold_side) && j <= line_extent {
                     return RunAction::Die(StopReason::SequentAhead);
@@ -298,15 +304,16 @@ impl ClosedChainGathering {
             }
         }
 
-        // --- Reshapement (Fig. 6 / Fig. 11a). ---
+        // --- Reshapement (Fig. 6 / Fig. 11a), on the steps around the
+        // runner: `behind` towards robot i − d, `f1` towards i + d. ---
         let may_fold = !self.scan.participates(i) && next.walk_budget == 0;
         if may_fold {
-            let behind = v.abs(-d) - v.abs(0);
-            if behind == next.fold_side {
-                let f1 = v.abs(d) - v.abs(0);
-                if f1.perpendicular_to(behind)
-                    && v.abs(2 * d) - v.abs(d) == f1
-                    && v.abs(3 * d) - v.abs(2 * d) == f1
+            let behind = step_code(codes, i, 0, -d);
+            if Some(behind) == edge_code(next.fold_side) {
+                let f1 = step_code(codes, i, 0, d);
+                if (f1 ^ behind) & 1 == 1
+                    && step_code(codes, i, 1, d) == f1
+                    && step_code(codes, i, 2, d) == f1
                 {
                     if next.op_c_pending {
                         // Op c (Fig. 11c): one diagonal hop, then walk.
@@ -314,7 +321,7 @@ impl ClosedChainGathering {
                         next.walk_budget = 3;
                     }
                     return RunAction::Advance {
-                        fold: Some(f1 + behind),
+                        fold: Some(edge_offset(f1) + edge_offset(behind)),
                         next,
                     };
                 }
@@ -338,11 +345,11 @@ impl ClosedChainGathering {
         true
     }
 
-    /// Evaluate run starts (Fig. 5) at robot `i`; returns fresh runs.
-    fn try_starts(&mut self, chain: &ClosedChain, round: u64, i: usize) {
-        let v = Ring::with_horizon(chain, i, self.cfg.view.max(4));
+    /// Evaluate run starts (Fig. 5) at robot `i`, whose window key is
+    /// `key`; stages fresh runs.
+    fn try_starts(&mut self, chain: &ClosedChain, round: u64, i: usize, key: usize) {
         for d in [1isize, -1] {
-            if let Some((shape, fold_side)) = quasi::run_start(&v, d) {
+            if let Some((shape, fold_side)) = quasi::window_run_start(key, d) {
                 let run = Run {
                     id: self.next_run_id,
                     dir: d as i8,
@@ -395,16 +402,15 @@ impl Strategy for ClosedChainGathering {
         self.staged_slots.resize(n, RunSlots::EMPTY);
         self.folds.clear();
         self.folds.reserve(n);
-        self.codes.clear();
-        self.codes.reserve(n);
         self.keeper_flags.clear();
         self.keeper_flags.reserve(n);
         self.merged_ids.clear();
         self.merged_ids.reserve(n);
+        let [none, none2] = signature::NO_VIEW;
         self.sig_prev.clear();
-        self.sig_prev.resize(n, u64::MAX);
+        self.sig_prev.resize(n, none);
         self.sig_prev2.clear();
-        self.sig_prev2.resize(n, u64::MAX - 1);
+        self.sig_prev2.resize(n, none2);
         self.suppress.clear();
         self.suppress.resize(n, 0);
         self.suppress_flags.clear();
@@ -417,17 +423,14 @@ impl Strategy for ClosedChainGathering {
         let n = chain.len();
         debug_assert_eq!(self.slots.len(), n, "run slots out of sync");
 
-        // One pass reads every edge of the snapshot; steps 0 and 1 work on
-        // the codes.
-        edge_codes_into(chain.positions(), &mut self.codes);
-
         // Step 0: oscillation detection (constant-memory symmetry breaker
-        // for closed interference cycles of merge patterns).
+        // for closed interference cycles of merge patterns). Steps 0 and 1
+        // read the chain's edge codes.
         self.detect_oscillation(chain);
 
         // Step 1: merge patterns (suppressed robots' patterns do not fire).
         self.scan
-            .scan_codes(n, &self.codes, &self.cfg, &self.suppress_flags);
+            .scan_codes(n, chain.codes(), &self.cfg, &self.suppress_flags);
 
         // Step 2: run operations. Decide all runs from the same snapshot
         // (`slots` is not touched until the round is staged); stage
@@ -503,9 +506,15 @@ impl Strategy for ClosedChainGathering {
         }
 
         // Resolve hops: merge hop (blacks) > run fold > stand. Whites of
-        // fired patterns stand still (their runs walked); the scan's hop is
-        // zero for everyone but the blacks.
-        hops[..n].copy_from_slice(&self.scan.hop);
+        // fired patterns stand still (their runs walked); `hops` arrives
+        // zeroed, and only the blacks take the scan's hop.
+        for p in &self.scan.patterns {
+            let mut b = p.first_black;
+            for _ in 0..p.k {
+                hops[b] = self.scan.hop[b];
+                b = if b + 1 == n { 0 } else { b + 1 };
+            }
+        }
         for &(i, h) in &self.folds {
             if !self.scan.participates(i) {
                 hops[i] = h;
@@ -514,10 +523,13 @@ impl Strategy for ClosedChainGathering {
 
         // Step 3: start new runs every L-th round, from the same snapshot.
         // The started runs are staged and act from round + 1.
-        if round.is_multiple_of(self.cfg.l_period) {
+        if round.is_multiple_of(self.cfg.l_period) && n >= 8 {
             for (i, hop) in hops.iter().enumerate().take(n) {
                 if *hop == Offset::ZERO && !self.scan.participates(i) {
-                    self.try_starts(chain, round, i);
+                    let key = signature::window_key(chain.codes(), i);
+                    if quasi::starts_any(key) {
+                        self.try_starts(chain, round, i, key);
+                    }
                 }
             }
         }
@@ -542,6 +554,7 @@ impl Strategy for ClosedChainGathering {
             debug_assert_eq!(self.slots.len(), chain.len());
             return;
         }
+        // Keeper flags by pre-splice index.
         let old_n = self.slots.len();
         self.keeper_flags.clear();
         self.keeper_flags.resize(old_n, false);
@@ -581,40 +594,46 @@ impl Strategy for ClosedChainGathering {
         }
         runs.truncate(kept);
 
-        // Compact the per-robot state in place (write ≤ read). Keepers'
+        // Compact the per-robot state as the chain was compacted. Keepers'
         // runs are gone, and their signature histories and suppression
         // reset (their neighborhood was rewritten by the merge, and which
         // group member survives is an arbitrary labeling that must not
-        // influence the dynamics); others carry their state over.
-        let mut rm = removed.iter().peekable();
-        let mut write = 0usize;
-        for read in 0..old_n {
-            if rm.peek() == Some(&&read) {
-                rm.next();
-                continue;
-            }
-            if self.keeper_flags[read] {
-                self.slots[write] = RunSlots::EMPTY;
-                self.sig_prev[write] = u64::MAX;
-                self.sig_prev2[write] = u64::MAX - 1;
-                self.suppress[write] = 0;
-                self.prev_inherent_k[write] = 0;
+        // influence the dynamics); others carry their state over. Nothing
+        // before the first keeper or removed robot moves; every robot from
+        // there on is copied down without a branch, and the write index
+        // advances past survivors only.
+        let first_keeper = log.keeper_indices.iter().min();
+        let mut write = removed[0].min(*first_keeper.expect("a removed robot has a keeper"));
+        let [none, none2] = signature::NO_VIEW;
+        let last = removed.len() - 1;
+        let mut j = 0; // the next removed index (the last, once behind)
+        let first = write;
+        for read in first..old_n {
+            let keeper = self.keeper_flags[read];
+            let gone = read == removed[j];
+            self.slots[write] = if keeper {
+                RunSlots::EMPTY
             } else {
-                self.slots[write] = self.slots[read];
-                self.sig_prev[write] = self.sig_prev[read];
-                self.sig_prev2[write] = self.sig_prev2[read];
-                self.suppress[write] = self.suppress[read];
-                self.prev_inherent_k[write] = self.prev_inherent_k[read];
-            }
-            write += 1;
+                self.slots[read]
+            };
+            self.sig_prev[write] = if keeper { none } else { self.sig_prev[read] };
+            self.sig_prev2[write] = if keeper { none2 } else { self.sig_prev2[read] };
+            self.suppress[write] = if keeper { 0 } else { self.suppress[read] };
+            self.prev_inherent_k[write] = if keeper {
+                0
+            } else {
+                self.prev_inherent_k[read]
+            };
+            write += usize::from(!gone);
+            j = (j + usize::from(gone)).min(last);
         }
-        debug_assert_eq!(write, chain.len());
         self.slots.truncate(write);
-        self.staged_slots.truncate(write);
         self.sig_prev.truncate(write);
         self.sig_prev2.truncate(write);
         self.suppress.truncate(write);
         self.prev_inherent_k.truncate(write);
+        self.staged_slots.truncate(write);
+        debug_assert_eq!(self.slots.len(), chain.len());
 
         // Table 1.4/5: a passing run terminates when its target corner was
         // "removed because of a merge operation". Both members of a spliced

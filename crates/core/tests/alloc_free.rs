@@ -1,9 +1,12 @@
 //! The paper round allocates nothing on the heap once it is warm:
 //! `ClosedChainGathering::compute` from round 1 on (round 0 sizes the merge
-//! scan's buffers; `init` reserves the edge-code buffer) and `post_merge`
-//! in every round, counted by a global allocator on the calling thread.
-//! A standalone `MergeScan` reused on a chain no longer than its first one
-//! allocates nothing either: it refills its own code buffer in place.
+//! scan's buffers; `init` reserves the run tables) and `post_merge` in
+//! every round, counted by a global allocator on the calling thread.
+//! The whole engine round (`Sim::step`) allocates nothing from round 1 on
+//! but each merge event's list of removed ids — so nothing on the hot path
+//! decodes the chain's positions, which would allocate their cache. A
+//! standalone `MergeScan` reused on a chain no longer than its first one
+//! allocates nothing either: it reads the chain's edge codes in place.
 
 use chain_sim::{ClosedChain, RunLimits, Sim, SpliceLog, Strategy};
 use gathering_core::{ClosedChainGathering, GatherConfig, MergeScan};
@@ -139,4 +142,48 @@ fn reused_merge_scan_is_allocation_free() {
         scan.scan_suppressed(c, &cfg, &mask[..c.len()]);
     }
     assert_eq!(allocs() - before, 0, "a warm merge scan allocated");
+}
+
+/// Every engine round from round 1 on allocates exactly one list of
+/// removed ids per merge event: none on a round without a merge. Returns
+/// the number of rounds without a merge.
+fn assert_step_allocates_only_merge_events(chain: ClosedChain) -> u64 {
+    let n = chain.len();
+    let mut sim = Sim::new(chain, ClosedChainGathering::paper());
+    sim.step().expect("round 0");
+    let (mut plain, mut merging) = (0, 0);
+    let limit = RunLimits::for_chain_len(n).max_rounds;
+    while !sim.is_gathered() && sim.round() < limit {
+        let before = allocs();
+        sim.step().expect("the paper rule keeps the chain");
+        let got = allocs() - before;
+        let events = sim.last_merges().len() as u64;
+        assert_eq!(got, events, "n={n}: round {}", sim.round() - 1);
+        if events == 0 {
+            plain += 1;
+        } else {
+            merging += 1;
+        }
+    }
+    assert!(sim.is_gathered(), "n={n}: did not gather");
+    assert!(merging > 0, "n={n}: the workload never merged");
+    plain
+}
+
+#[test]
+fn rectangle_step_allocates_only_merge_events() {
+    // Runs reshape the long sides between merges: most rounds merge
+    // nothing.
+    let plain = assert_step_allocates_only_merge_events(workloads::rectangle(70, 60));
+    assert!(plain > 100, "{plain} rounds without a merge");
+}
+
+#[test]
+fn random_loop_step_allocates_only_merge_events() {
+    assert_step_allocates_only_merge_events(workloads::random_loop(256, 7));
+}
+
+#[test]
+fn skyline_step_allocates_only_merge_events() {
+    assert_step_allocates_only_merge_events(workloads::Family::Skyline.generate(256, 3));
 }
