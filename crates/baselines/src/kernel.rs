@@ -1,12 +1,13 @@
-//! Baseline strategy kernels over packed hop-code state.
+//! Baseline strategy kernels over packed edge codes.
 //!
 //! Each kernel is the data-oriented twin of one boxed baseline: the same
 //! decision rule (shared via this crate's pure decision functions, or
-//! pinned to them by LUT tests), computed from 2-bit edge codes instead
-//! of materialized positions, and plugged into
-//! [`chain_sim::KernelSim`] via [`RoundKernel`]. Byte-identity with the
-//! boxed strategies is enforced by the unit tests below and the
-//! workspace-level differential suite (`tests/kernel_diff.rs`).
+//! pinned to them by LUT tests), computed from the chain's byte edge
+//! codes ([`chain_sim::PackedChain::codes`], read in place) instead of
+//! materialized positions, and plugged into [`chain_sim::KernelSim`] via
+//! [`RoundKernel`]. Byte-identity with the boxed strategies is enforced
+//! by the unit tests below and the workspace-level differential suite
+//! (`tests/kernel_diff.rs`).
 //!
 //! * [`CompassSeKernel`] — movers are the strict SE-key minima, found
 //!   word-parallel ([`chain_sim::PackedChain::strict_se_minima_into`]); each hops
@@ -14,11 +15,11 @@
 //!   chain-adjacent and their hops keep both incident edges adjacent,
 //!   so the sparse (edge-local) apply path needs no safety scan.
 //! * [`NaiveLocalKernel`] — the midpoint rule for *every* robot, then
-//!   the global cancel fixpoint in code space
-//!   ([`cancel_breaking_hops_codes`]), then a dense apply.
+//!   the engine's cancel fixpoint on hop codes
+//!   ([`cancel_breaking_hops`]), then a dense apply.
 //! * [`GlobalVisionKernel`] — one step toward the enclosing-square
-//!   center of the exact bounding box (byte-LUT walk), then the cancel
-//!   fixpoint and a dense apply.
+//!   center of the exact bounding box, eight robots per word where the
+//!   center is far, then the cancel fixpoint and a dense apply.
 //!
 //! The dense kernels can still break the chain under SSYNC activation
 //! (masking robots *after* the cancel fixpoint invalidates its safety
@@ -28,7 +29,9 @@
 use crate::enclosing_center;
 use chain_sim::chain::ChainError;
 use chain_sim::kernel::{count_moved, ActivationRule, KernelChain, RoundKernel, HOP_ZERO};
-use chain_sim::packed::{edge_offset, LANES_PER_WORD};
+use chain_sim::packed::{edge_offset, word_offset};
+use chain_sim::safety::cancel_breaking_hops;
+use grid_geom::Point;
 
 /// Midpoint-hop table: `MIDPOINT_HOP[ep][en]` is the hop code of the
 /// midpoint rule for a robot whose incoming edge (from its predecessor)
@@ -65,16 +68,6 @@ const fn build_midpoint_hop() -> [[u8; 4]; 4] {
     t
 }
 
-pub use chain_sim::safety::EDGE_OK;
-
-/// The crate-level `cancel_breaking_hops` fixpoint over hop codes and a
-/// decoded edge scratch (one byte per lane, from
-/// [`chain_sim::PackedChain::decode_into`]): the engine's guard,
-/// [`chain_sim::safety::cancel_breaking_hops`], in the hop-code alphabet.
-pub fn cancel_breaking_hops_codes(edges: &[u8], hops: &mut [u8]) {
-    chain_sim::safety::cancel_breaking_hops(edges, hops);
-}
-
 /// Kernel twin of [`CompassSe`](crate::CompassSe): word-parallel strict
 /// SE-minima scan, midpoint hops via LUT, sparse apply.
 #[derive(Debug, Default)]
@@ -102,18 +95,19 @@ impl RoundKernel for CompassSeKernel {
             return Ok(0);
         }
         let packed = chain.packed();
+        let codes = packed.codes();
         packed.strict_se_minima_into(&mut self.minima);
         self.movers.clear();
         for (w, &word) in self.minima.iter().enumerate() {
             let mut m = word;
             while m != 0 {
-                let i = w * LANES_PER_WORD + (m.trailing_zeros() as usize) / 2;
+                let i = w * 8 + (m.trailing_zeros() as usize) / 8;
                 m &= m - 1;
                 if !A::ALWAYS_ON && !rule.active(round, i) {
                     continue;
                 }
-                let ep = packed.get(if i == 0 { n - 1 } else { i - 1 });
-                let en = packed.get(i);
+                let ep = codes[if i == 0 { n - 1 } else { i - 1 }];
+                let en = codes[i];
                 self.movers
                     .push((i, MIDPOINT_HOP[ep as usize][en as usize]));
             }
@@ -132,7 +126,6 @@ impl RoundKernel for CompassSeKernel {
 /// everyone, cancel fixpoint, dense apply.
 #[derive(Debug, Default)]
 pub struct NaiveLocalKernel {
-    edges: Vec<u8>,
     hops: Vec<u8>,
 }
 
@@ -155,8 +148,7 @@ impl RoundKernel for NaiveLocalKernel {
             return Ok(0);
         }
         {
-            let packed = chain.packed();
-            packed.decode_into(&mut self.edges);
+            let edges = chain.packed().codes();
             self.hops.clear();
             self.hops.resize(n, HOP_ZERO);
             // MIDPOINT_HOP[e][e] == HOP_ZERO, so straight runs keep the
@@ -165,22 +157,22 @@ impl RoundKernel for NaiveLocalKernel {
             let mut i = 0;
             while i < n {
                 if i >= 1 && i + 8 <= n {
-                    let e0 = u64::from_le_bytes(self.edges[i - 1..i + 7].try_into().unwrap());
-                    let e1 = u64::from_le_bytes(self.edges[i..i + 8].try_into().unwrap());
+                    let e0 = u64::from_le_bytes(edges[i - 1..i + 7].try_into().unwrap());
+                    let e1 = u64::from_le_bytes(edges[i..i + 8].try_into().unwrap());
                     if e0 == e1 {
                         i += 8;
                         continue;
                     }
                 }
-                let ep = self.edges[if i == 0 { n - 1 } else { i - 1 }];
-                self.hops[i] = MIDPOINT_HOP[ep as usize][self.edges[i] as usize];
+                let ep = edges[if i == 0 { n - 1 } else { i - 1 }];
+                self.hops[i] = MIDPOINT_HOP[ep as usize][edges[i] as usize];
                 i += 1;
             }
             // The cancel fixpoint runs on the *full* hop vector, then the
             // activation mask zeroes inactive robots — the boxed engine's
             // order. Under SSYNC the masking can reintroduce breaking
             // pairs, and the dense apply reports them identically.
-            cancel_breaking_hops_codes(&self.edges, &mut self.hops);
+            cancel_breaking_hops(edges, &mut self.hops);
         }
         if !A::ALWAYS_ON {
             for (i, h) in self.hops.iter_mut().enumerate() {
@@ -198,11 +190,57 @@ impl RoundKernel for NaiveLocalKernel {
     }
 }
 
+/// The hop code of one step toward `(dx, dy)`: signum per axis,
+/// re-encoded as `(sx+1)·3+(sy+1)`, branch-free.
+#[inline]
+fn toward(dx: i64, dy: i64) -> u8 {
+    let sx = (dx > 0) as i64 - (dx < 0) as i64;
+    let sy = (dy > 0) as i64 - (dy < 0) as i64;
+    ((sx + 1) * 3 + (sy + 1)) as u8
+}
+
+/// One hop code per robot of the chain with robot 0 at `origin` and
+/// edges `codes`: one step toward `center`
+/// ([`center_hop`](crate::center_hop)), written into `hops`.
+///
+/// Eight robots at a time where the center is far: the robots of one
+/// word of codes drift at most 7 cells from its first, so when that one
+/// is more than 7 cells off both center axes, all eight share its hop,
+/// and the walk advances by the word's net step, counted per direction
+/// ([`word_offset`]).
+fn center_hops(codes: &[u8], origin: Point, center: Point, hops: &mut Vec<u8>) {
+    let (cx, cy) = (center.x, center.y);
+    let (mut x, mut y) = (origin.x, origin.y);
+    hops.clear();
+    hops.resize(codes.len(), HOP_ZERO);
+    for (chunk, word) in hops.chunks_mut(8).zip(codes.chunks(8)) {
+        if let Ok(word) = <[u8; 8]>::try_from(word) {
+            if (cx - x).abs() > 7 && (cy - y).abs() > 7 {
+                chunk.fill(toward(cx - x, cy - y));
+                let step = word_offset(u64::from_le_bytes(word));
+                x += step.dx;
+                y += step.dy;
+                continue;
+            }
+        }
+        for (h, &e) in chunk.iter_mut().zip(word) {
+            *h = toward(cx - x, cy - y);
+            // The position walk decodes the edge delta with pure
+            // register arithmetic (`t` = ±1 magnitude, `m` = axis mask)
+            // — no table load on the serial x/y dependency chain.
+            let e = i64::from(e);
+            let t = 1 - (e & 2);
+            let m = (e & 1) - 1;
+            x += t & m;
+            y += -t & !m;
+        }
+    }
+}
+
 /// Kernel twin of [`GlobalVision`](crate::GlobalVision): one step toward
 /// the enclosing-square center, cancel fixpoint, dense apply.
 #[derive(Debug, Default)]
 pub struct GlobalVisionKernel {
-    edges: Vec<u8>,
     hops: Vec<u8>,
 }
 
@@ -226,55 +264,10 @@ impl RoundKernel for GlobalVisionKernel {
         }
         {
             let packed = chain.packed();
-            packed.decode_into(&mut self.edges);
+            let edges = packed.codes();
             let center = enclosing_center(packed.bounding());
-            let (cx, cy) = (center.x, center.y);
-            self.hops.clear();
-            self.hops.resize(n, HOP_ZERO);
-            let (mut x, mut y) = (packed.origin().x, packed.origin().y);
-            const LO: u64 = 0x5555_5555_5555_5555;
-            for (chunk, &word) in self.hops.chunks_mut(LANES_PER_WORD).zip(packed.words()) {
-                // Whole-word fast path: the 32 robots of a word drift at
-                // most 31 cells from its first, so when the word starts
-                // more than 31 cells off both center axes every robot
-                // shares one signum pair. Fill the hop bytes with that
-                // single code and advance the walk by the word's net
-                // edge delta — E/S/W/N counts fall out of three
-                // popcounts over the 2-bit lanes.
-                if chunk.len() == LANES_PER_WORD && (cx - x).abs() > 31 && (cy - y).abs() > 31 {
-                    let dx = (cx > x) as i64 - (cx < x) as i64;
-                    let dy = (cy > y) as i64 - (cy < y) as i64;
-                    chunk.fill(((dx + 1) * 3 + (dy + 1)) as u8);
-                    let lo = word & LO;
-                    let hi = (word >> 1) & LO;
-                    let north = (hi & lo).count_ones() as i64;
-                    let west = hi.count_ones() as i64 - north;
-                    let south = lo.count_ones() as i64 - north;
-                    let east = LANES_PER_WORD as i64 - north - west - south;
-                    x += east - west;
-                    y += north - south;
-                    continue;
-                }
-                let mut w = word;
-                for h in chunk {
-                    // Branchless one-step-toward-center: signum per
-                    // axis, re-encoded as the hop code (dx+1)·3+(dy+1).
-                    let dx = (cx > x) as i64 - (cx < x) as i64;
-                    let dy = (cy > y) as i64 - (cy < y) as i64;
-                    *h = ((dx + 1) * 3 + (dy + 1)) as u8;
-                    // The position walk decodes the edge delta with pure
-                    // register arithmetic (`t` = ±1 magnitude, `m` =
-                    // axis mask) — no table load on the serial x/y
-                    // dependency chain.
-                    let e = w & 3;
-                    w >>= 2;
-                    let t = 1i64 - (e & 2) as i64;
-                    let m = (e & 1) as i64 - 1;
-                    x += t & m;
-                    y += -t & !m;
-                }
-            }
-            cancel_breaking_hops_codes(&self.edges, &mut self.hops);
+            center_hops(edges, packed.origin(), center, &mut self.hops);
+            cancel_breaking_hops(edges, &mut self.hops);
         }
         if !A::ALWAYS_ON {
             for (i, h) in self.hops.iter_mut().enumerate() {
@@ -295,8 +288,10 @@ impl RoundKernel for GlobalVisionKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cancel_breaking_hops, midpoint_hop, CompassSe, GlobalVision, NaiveLocal};
+    use crate::{center_hop, midpoint_hop, CompassSe, GlobalVision, NaiveLocal};
     use chain_sim::kernel::{hop_code, hop_offset, FsyncRule, KernelSim, RoundRobinRule};
+    use chain_sim::rng::SplitMix64;
+    use chain_sim::safety::{enforce_chain_safety, EDGE_OK};
     use chain_sim::{ClosedChain, Outcome, RunLimits, Sim, Strategy};
     use grid_geom::{chain_adjacent, Offset, Point};
 
@@ -364,6 +359,52 @@ mod tests {
         }
     }
 
+    /// The 8-lane fast path of [`center_hops`] equals the per-robot
+    /// [`center_hop`] of every robot, on random closed walks far from the
+    /// center (every word takes the fast path), near it (none does), and
+    /// with the center at the 7-cell threshold on either side of the walk
+    /// (the path switches word by word).
+    #[test]
+    fn center_hops_match_per_robot_walk() {
+        let mut rng = SplitMix64::new(0x6c0b);
+        let dirs = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
+        let mut hops = Vec::new();
+        for case in 0..300 {
+            // A random closed walk: steps and their opposites, shuffled.
+            let m = rng.range_usize(1, 60);
+            let mut steps: Vec<Offset> = (0..m).map(|_| *rng.choose(&dirs)).collect();
+            steps.extend(steps.clone().into_iter().map(|s| -s));
+            rng.shuffle(&mut steps);
+            let mut p = Point::new(0, 0);
+            let pos: Vec<Point> = steps
+                .iter()
+                .map(|&s| {
+                    let q = p;
+                    p += s;
+                    q
+                })
+                .collect();
+            let Ok(chain) = ClosedChain::new(pos.clone()) else {
+                continue;
+            };
+            let bbox = chain.bounding();
+            // Far away, inside, and just past the threshold off a corner.
+            let reach = [40, 0, 7, 8, 9][case % 5];
+            let center = match case % 4 {
+                0 => Point::new(bbox.max.x + reach, bbox.max.y + reach),
+                1 => Point::new(bbox.min.x - reach, bbox.max.y + reach),
+                2 => Point::new(bbox.min.x - reach, bbox.min.y - reach),
+                _ => Point::new(bbox.max.x + reach, bbox.min.y - reach),
+            };
+            center_hops(chain.codes(), chain.origin(), center, &mut hops);
+            let want: Vec<u8> = pos
+                .iter()
+                .map(|&p| hop_code(center_hop(p, center)))
+                .collect();
+            assert_eq!(hops, want, "case {case}, center {center:?}");
+        }
+    }
+
     /// The code-space cancel sweep reaches the same fixpoint as the
     /// position-space original, on hop vectors that actually need
     /// cascaded cancellation.
@@ -371,7 +412,6 @@ mod tests {
     fn cancel_codes_matches_boxed_cancel() {
         let chain = ring(7, 4);
         let n = chain.len();
-        let packed = chain_sim::PackedChain::from_chain(&chain).unwrap();
         // A hostile vector: everyone pulls toward the origin, which is
         // full of breaking pairs on the far sides.
         let mut boxed: Vec<Offset> = (0..n)
@@ -381,10 +421,8 @@ mod tests {
             })
             .collect();
         let mut codes: Vec<u8> = boxed.iter().map(|&o| hop_code(o)).collect();
-        let mut edges = Vec::new();
-        packed.decode_into(&mut edges);
-        cancel_breaking_hops(&chain, &mut boxed);
-        cancel_breaking_hops_codes(&edges, &mut codes);
+        enforce_chain_safety(&chain, &mut boxed);
+        cancel_breaking_hops(chain.codes(), &mut codes);
         let want: Vec<u8> = boxed.iter().map(|&o| hop_code(o)).collect();
         assert_eq!(codes, want);
     }

@@ -95,11 +95,10 @@ pub fn center_hop(p: Point, center: Point) -> Offset {
 /// `n` sweeps. The all-zero assignment is always safe, so the fixpoint
 /// exists.
 ///
-/// Since PR 7 this is the engine's chain-safety guard
-/// ([`chain_sim::safety::enforce_chain_safety`]) — this alias keeps the
-/// baselines' historical call sites (and the kernel mirror's reference
-/// semantics in [`kernel::cancel_breaking_hops_codes`]) pointing at the
-/// one canonical fixpoint.
+/// This is the engine's chain-safety guard
+/// ([`chain_sim::safety::enforce_chain_safety`]); the alias keeps the
+/// baselines' call sites on the one canonical fixpoint, which the kernels
+/// run on hop codes ([`chain_sim::safety::cancel_breaking_hops`]).
 pub(crate) fn cancel_breaking_hops(chain: &ClosedChain, hops: &mut [Offset]) {
     chain_sim::safety::enforce_chain_safety(chain, hops);
 }

@@ -10,9 +10,9 @@
 //! Robots that coincide but are *not* chain neighbors are left alone
 //! (explicitly so in the paper — the chain may cross itself).
 
-use crate::kernel::{stretched_edge, APPLY_EDGE, EDGE_BROKEN};
 use crate::packed::{
-    edge_code, edge_codes_into, edge_offset, opposite, EDGE_E, EDGE_N, EDGE_S, EDGE_W, EDGE_ZERO,
+    self, edge_code, edge_codes_into, edge_offset, opposite, step_offset, walk, CollapsedEdges,
+    EDGE_ZERO,
 };
 use crate::robot::RobotId;
 use grid_geom::{chain_adjacent, Offset, Point, Rect};
@@ -126,7 +126,17 @@ impl SpliceLog {
     /// own compaction, for per-robot state kept beside the chain. Moves
     /// only what lies past the first removed index, one block per gap.
     pub fn splice<T: Copy>(&self, v: &mut Vec<T>) {
-        remove_sorted(v, &self.removed_indices, 0);
+        let removed = &self.removed_indices;
+        let Some(&first) = removed.first() else {
+            return;
+        };
+        let mut write = first;
+        for (j, &r) in removed.iter().enumerate() {
+            let end = removed.get(j + 1).copied().unwrap_or(v.len());
+            v.copy_within(r + 1..end, write);
+            write += end - r - 1;
+        }
+        v.truncate(write);
     }
 
     /// Map a pre-splice index to its post-splice index, or `None` if the
@@ -135,152 +145,6 @@ impl SpliceLog {
         match self.removed_indices.binary_search(&old) {
             Ok(_) => None,
             Err(shift) => Some(old - shift),
-        }
-    }
-}
-
-/// The offset of each byte code, [`EDGE_ZERO`] last.
-const STEPS: [Offset; 5] = [
-    edge_offset(0),
-    edge_offset(1),
-    edge_offset(2),
-    edge_offset(3),
-    Offset::ZERO,
-];
-
-/// The offset an edge code denotes, [`EDGE_ZERO`] included.
-#[inline]
-fn step_offset(code: u8) -> Offset {
-    STEPS[code as usize]
-}
-
-/// The [`crate::kernel`] hop code of `h`, and whether `h` is a legal hop;
-/// an illegal hop is clamped into the tables (and the apply refuses it).
-#[inline]
-fn hop_index(h: Offset) -> (usize, bool) {
-    let (x, y) = ((h.dx as u64).wrapping_add(1), (h.dy as u64).wrapping_add(1));
-    ((x.min(2) * 3 + y.min(2)) as usize, (x < 3) & (y < 3))
-}
-
-/// [`hop_index`] of the zero hop.
-const HOP_STAY: usize = crate::kernel::HOP_ZERO as usize;
-
-/// Bytes `0x7f` in every byte: the exact zero-byte test of [`byte_hits`].
-const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-
-/// High bit of each byte of `word` that equals `code`.
-#[inline]
-fn byte_hits(word: u64, code: u8) -> u64 {
-    let x = word ^ u64::from_ne_bytes([code; 8]);
-    !(((x & LOW7) + LOW7) | x | LOW7)
-}
-
-/// `p` moved along the edges `codes` (collapsed ones included), summing
-/// eight codes per word by counting each direction.
-fn walk(p: Point, codes: &[u8]) -> Point {
-    let mut words = codes.chunks_exact(8);
-    let (mut dx, mut dy) = (0, 0);
-    for word in words.by_ref() {
-        let word = u64::from_ne_bytes(word.try_into().expect("8 codes"));
-        let count = |code| i64::from(byte_hits(word, code).count_ones());
-        dx += count(EDGE_E) - count(EDGE_W);
-        dy += count(EDGE_N) - count(EDGE_S);
-    }
-    words
-        .remainder()
-        .iter()
-        .fold(p + Offset::new(dx, dy), |q, &c| q + step_offset(c))
-}
-
-/// Remove the entries at `removed[k] - shift` (strictly ascending) from
-/// `v`, keeping the order of the rest. Moves only what lies past the first
-/// removed entry, one block per gap.
-fn remove_sorted<T: Copy>(v: &mut Vec<T>, removed: &[usize], shift: usize) {
-    let Some(&first) = removed.first() else {
-        return;
-    };
-    let mut write = first - shift;
-    for (j, &r) in removed.iter().enumerate() {
-        let end = removed.get(j + 1).map_or(v.len(), |&e| e - shift);
-        v.copy_within(r - shift + 1..end, write);
-        write += end - (r - shift) - 1;
-    }
-    v.truncate(write);
-}
-
-/// The indices of the collapsed edges ([`EDGE_ZERO`]) of a code array,
-/// ascending, found eight codes per word test.
-struct CollapsedEdges<'a> {
-    codes: &'a [u8],
-    /// Index of the first code of the current word.
-    base: usize,
-    /// High bit of each byte of the current word still to report.
-    hits: u64,
-}
-
-impl<'a> CollapsedEdges<'a> {
-    /// The collapsed edges of `codes` from index `from` on.
-    fn starting_at(codes: &'a [u8], from: usize) -> Self {
-        let base = from & !7;
-        let hits = Self::word_hits(codes, base) & (u64::MAX << (8 * (from - base)));
-        CollapsedEdges { codes, base, hits }
-    }
-
-    /// High bit of each byte of the word at `base` that is [`EDGE_ZERO`]
-    /// (a short last word padded with directions).
-    fn word_hits(codes: &[u8], base: usize) -> u64 {
-        let mut word = [0u8; 8];
-        let tail = &codes[base.min(codes.len())..];
-        let len = tail.len().min(8);
-        word[..len].copy_from_slice(&tail[..len]);
-        byte_hits(u64::from_le_bytes(word), EDGE_ZERO)
-    }
-}
-
-impl Iterator for CollapsedEdges<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.hits == 0 {
-            self.base += 8;
-            if self.base >= self.codes.len() {
-                return None;
-            }
-            self.hits = Self::word_hits(self.codes, self.base);
-        }
-        let byte = self.hits.trailing_zeros() as usize / 8;
-        self.hits &= self.hits - 1;
-        Some(self.base + byte)
-    }
-}
-
-/// The state of one apply's pass over the edges.
-struct Rewrite {
-    /// Hop code of the robot at the tail of the next edge.
-    tail: usize,
-    /// Every new code or'ed together: bit 2 is set by a collapse
-    /// ([`EDGE_ZERO`]) and bit 7 only by a stretch ([`EDGE_BROKEN`]).
-    marks: u8,
-    /// No hop seen was illegal.
-    legal: bool,
-    /// Robots seen moving (as edge tails).
-    moved: usize,
-}
-
-impl Rewrite {
-    /// Rewrite the edges `codes` into `next`; `heads[k]` is the hop of
-    /// the robot at the head of edge `k`. Branch-free per edge.
-    #[inline]
-    fn edges(&mut self, codes: &[u8], next: &mut [u8], heads: &[Offset]) {
-        for ((&code, out), &h) in codes.iter().zip(next).zip(heads) {
-            let (head, legal) = hop_index(h);
-            self.legal &= legal;
-            // Between rounds every code is a direction (< 4).
-            let new = APPLY_EDGE[usize::from(code & 3)][self.tail][head];
-            *out = new;
-            self.marks |= new;
-            self.moved += usize::from(self.tail != HOP_STAY);
-            self.tail = head;
         }
     }
 }
@@ -406,16 +270,8 @@ impl ClosedChain {
     /// All positions (chain order), decoded from the edges on first use
     /// after a mutation and cached until the next one.
     pub fn positions(&self) -> &[Point] {
-        self.pos.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.len());
-            let mut p = self.origin;
-            out.push(p);
-            for &c in &self.codes[..self.len() - 1] {
-                p += step_offset(c);
-                out.push(p);
-            }
-            out.into_boxed_slice()
-        })
+        self.pos
+            .get_or_init(|| packed::decode(self.origin, &self.codes).into_boxed_slice())
     }
 
     /// Position of robot 0.
@@ -462,13 +318,7 @@ impl ClosedChain {
 
     /// Bounding box of all robots, walked from the edges.
     pub fn bounding(&self) -> Rect {
-        let mut p = self.origin;
-        let mut r = Rect::point(p);
-        for &c in &self.codes[..self.len() - 1] {
-            p += step_offset(c);
-            r.expand(p);
-        }
-        r
+        packed::bounding(self.origin, &self.codes)
     }
 
     /// The paper's gathering criterion: all robots within a 2×2 subgrid.
@@ -498,93 +348,30 @@ impl ClosedChain {
     /// Hops must have components in `{-1, 0, 1}`. Edges that collapse stay
     /// in the chain, at length 0, until [`ClosedChain::merge_pass`].
     ///
-    /// Every edge is rewritten through [`APPLY_EDGE`] from the hops of its
-    /// two robots, in one pass into a second code buffer that replaces
-    /// the codes only if the move is legal. An illegal hop is reported
-    /// first, then the first edge that would stretch, as
-    /// [`ChainError::Disconnected`] with the post-move positions of its
-    /// two robots; the chain is then left as it was.
+    /// This is the edge rewrite of [`crate::packed`], which the kernels
+    /// share: every edge is rewritten through
+    /// [`APPLY_EDGE`](crate::kernel::APPLY_EDGE) from the hops of its two
+    /// robots, into a second code buffer that replaces the codes only if
+    /// the move is legal. An illegal hop is reported first, then the first
+    /// edge that would stretch, as [`ChainError::Disconnected`] with the
+    /// post-move positions of its two robots; the chain is then left as it
+    /// was.
     ///
     /// # Panics
     /// If `hops` is not one hop per robot, or if a previous apply left
     /// collapsed edges that no merge pass spliced out.
     pub fn apply_hops(&mut self, hops: &[Offset]) -> Result<usize, ChainError> {
-        let n = self.len();
-        assert_eq!(hops.len(), n, "one hop per robot");
+        assert_eq!(hops.len(), self.len(), "one hop per robot");
         assert!(
             !self.collapsed,
             "a merge pass must follow an apply that collapsed edges"
         );
-        if n == 1 {
-            if !hops[0].is_hop() {
-                return Err(ChainError::IllegalHop {
-                    index: 0,
-                    hop: hops[0],
-                });
-            }
-            let moved = usize::from(hops[0] != Offset::ZERO);
-            self.origin += hops[0];
-            self.pos.take();
-            return Ok(moved);
-        }
-        let ClosedChain { codes, next, .. } = self;
-        next.resize(n, 0);
-        let mut acc = Rewrite {
-            tail: hop_index(hops[0]).0,
-            marks: 0,
-            legal: true,
-            moved: 0,
-        };
-        // Blocks of eight edges; nine standing robots keep the eight edges
-        // between them (and the next block's first robot stands).
-        let mut i = 0;
-        while i + 9 <= n {
-            if hops[i..i + 9].iter().fold(0, |a, h| a | h.dx | h.dy) == 0 {
-                next[i..i + 8].copy_from_slice(&codes[i..i + 8]);
-            } else {
-                acc.edges(&codes[i..i + 8], &mut next[i..i + 8], &hops[i + 1..i + 9]);
-            }
-            i += 8;
-        }
-        acc.edges(&codes[i..n - 1], &mut next[i..n - 1], &hops[i + 1..]);
-        acc.edges(&codes[n - 1..], &mut next[n - 1..], &hops[..1]);
-        let Rewrite {
-            marks,
-            legal,
-            moved,
-            ..
-        } = acc;
-        if !legal {
-            let index = hops
-                .iter()
-                .position(|h| !h.is_hop())
-                .expect("an illegal hop was seen");
-            return Err(ChainError::IllegalHop {
-                index,
-                hop: hops[index],
-            });
-        }
-        if marks & 0x80 != 0 {
-            let j = next
-                .iter()
-                .position(|&c| c == EDGE_BROKEN)
-                .expect("a stretched edge was seen");
-            let next = if j + 1 == n { 0 } else { j + 1 };
-            let step = edge_offset(self.codes[j]);
-            return Err(stretched_edge(
-                j,
-                self.point_at(j),
-                step,
-                [hops[j], hops[next]],
-            ));
-        }
-        std::mem::swap(&mut self.codes, &mut self.next);
-        self.collapsed = marks & EDGE_ZERO != 0;
-        if moved > 0 {
-            self.origin += hops[0];
+        let done = packed::rewrite(&mut self.origin, &mut self.codes, &mut self.next, hops)?;
+        self.collapsed = done.collapsed;
+        if done.moved > 0 {
             self.pos.take();
         }
-        Ok(moved)
+        Ok(done.moved)
     }
 
     /// The merge pass: splice out robots coinciding with chain neighbors.
@@ -597,14 +384,26 @@ impl ClosedChain {
     /// order (the group that wraps index 0 last), the removed indices
     /// ascending.
     ///
+    /// The edges go through the splice of [`crate::packed`], which the
+    /// kernels share; the ids follow the log.
+    ///
     /// Returns the number of robots removed; details land in `log`.
     pub fn merge_pass(&mut self, log: &mut SpliceLog) -> usize {
         log.clear();
-        if !self.collapsed {
+        if !std::mem::take(&mut self.collapsed) {
             return 0;
         }
-        self.collapsed = false;
         self.pos.take();
+        self.log_merges(log);
+        log.splice(&mut self.id);
+        let removed = packed::splice(&mut self.origin, &mut self.codes);
+        debug_assert_eq!(removed, log.removed_count());
+        removed
+    }
+
+    /// Log the merges the collapsed edges make (see
+    /// [`ClosedChain::merge_pass`]).
+    fn log_merges(&self, log: &mut SpliceLog) {
         let n = self.len();
         let codes = &self.codes;
         let lead = codes.iter().take_while(|&&c| c == EDGE_ZERO).count();
@@ -617,9 +416,7 @@ impl ClosedChain {
                 removed: self.id[1..].to_vec(),
                 at: self.origin,
             });
-            self.codes.clear();
-            self.id.truncate(1);
-            return n - 1;
+            return;
         }
         // Robot 0 goes when the closing edge collapsed. Its group starts at
         // the last run of collapsed edges and takes in the leading run
@@ -638,11 +435,14 @@ impl ClosedChain {
         // One run of collapsed edges per group; a prefix walk from the
         // origin finds each keeper's point and stops at the last keeper.
         let (mut at, mut walked) = (self.origin, 0);
-        let mut zeros = CollapsedEdges::starting_at(codes, lead).peekable();
-        while let Some(keeper) = zeros.next() {
+        let mut zeros = CollapsedEdges::starting_at(codes, lead);
+        let mut found = zeros.next(codes);
+        while let Some(keeper) = found {
             let mut last = keeper;
-            while zeros.next_if_eq(&(last + 1)).is_some() {
+            found = zeros.next(codes);
+            while found == Some(last + 1) {
                 last += 1;
+                found = zeros.next(codes);
             }
             // One past the group's last robot: n + 1 for the group that
             // wraps, whose robots n and on are 0 ..= lead.
@@ -666,21 +466,6 @@ impl ClosedChain {
                 at,
             });
         }
-        // The collapsed edges are those into the removed robots.
-        log.splice(&mut self.id);
-        if wraps {
-            // Robot 0's edge in is the last; the first survivor becomes
-            // robot 0, and its out-edge was the first edge that kept its
-            // length.
-            remove_sorted(&mut self.codes, &log.removed_indices[1..], 1);
-            self.codes.pop();
-            self.origin += edge_offset(self.codes[0]);
-            self.codes.rotate_left(1);
-        } else {
-            remove_sorted(&mut self.codes, &log.removed_indices, 1);
-        }
-        debug_assert!(!self.codes.contains(&EDGE_ZERO));
-        log.removed_indices.len()
     }
 
     /// Sum of chain edge lengths (all 1 when taut) — the chain length in
@@ -760,7 +545,9 @@ impl ClosedChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::PosChain;
+    use crate::oracle::{
+        collapse_tips, oracle_case, random_walk, OracleCase, PosChain, ORACLE_CASES, ORACLE_SEED,
+    };
     use crate::rng::SplitMix64;
 
     fn chain(coords: &[(i64, i64)]) -> ClosedChain {
@@ -822,49 +609,6 @@ mod tests {
                     let want = (i as isize + delta).rem_euclid(ni) as usize;
                     assert_eq!(c.nb(i, delta), want, "nb({i}, {delta}), n={n}");
                 }
-            }
-        }
-    }
-
-    const DIRS: [Offset; 4] = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
-
-    /// A random taut closed walk: `m` random unit steps and their
-    /// opposites, shuffled, with an accordion (a step and its opposite,
-    /// repeated) folded in at a random place — fold tips whose collapse
-    /// merges groups of any odd length.
-    fn random_walk(rng: &mut SplitMix64, m: usize) -> Vec<Point> {
-        let mut steps: Vec<Offset> = (0..m).map(|_| *rng.choose(&DIRS)).collect();
-        steps.extend(steps.clone().into_iter().map(|s| -s));
-        rng.shuffle(&mut steps);
-        let s = *rng.choose(&DIRS);
-        let at = rng.range_usize(0, steps.len() + 1);
-        for _ in 0..rng.range_usize(0, 5) {
-            steps.splice(at..at, [s, -s]);
-        }
-        let mut p = Point::new(
-            rng.range_i64_inclusive(-9, 9),
-            rng.range_i64_inclusive(-9, 9),
-        );
-        steps
-            .iter()
-            .map(|&s| {
-                let q = p;
-                p += s;
-                q
-            })
-            .collect()
-    }
-
-    /// Fold tips (both neighbours on one point) hop onto their neighbours,
-    /// no two consecutive tips together: each hop merges, and an accordion
-    /// collapses into one group.
-    fn collapse_tips(rng: &mut SplitMix64, pos: &[Point], hops: &mut [Offset]) {
-        let n = pos.len();
-        for i in 0..n {
-            let (a, b) = (pos[(i + n - 1) % n], pos[(i + 1) % n]);
-            let prev_hops = i > 0 && hops[i - 1] != Offset::ZERO;
-            if a == b && !prev_hops && rng.chance(3, 4) {
-                hops[i] = b - pos[i];
             }
         }
     }
@@ -935,76 +679,28 @@ mod tests {
     }
 
     /// The edge-backed chain against the position-backed oracle, round for
-    /// round, on random closed walks with accordions after a random origin
-    /// rotation. The hop sets: an illegal hop, one random hop (mostly
-    /// chain-breaking), fold-tip collapses, sparse random hops, and the
-    /// total collapse of an accordion ring. Same error (variant, index,
-    /// points) or same movers, splice log and merge events (keeper, removed
-    /// ids, point); then the same positions, ids and gathering flag — on an
-    /// error, the chain as it was before the round.
+    /// round, on the random rounds of [`oracle_case`]: closed walks with
+    /// accordions after a random origin rotation, under an illegal hop,
+    /// one random hop (mostly chain-breaking), fold-tip collapses, sparse
+    /// random hops, or the total collapse of an accordion ring. Same error
+    /// (variant, index, points) or same movers, splice log and merge events
+    /// (keeper, removed ids, point); then the same positions, ids and
+    /// gathering flag — on an error, the chain as it was before the round.
     #[test]
     fn edge_chain_matches_position_oracle() {
-        let mut rng = SplitMix64::new(0x0dd5);
-        let legal: Vec<Offset> = (-1..=1)
-            .flat_map(|dx| (-1..=1).map(move |dy| Offset::new(dx, dy)))
-            .collect();
+        let mut rng = SplitMix64::new(ORACLE_SEED);
         let (mut illegal, mut broken, mut merged, mut plain) = (0, 0, 0, 0);
         let (mut wrapped, mut big_groups, mut collapses) = (0, 0, 0);
-        for case in 0..6000 {
-            let kind = case % 6;
-            let mut pos = if kind == 5 {
-                // An accordion ring: every other robot drops onto its
-                // neighbours, and the chain collapses to one robot.
-                let s = *rng.choose(&DIRS);
-                let x = Point::new(rng.range_i64_inclusive(-9, 9), 0);
-                (0..2 * rng.range_usize(1, 8))
-                    .map(|i| if i % 2 == 0 { x } else { x + s })
-                    .collect()
-            } else {
-                let m = rng.range_usize(1, 16);
-                random_walk(&mut rng, m)
-            };
-            let n = pos.len();
-            let mut chain = ClosedChain::new(pos.clone()).unwrap();
-            let k = rng.range_usize(0, n);
-            chain.rotate_origin(k);
-            pos.rotate_left(k);
-            let ids: Vec<RobotId> = (0..n as u64)
-                .map(|i| RobotId((i + k as u64) % n as u64))
-                .collect();
+        for case in 0..ORACLE_CASES {
+            let OracleCase {
+                mut chain,
+                mut oracle,
+                hops,
+            } = oracle_case(&mut rng, case);
             if case % 2 == 0 {
-                assert_eq!(chain.positions(), &pos[..], "case {case}: rotated");
+                assert_eq!(chain.positions(), &oracle.pos[..], "case {case}: rotated");
             }
-            let mut hops = vec![Offset::ZERO; n];
-            match kind {
-                0 => {
-                    for h in hops.iter_mut() {
-                        if rng.chance(1, 4) {
-                            *h = *rng.choose(&legal);
-                        }
-                    }
-                    hops[rng.range_usize(0, n)] =
-                        Offset::new(2 * rng.range_i64_inclusive(-1, 1), 2);
-                }
-                1 => hops[rng.range_usize(0, n)] = *rng.choose(&legal),
-                2 | 3 => collapse_tips(&mut rng, &pos, &mut hops),
-                4 => {
-                    for h in hops.iter_mut() {
-                        if rng.chance(1, 3) {
-                            *h = *rng.choose(&legal);
-                        }
-                    }
-                }
-                _ => {
-                    for i in (0..n).filter(|&i| pos[i] != pos[0]) {
-                        hops[i] = pos[0] - pos[i];
-                    }
-                }
-            }
-            let mut oracle = PosChain {
-                pos: pos.clone(),
-                id: ids.clone(),
-            };
+            let before = oracle.clone();
             let want = oracle_round(&mut oracle, &hops);
             let got = edge_round(&mut chain, &hops);
             match (&want, &got) {
@@ -1014,7 +710,7 @@ mod tests {
                         ChainError::IllegalHop { .. } => illegal += 1,
                         _ => broken += 1,
                     }
-                    oracle = PosChain { pos, id: ids };
+                    oracle = before;
                 }
                 (Ok(w), Ok(g)) => {
                     assert_eq!(g, w, "case {case}");

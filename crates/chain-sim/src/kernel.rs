@@ -6,19 +6,19 @@
 //! robot that the strategy writes and the engine masks, guards and
 //! applies. None of that is needed on the *observer-free* path, where
 //! nothing inspects intermediate state: a round is then a pure function
-//! of the packed edge codes, and every per-robot geometric predicate
-//! collapses to a table lookup over 2-bit edge codes and 4-bit hop
-//! codes.
+//! of the edge codes, and every per-robot geometric predicate collapses
+//! to a table lookup over byte edge codes and hop codes.
 //!
 //! This module provides the machinery shared by all kernels:
 //!
 //! * hop codes and the edge-update tables ([`HOP_ZERO`],
 //!   [`APPLY_EDGE`]): a post-hop edge is `old + hop(right) − hop(left)`,
 //!   precomputed for all `4 × 9 × 9` combinations;
-//! * [`KernelChain`] — packed state plus the round apply/merge engine
-//!   (sparse apply for never-adjacent mover sets, dense apply for
-//!   whole-chain hop vectors, zero-edge splice-out, and an amortized
-//!   O(1) gathering check via bounding-box staleness bounds);
+//! * [`KernelChain`] — [`PackedChain`] state moved by the edge round of
+//!   [`crate::packed`] that the boxed [`ClosedChain`](crate::ClosedChain)
+//!   runs on too (the dense apply is its rewrite, the merge its splice),
+//!   plus a sparse apply for never-adjacent mover sets and an amortized
+//!   O(1) gathering check via bounding-box staleness bounds;
 //! * [`ActivationRule`] — `Copy` monomorphic mirrors of the boxed
 //!   [`Scheduler`](crate::Scheduler) kinds, activation formulas shared
 //!   with the boxed implementations so the schedules cannot drift;
@@ -39,7 +39,7 @@ use grid_geom::{Offset, Point, Rect};
 
 use crate::chain::ChainError;
 use crate::engine::{Outcome, RoundSummary, RunLimits, QUIESCENCE_WINDOW};
-use crate::packed::{edge_offset, PackedChain, LANES_PER_WORD};
+use crate::packed::{self, edge_offset, PackedChain, EDGE_ZERO};
 use crate::scheduler::draw;
 use crate::trace::Progress;
 
@@ -252,24 +252,6 @@ impl ActivationRule for KFairRule {
     }
 }
 
-/// Scratch word buffer for the dense apply and the merge repack; both
-/// accumulate 2-bit lanes in a register and store whole words, then swap
-/// the buffer with the chain's codes on commit (so the old buffer is
-/// reused next round).
-#[derive(Default)]
-struct LaneWriter {
-    words: Vec<u64>,
-    filled: usize,
-}
-
-impl LaneWriter {
-    fn reset(&mut self, lanes: usize) {
-        self.words.clear();
-        self.words.resize(lanes.div_ceil(LANES_PER_WORD), 0);
-        self.filled = 0;
-    }
-}
-
 /// The exact 2×2 gathering flag of a chain, kept with amortized O(1)
 /// work per round. Merges never change the occupied point set, and each
 /// bounding-box side moves at most one step per moving round, so the
@@ -322,9 +304,7 @@ impl GatherCheck {
 /// The [`ChainError::Disconnected`] of a move whose first stretched edge
 /// is `j`: the post-move positions of its two robots, from robot `j`'s
 /// pre-move position `p`, the edge's pre-move `step` and the two robots'
-/// hops. [`KernelChain::apply_dense`] and
-/// [`ClosedChain::apply_hops`](crate::ClosedChain::apply_hops) report
-/// breaks through it.
+/// hops. The edge rewrite of [`crate::packed`] reports breaks through it.
 #[cold]
 pub(crate) fn stretched_edge(j: usize, p: Point, step: Offset, hops: [Offset; 2]) -> ChainError {
     ChainError::Disconnected {
@@ -339,14 +319,18 @@ pub(crate) fn stretched_edge(j: usize, p: Point, step: Offset, hops: [Offset; 2]
 /// (`GatherCheck`).
 ///
 /// Between rounds the chain is taut (the engine invariant). During a
-/// round, applying hops turns some edges to zero; those lanes are
-/// recorded in a zero-edge list and spliced out by [`KernelChain::merge`]
-/// in the same round, restoring tautness.
+/// round, applying hops turns some edges to [`EDGE_ZERO`];
+/// [`KernelChain::merge`] splices them out in the same round, restoring
+/// tautness. The apply and the merge are the edge round of
+/// [`crate::packed`], the one [`ClosedChain`](crate::ClosedChain) runs
+/// on; the kernel chain carries no ids and no merge log, and allocates
+/// nothing per round once its buffers have grown.
 pub struct KernelChain {
     packed: PackedChain,
-    zero_edges: Vec<usize>,
-    removed: Vec<u64>,
-    writer: LaneWriter,
+    /// The codes a dense apply writes, swapped in when the move is legal.
+    next: Vec<u8>,
+    /// The last apply collapsed an edge that no merge has spliced out yet.
+    collapsed: bool,
     gather: GatherCheck,
 }
 
@@ -357,9 +341,8 @@ impl KernelChain {
         let gather = GatherCheck::new(packed.len(), packed.bounding());
         KernelChain {
             packed,
-            zero_edges: Vec::new(),
-            removed: Vec::new(),
-            writer: LaneWriter::default(),
+            next: Vec::new(),
+            collapsed: false,
             gather,
         }
     }
@@ -397,192 +380,59 @@ impl KernelChain {
     /// Apply hops of a sparse mover set whose members are pairwise
     /// non-adjacent along the chain (each edge is then touched by at
     /// most one mover) and whose hops keep both incident edges chain
-    /// adjacent — the compass-se guarantee. Collapsed edges are queued
-    /// for [`KernelChain::merge`].
+    /// adjacent — the compass-se guarantee. Collapsed edges are left for
+    /// [`KernelChain::merge`].
     ///
     /// Movers must be listed in ascending index order with legal,
     /// nonzero hop codes.
     pub fn apply_sparse(&mut self, movers: &[(usize, u8)]) {
-        let n = self.packed.len();
+        let codes = &mut self.packed.codes;
+        let n = codes.len();
         for &(i, hop) in movers {
-            let prev_edge = (i + n - 1) % n;
-            let e_in = self.packed.get(prev_edge);
-            let e_out = self.packed.get(i);
-            let new_in = APPLY_EDGE[e_in as usize][HOP_ZERO as usize][hop as usize];
-            let new_out = APPLY_EDGE[e_out as usize][hop as usize][HOP_ZERO as usize];
+            let prev = if i == 0 { n - 1 } else { i - 1 };
+            let new_in =
+                APPLY_EDGE[usize::from(codes[prev])][usize::from(HOP_ZERO)][usize::from(hop)];
+            let new_out =
+                APPLY_EDGE[usize::from(codes[i])][usize::from(hop)][usize::from(HOP_ZERO)];
             debug_assert!(new_in != EDGE_BROKEN && new_out != EDGE_BROKEN);
-            if new_in == EDGE_COLLAPSED {
-                // Lane content is stale until `merge` splices it out.
-                self.zero_edges.push(prev_edge);
-            } else {
-                self.packed.set(prev_edge, new_in);
-            }
-            if new_out == EDGE_COLLAPSED {
-                self.zero_edges.push(i);
-            } else {
-                self.packed.set(i, new_out);
-            }
+            codes[prev] = new_in;
+            codes[i] = new_out;
+            self.collapsed |= (new_in | new_out) & EDGE_ZERO != 0;
             if i == 0 {
                 self.packed.origin += hop_offset(hop);
             }
         }
     }
 
-    /// Apply a whole-chain hop vector (one hop code per robot).
-    /// Collapsed edges are queued for [`KernelChain::merge`]; a hop set
-    /// that breaks chain adjacency reports the first failing edge with
-    /// the same [`ChainError::Disconnected`] payload as
-    /// [`ClosedChain::apply_hops`](crate::ClosedChain::apply_hops)
-    /// (post-move endpoint positions, `stretched_edge`), and leaves the
-    /// chain state untouched.
+    /// Apply a whole-chain hop vector (one hop code per robot): the edge
+    /// rewrite of [`crate::packed`]. Collapsed edges are left for
+    /// [`KernelChain::merge`]; a hop set that breaks chain adjacency
+    /// reports the first failing edge with the same
+    /// [`ChainError::Disconnected`] payload as
+    /// [`ClosedChain::apply_hops`](crate::ClosedChain::apply_hops), and
+    /// leaves the chain state untouched.
     pub fn apply_dense(&mut self, hops: &[u8]) -> Result<(), ChainError> {
-        let n = self.packed.len();
-        debug_assert_eq!(hops.len(), n);
-        let hops = &hops[..n];
-        self.writer.reset(n);
-        // One word load and one word store per 32 lanes; new codes are
-        // accumulated in a register (collapsed lanes stay 0 — stale
-        // until `merge`).
-        for (w, (&word, out)) in self
-            .packed
-            .codes
-            .iter()
-            .zip(self.writer.words.iter_mut())
-            .enumerate()
-        {
-            let base = w * LANES_PER_WORD;
-            let lanes = LANES_PER_WORD.min(n - base);
-            // An edge's left hop is the previous edge's right hop — it
-            // rolls forward in a register, one hop load per lane.
-            let mut hl = hops[base] as usize;
-            let mut acc = 0u64;
-            let mut l = 0;
-            while l < lanes {
-                let i = base + l;
-                // 8-lane fast path: when nine consecutive hops are
-                // identical, all eight edges between them are translated
-                // rigidly — no change, no collapse, no break. Copy the
-                // code bits straight through.
-                if l + 8 <= lanes && i + 9 <= n {
-                    let h0 = u64::from_le_bytes(hops[i..i + 8].try_into().unwrap());
-                    let h1 = u64::from_le_bytes(hops[i + 1..i + 9].try_into().unwrap());
-                    if h0 == h1 {
-                        acc |= word & (0xFFFFu64 << (2 * l));
-                        hl = (h0 >> 56) as usize;
-                        l += 8;
-                        continue;
-                    }
-                }
-                let e = ((word >> (2 * l)) & 3) as usize;
-                let hr = hops[if i + 1 == n { 0 } else { i + 1 }] as usize;
-                match APPLY_EDGE[e][hl][hr] {
-                    EDGE_BROKEN => {
-                        self.zero_edges.clear();
-                        return Err(self.dense_break(i, hops));
-                    }
-                    EDGE_COLLAPSED => self.zero_edges.push(i),
-                    code => acc |= u64::from(code) << (2 * l),
-                }
-                hl = hr;
-                l += 1;
-            }
-            *out = acc;
-        }
-        self.writer.filled = n;
-        std::mem::swap(&mut self.writer.words, &mut self.packed.codes);
-        self.packed.origin += hop_offset(hops[0]);
+        debug_assert_eq!(hops.len(), self.len());
+        let done = packed::rewrite(
+            &mut self.packed.origin,
+            &mut self.packed.codes,
+            &mut self.next,
+            hops,
+        )?;
+        self.collapsed = done.collapsed;
         Ok(())
     }
 
-    /// Reconstruct the boxed engine's first-failure report for edge `j`:
-    /// the *post-move* positions of its endpoints.
-    #[cold]
-    fn dense_break(&self, j: usize, hops: &[u8]) -> ChainError {
-        let n = self.packed.len();
-        let mut p = self.packed.origin;
-        for k in 0..j {
-            p += edge_offset(self.packed.get(k));
-        }
-        let hop = |k: usize| hop_offset(hops[k]);
-        let next = if j + 1 == n { 0 } else { j + 1 };
-        stretched_edge(j, p, edge_offset(self.packed.get(j)), [hop(j), hop(next)])
-    }
-
     /// Splice out the robots made coincident by the round's collapsed
-    /// edges, replicating the boxed `merge_pass` exactly: the robot
-    /// whose *incoming* edge collapsed is removed, survivors keep their
-    /// original cyclic order. Returns the number of robots removed.
+    /// edges — the splice of [`crate::packed`], which the boxed
+    /// `merge_pass` runs too: the robot whose *incoming* edge collapsed
+    /// is removed, survivors keep their original cyclic order. Returns
+    /// the number of robots removed.
     pub fn merge(&mut self) -> usize {
-        if self.zero_edges.is_empty() {
+        if !std::mem::take(&mut self.collapsed) {
             return 0;
         }
-        let n = self.packed.len();
-        let z = self.zero_edges.len();
-        self.zero_edges.sort_unstable();
-        self.zero_edges.dedup();
-        debug_assert_eq!(self.zero_edges.len(), z);
-        if z == n {
-            // Total collapse: every robot on one point; robot 0 survives.
-            self.packed.len = 1;
-            self.packed.codes.clear();
-            self.zero_edges.clear();
-            return n - 1;
-        }
-        // A cyclic direction sequence with n−1 zero edges would force the
-        // n-th to be zero too, so at least two survivors remain here.
-        debug_assert!(z < n - 1);
-        // Robot e+1 merges into its predecessor when edge e collapsed.
-        self.removed.clear();
-        self.removed.resize(n.div_ceil(64), 0);
-        for &e in &self.zero_edges {
-            let r = if e + 1 == n { 0 } else { e + 1 };
-            self.removed[r / 64] |= 1u64 << (r % 64);
-        }
-        let is_removed = |i: usize| self.removed[i / 64] >> (i % 64) & 1 == 1;
-        // First survivor: the new robot 0. If robot 0 was removed, every
-        // robot up to the first survivor f coincides with it, and f sits
-        // one (nonzero) edge further along.
-        let mut first = 0;
-        while is_removed(first) {
-            first += 1;
-        }
-        let new_origin = if first == 0 {
-            self.packed.origin
-        } else {
-            self.packed.origin + edge_offset(self.packed.get(first - 1))
-        };
-        // Repack: survivors in original order; the out-edge of each is
-        // the (nonzero) edge entering the *next* survivor. Output lanes
-        // accumulate in a register and flush one word at a time.
-        self.writer.reset(n - z);
-        let mut acc = 0u64;
-        let mut shift = 0usize;
-        let mut out_w = 0usize;
-        let mut emitted_any = false;
-        for j in 0..n {
-            if is_removed(j) {
-                continue;
-            }
-            if emitted_any {
-                acc |= u64::from(self.packed.get(j - 1)) << shift;
-                shift += 2;
-                if shift == 64 {
-                    self.writer.words[out_w] = acc;
-                    out_w += 1;
-                    acc = 0;
-                    shift = 0;
-                }
-            }
-            emitted_any = true;
-        }
-        acc |= u64::from(self.packed.get((first + n - 1) % n)) << shift;
-        self.writer.words[out_w] = acc;
-        self.writer.filled = n - z;
-        std::mem::swap(&mut self.writer.words, &mut self.packed.codes);
-        self.packed.len = n - z;
-        self.packed.origin = new_origin;
-        self.zero_edges.clear();
-        z
+        packed::splice(&mut self.packed.origin, &mut self.packed.codes)
     }
 
     /// Re-establish the exact gathering flag after a round in which
@@ -848,9 +698,9 @@ mod tests {
         }
     }
 
-    /// The SWAR fast path in `apply_dense` copies code bits verbatim
-    /// when both endpoints carry the same hop; that is only sound if an
-    /// equal-hop edge is always preserved unchanged.
+    /// The edge rewrite copies a block of codes verbatim when nine hops
+    /// are equal; that is only sound if an equal-hop edge is always
+    /// preserved unchanged.
     #[test]
     fn equal_hops_preserve_every_edge() {
         for (e, table) in APPLY_EDGE.iter().enumerate() {
@@ -962,6 +812,103 @@ mod tests {
         let codes: Vec<u8> = hops.iter().map(|&o| hop_code(o)).collect();
         let kernel_err = kc.apply_dense(&codes).unwrap_err();
         assert_eq!(kernel_err, boxed_err);
+    }
+
+    /// The kernel chain against the position oracle, on the random rounds
+    /// the edge chain is checked on (`oracle_case`) except those with an
+    /// illegal hop, which hop codes cannot express. Every round runs as
+    /// `apply_dense` + `merge`; a round whose movers are pairwise
+    /// non-adjacent and that breaks nothing also runs as `apply_sparse` +
+    /// `merge`. Same error (variant, index, points) or same removed count;
+    /// then the same positions, origin and gathering flag — on an error,
+    /// the chain as it was before the round.
+    #[test]
+    fn kernel_chain_matches_position_oracle() {
+        use crate::chain::SpliceLog;
+        use crate::oracle::{oracle_case, OracleCase, ORACLE_CASES, ORACLE_SEED};
+        use crate::rng::SplitMix64;
+
+        fn same_state(kc: &KernelChain, oracle: &crate::oracle::PosChain, case: usize) {
+            assert_eq!(kc.positions(), oracle.pos, "case {case}");
+            assert_eq!(kc.packed().origin(), oracle.pos[0], "case {case}");
+            assert_eq!(kc.is_gathered(), oracle.is_gathered(), "case {case}");
+        }
+
+        let mut rng = SplitMix64::new(ORACLE_SEED);
+        let (mut broken, mut merged, mut plain) = (0, 0, 0);
+        let (mut sparse, mut sparse_merged) = (0, 0);
+        let (mut wrapped, mut big_groups, mut collapses) = (0, 0, 0);
+        for case in 0..ORACLE_CASES {
+            let OracleCase {
+                chain,
+                mut oracle,
+                hops,
+            } = oracle_case(&mut rng, case);
+            if !hops.iter().all(|h| h.is_hop()) {
+                continue;
+            }
+            let codes: Vec<u8> = hops.iter().map(|&h| hop_code(h)).collect();
+            let moved = count_moved(&codes);
+            let before = oracle.clone();
+            let mut log = SpliceLog::default();
+            let want = oracle
+                .apply_hops(&hops)
+                .map(|_| oracle.merge_pass(&mut log));
+            let mut dense = packed(&chain);
+            let got = dense.apply_dense(&codes).map(|()| {
+                let removed = dense.merge();
+                dense.refresh_gathered(moved);
+                removed
+            });
+            match (&want, &got) {
+                (Err(w), Err(g)) => {
+                    assert_eq!(g, w, "case {case}");
+                    broken += 1;
+                    oracle = before;
+                }
+                (Ok(w), Ok(g)) => {
+                    assert_eq!(g, w, "case {case}");
+                    if *w == 0 {
+                        plain += 1;
+                    } else {
+                        merged += 1;
+                    }
+                    wrapped += usize::from(log.removed_indices.first() == Some(&0));
+                    big_groups += log.events.iter().filter(|e| e.removed.len() >= 2).count();
+                    collapses += usize::from(oracle.pos.len() == 1);
+                }
+                _ => panic!("case {case}: oracle {want:?}, kernel chain {got:?}"),
+            }
+            same_state(&dense, &oracle, case);
+
+            let n = chain.len();
+            let movers: Vec<(usize, u8)> = (0..n)
+                .filter(|&i| codes[i] != HOP_ZERO)
+                .map(|i| (i, codes[i]))
+                .collect();
+            let apart = movers.windows(2).all(|w| w[1].0 > w[0].0 + 1)
+                && !(movers.len() > 1 && movers[0].0 == 0 && movers[movers.len() - 1].0 == n - 1);
+            if let (Ok(removed), true) = (want, apart) {
+                let mut kc = packed(&chain);
+                kc.apply_sparse(&movers);
+                assert_eq!(kc.merge(), removed, "case {case}: sparse");
+                kc.refresh_gathered(moved);
+                same_state(&kc, &oracle, case);
+                sparse += 1;
+                sparse_merged += usize::from(removed > 0);
+            }
+        }
+        assert!(broken > 800, "{broken} chain-breaking rounds");
+        assert!(merged > 2500, "{merged} merging rounds");
+        assert!(plain > 150, "{plain} plain rounds");
+        assert!(sparse > 2000, "{sparse} sparse rounds");
+        assert!(
+            sparse_merged > 2000,
+            "{sparse_merged} sparse merging rounds"
+        );
+        assert!(wrapped > 200, "{wrapped} groups wrapping index 0");
+        assert!(big_groups > 500, "{big_groups} groups of three or more");
+        assert!(collapses >= 1000, "{collapses} total collapses");
     }
 
     /// Sparse apply on a non-adjacent mover set matches the dense path.

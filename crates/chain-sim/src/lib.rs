@@ -45,10 +45,12 @@
 //!   bounded [`FrameRing`] broadcasts live [`LiveFrame`] snapshots to
 //!   streaming watchers without ever blocking the run.
 //! * A **data-oriented core** for the observer-free path: chain state as
-//!   packed 2-bit hop codes ([`packed::PackedChain`], 32 edges per `u64`)
-//!   and monomorphized round kernels ([`kernel`]) that replicate [`Sim`]
-//!   byte for byte at a fraction of the cost. The boxed engine remains
-//!   the instrumented/reference path.
+//!   one edge code per byte ([`packed::PackedChain`], the layout of
+//!   [`ClosedChain::codes`]) and monomorphized round kernels ([`kernel`])
+//!   that replicate [`Sim`] byte for byte at a fraction of the cost. Both
+//!   engines move their chain through the one edge round of [`packed`]
+//!   (rewrite and splice). The boxed engine remains the
+//!   instrumented/reference path.
 //!
 //! The crate is deliberately strategy-agnostic: the paper's algorithm
 //! (`gathering-core`) and all baselines implement [`Strategy`].

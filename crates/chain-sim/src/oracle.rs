@@ -1,9 +1,12 @@
 //! The position-backed closed chain the engine ran on before the chain
 //! stored its edges: one `Point` per robot, moved by adding each hop and
 //! merged by comparing neighbouring points. It is kept for the tests as
-//! the reference the edge-backed [`ClosedChain`] is checked against.
+//! the reference the edge-backed [`ClosedChain`] and the kernels'
+//! [`KernelChain`](crate::KernelChain) are checked against, on the random
+//! rounds of [`oracle_case`].
 
 use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
+use crate::rng::SplitMix64;
 use crate::robot::RobotId;
 use grid_geom::{chain_adjacent, Offset, Point, Rect};
 
@@ -141,5 +144,126 @@ impl PosChain {
         Rect::bounding(self.pos.iter().copied())
             .expect("chain is non-empty")
             .is_gathered_2x2()
+    }
+}
+
+/// Seed of the random oracle rounds.
+pub(crate) const ORACLE_SEED: u64 = 0x0dd5;
+
+/// Number of random oracle rounds; every sixth has an illegal hop.
+pub(crate) const ORACLE_CASES: usize = 6000;
+
+const DIRS: [Offset; 4] = [Offset::RIGHT, Offset::UP, Offset::LEFT, Offset::DOWN];
+
+/// A random taut closed walk: `m` random unit steps and their
+/// opposites, shuffled, with an accordion (a step and its opposite,
+/// repeated) folded in at a random place — fold tips whose collapse
+/// merges groups of any odd length.
+pub(crate) fn random_walk(rng: &mut SplitMix64, m: usize) -> Vec<Point> {
+    let mut steps: Vec<Offset> = (0..m).map(|_| *rng.choose(&DIRS)).collect();
+    steps.extend(steps.clone().into_iter().map(|s| -s));
+    rng.shuffle(&mut steps);
+    let s = *rng.choose(&DIRS);
+    let at = rng.range_usize(0, steps.len() + 1);
+    for _ in 0..rng.range_usize(0, 5) {
+        steps.splice(at..at, [s, -s]);
+    }
+    let mut p = Point::new(
+        rng.range_i64_inclusive(-9, 9),
+        rng.range_i64_inclusive(-9, 9),
+    );
+    steps
+        .iter()
+        .map(|&s| {
+            let q = p;
+            p += s;
+            q
+        })
+        .collect()
+}
+
+/// Fold tips (both neighbours on one point) hop onto their neighbours,
+/// no two consecutive tips together: each hop merges, and an accordion
+/// collapses into one group.
+pub(crate) fn collapse_tips(rng: &mut SplitMix64, pos: &[Point], hops: &mut [Offset]) {
+    let n = pos.len();
+    for i in 0..n {
+        let (a, b) = (pos[(i + n - 1) % n], pos[(i + 1) % n]);
+        let prev_hops = i > 0 && hops[i - 1] != Offset::ZERO;
+        if a == b && !prev_hops && rng.chance(3, 4) {
+            hops[i] = b - pos[i];
+        }
+    }
+}
+
+/// One random round for the oracle comparisons: a chain, the same robots
+/// as positions, and one hop each.
+pub(crate) struct OracleCase {
+    /// The edge-backed chain, its origin rotated at random.
+    pub chain: ClosedChain,
+    /// The same robots (positions and ids) for the oracle.
+    pub oracle: PosChain,
+    /// The round's hops, by `case % 6`: an illegal hop among random ones,
+    /// one random hop (mostly chain-breaking), fold-tip collapses (twice),
+    /// sparse random hops, or the total collapse of an accordion ring.
+    pub hops: Vec<Offset>,
+}
+
+/// The random round `case` (see [`OracleCase`]): closed walks with
+/// accordions, or accordion rings, after a random origin rotation.
+pub(crate) fn oracle_case(rng: &mut SplitMix64, case: usize) -> OracleCase {
+    let legal: Vec<Offset> = (-1..=1)
+        .flat_map(|dx| (-1..=1).map(move |dy| Offset::new(dx, dy)))
+        .collect();
+    let kind = case % 6;
+    let mut pos = if kind == 5 {
+        // An accordion ring: every other robot drops onto its
+        // neighbours, and the chain collapses to one robot.
+        let s = *rng.choose(&DIRS);
+        let x = Point::new(rng.range_i64_inclusive(-9, 9), 0);
+        (0..2 * rng.range_usize(1, 8))
+            .map(|i| if i % 2 == 0 { x } else { x + s })
+            .collect()
+    } else {
+        let m = rng.range_usize(1, 16);
+        random_walk(rng, m)
+    };
+    let n = pos.len();
+    let mut chain = ClosedChain::new(pos.clone()).expect("random walks are taut");
+    let k = rng.range_usize(0, n);
+    chain.rotate_origin(k);
+    pos.rotate_left(k);
+    let id = (0..n as u64)
+        .map(|i| RobotId((i + k as u64) % n as u64))
+        .collect();
+    let mut hops = vec![Offset::ZERO; n];
+    match kind {
+        0 => {
+            for h in hops.iter_mut() {
+                if rng.chance(1, 4) {
+                    *h = *rng.choose(&legal);
+                }
+            }
+            hops[rng.range_usize(0, n)] = Offset::new(2 * rng.range_i64_inclusive(-1, 1), 2);
+        }
+        1 => hops[rng.range_usize(0, n)] = *rng.choose(&legal),
+        2 | 3 => collapse_tips(rng, &pos, &mut hops),
+        4 => {
+            for h in hops.iter_mut() {
+                if rng.chance(1, 3) {
+                    *h = *rng.choose(&legal);
+                }
+            }
+        }
+        _ => {
+            for i in (0..n).filter(|&i| pos[i] != pos[0]) {
+                hops[i] = pos[0] - pos[i];
+            }
+        }
+    }
+    OracleCase {
+        chain,
+        oracle: PosChain { pos, id },
+        hops,
     }
 }

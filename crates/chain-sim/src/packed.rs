@@ -1,40 +1,57 @@
-//! Packed structure-of-arrays chain state: edge-direction codes, 32 per
-//! `u64` word.
+//! Chain state as edge-direction codes, one byte per edge, and the rule
+//! by which a round rewrites and splices them.
 //!
 //! A taut closed chain — every edge a unit step, the engine's post-merge
 //! invariant — is fully determined by one anchor position and the cyclic
 //! sequence of its edge directions. That is the representation the
-//! paper's L ≤ 27n argument reasons over, and it is 16× denser than a
-//! `Vec<Point>`: [`PackedChain`] stores the position of robot 0
-//! (`origin`) plus one 2-bit direction code per edge, packed 32 to a
-//! `u64`. Positions are derived on demand by prefix-summing edge
+//! paper's L ≤ 27n argument reasons over, and the one both engines run
+//! on: the boxed [`ClosedChain`] and the kernels' [`PackedChain`] store
+//! the position of robot 0 (`origin`) plus one direction code per edge,
+//! in a byte. Positions are derived on demand by prefix-summing edge
 //! offsets, and the hot predicates of the round loop — south-east minima
-//! for compass movers, turn/run detection, bounding boxes — become
-//! word-parallel shift/mask/popcount pipelines over the code words
+//! for compass movers, turn/run detection, collapsed edges — become
+//! SWAR shift/mask/popcount pipelines over eight codes per `u64` word
 //! instead of per-robot point arithmetic.
 //!
-//! The 2-bit code layout makes the two hot classifications single-bit
-//! tests:
+//! The code layout makes the two hot classifications single-bit tests:
 //!
 //! | code | dir | offset     | bit 1 (SE key Δ)  | bit 0 (axis)    |
 //! |------|-----|------------|-------------------|-----------------|
-//! | `00` | E   | `(+1,  0)` | 0: key +1         | 0: horizontal   |
-//! | `01` | S   | `( 0, -1)` | 0: key +1         | 1: vertical     |
-//! | `10` | W   | `(-1,  0)` | 1: key −1         | 0: horizontal   |
-//! | `11` | N   | `( 0, +1)` | 1: key −1         | 1: vertical     |
+//! | `0`  | E   | `(+1,  0)` | 0: key +1         | 0: horizontal   |
+//! | `1`  | S   | `( 0, -1)` | 0: key +1         | 1: vertical     |
+//! | `2`  | W   | `(-1,  0)` | 1: key −1         | 0: horizontal   |
+//! | `3`  | N   | `( 0, +1)` | 1: key −1         | 1: vertical     |
+//! | `4`  | —   | `( 0,  0)` | collapsed ([`EDGE_ZERO`]) |         |
 //!
 //! Bit 1 is the sign of the south-east key delta `Δ(x − y)` along the
 //! edge, so the strict-SE-minima scan is a shifted AND-NOT of the bit-1
 //! planes; bit 0 is the edge's axis, so turn detection is a shifted XOR;
 //! and `code ^ 0b10` is the opposite direction.
 //!
-//! Lane `i` of the packed words holds the edge from robot `i` to robot
-//! `i + 1` (cyclic). A single-robot chain has no edges and an empty code
-//! vector. Lanes past `len` in the last word are kept zero.
+//! Byte `i` holds the edge from robot `i` to robot `i + 1` (cyclic). A
+//! single-robot chain has no edges and an empty code vector.
+//!
+//! # The edge round
+//!
+//! Both chains move through the same two functions over
+//! `(origin, codes, next)`:
+//!
+//! * `rewrite` rewrites every edge from the hops of its two robots
+//!   ([`APPLY_EDGE`]) into the second buffer `next`, which replaces the
+//!   codes only if no edge stretched. It is generic over the hop alphabet
+//!   ([`GuardHop`]: [`Offset`]s for the boxed engine, hop codes for the
+//!   kernels), so each caller gets its own monomorphized loop.
+//! * `splice` removes the edges the rewrite collapsed to
+//!   [`EDGE_ZERO`], found eight per word (`CollapsedEdges`), with one
+//!   `copy_within` per gap, and hands the origin over when robot 0 goes.
+//!
+//! [`ClosedChain`] adds robot ids and the merge log on top of these.
 
 use grid_geom::{Offset, Point, Rect};
 
 use crate::chain::{ChainError, ClosedChain};
+use crate::kernel::{stretched_edge, APPLY_EDGE, EDGE_BROKEN, HOP_ZERO};
+use crate::safety::GuardHop;
 
 /// Edge code for a `(+1, 0)` (east) unit step.
 pub const EDGE_E: u8 = 0b00;
@@ -44,17 +61,16 @@ pub const EDGE_S: u8 = 0b01;
 pub const EDGE_W: u8 = 0b10;
 /// Edge code for a `(0, +1)` (north) unit step.
 pub const EDGE_N: u8 = 0b11;
-/// Byte code of an edge of length 0: two chain neighbours on one point,
-/// between a move and the merge pass that splices one of them out. Only
-/// byte-per-edge code arrays hold it ([`ClosedChain::codes`]); it is the
-/// collapse marker of [`crate::kernel::APPLY_EDGE`].
+/// Code of an edge of length 0: two chain neighbours on one point,
+/// between a move and the merge pass that splices one of them out. It is
+/// the collapse marker of [`crate::kernel::APPLY_EDGE`].
 pub const EDGE_ZERO: u8 = 4;
 
-/// 2-bit lanes per packed word.
-pub const LANES_PER_WORD: usize = 32;
+/// Bit 0 of every byte of a word.
+const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
 
-/// Mask of all even bit positions (bit 0 of every lane).
-const LO_PLANE: u64 = 0x5555_5555_5555_5555;
+/// Bits 0..=6 of every byte: the exact zero-byte test of [`byte_hits`].
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 
 /// The unit-step offset a code denotes.
 #[inline]
@@ -89,12 +105,11 @@ fn unit_edge_code(d: Offset) -> u8 {
     u8::from(d.dx == 0) | (u8::from(d.dx - d.dy < 0) << 1)
 }
 
-/// One code per edge of a taut cyclic position sequence, in the byte
-/// layout of [`PackedChain::decode_into`] (byte `i` = edge `i → i+1`),
-/// read straight from the positions. `out` is cleared; a chain of fewer
-/// than two robots has no edges and leaves it empty. Reuses `out`'s
-/// capacity, so a caller that keeps the buffer across rounds of a
-/// shrinking chain allocates once.
+/// One code per edge of a taut cyclic position sequence (byte `i` = edge
+/// `i → i+1`), read straight from the positions. `out` is cleared; a
+/// chain of fewer than two robots has no edges and leaves it empty.
+/// Reuses `out`'s capacity, so a caller that keeps the buffer across
+/// rounds of a shrinking chain allocates once.
 pub fn edge_codes_into(pos: &[Point], out: &mut Vec<u8>) {
     out.clear();
     let n = pos.len();
@@ -112,97 +127,344 @@ pub const fn opposite(code: u8) -> u8 {
     code ^ 0b10
 }
 
-/// Mask covering the low `lanes` 2-bit lanes of a word.
+/// The offset of each code, [`EDGE_ZERO`] last.
+const STEPS: [Offset; 5] = [
+    edge_offset(0),
+    edge_offset(1),
+    edge_offset(2),
+    edge_offset(3),
+    Offset::ZERO,
+];
+
+/// The offset a code denotes, [`EDGE_ZERO`] included.
 #[inline]
-const fn lane_mask(lanes: usize) -> u64 {
-    if lanes >= LANES_PER_WORD {
+pub(crate) fn step_offset(code: u8) -> Offset {
+    STEPS[code as usize]
+}
+
+/// High bit of each byte of `word` that equals `code`.
+#[inline]
+fn byte_hits(word: u64, code: u8) -> u64 {
+    let x = word ^ u64::from_ne_bytes([code; 8]);
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The net step of eight codes packed little-endian in `word`, counted
+/// per direction ([`EDGE_ZERO`] bytes count for nothing).
+#[inline]
+pub fn word_offset(word: u64) -> Offset {
+    let count = |code| i64::from(byte_hits(word, code).count_ones());
+    Offset::new(count(EDGE_E) - count(EDGE_W), count(EDGE_N) - count(EDGE_S))
+}
+
+/// The eight codes from `base` on as one little-endian word; a short last
+/// word is padded with [`EDGE_E`].
+#[inline]
+fn load_word(codes: &[u8], base: usize) -> u64 {
+    match codes.get(base..base + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 codes")),
+        None => {
+            let mut word = [EDGE_E; 8];
+            let tail = &codes[base.min(codes.len())..];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// `f(prev, cur)` for each word of eight codes, robot by robot: `cur`
+/// holds the out-edges of robots `8k..8k+8` and `prev` their in-edges
+/// (cyclic), both loaded from the codes, so nothing carries from word to
+/// word. The lanes of the last word past the last robot are cleared.
+/// Requires at least one code.
+fn neighbour_words<F>(codes: &[u8], f: F) -> impl Iterator<Item = u64> + '_
+where
+    F: Fn(u64, u64) -> u64 + Copy + 'static,
+{
+    let n = codes.len();
+    let first = load_word(codes, 0);
+    let head = f((first << 8) | u64::from(codes[n - 1]), first) & lanes_below(n);
+    let words = |from: usize| {
+        codes
+            .get(from..)
+            .unwrap_or_default()
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 codes")))
+    };
+    let body = words(7).zip(words(8)).map(move |(prev, cur)| f(prev, cur));
+    let done = 8 + n.saturating_sub(8) / 8 * 8;
+    let tail = (done < n)
+        .then(|| f(load_word(codes, done - 1), load_word(codes, done)) & lanes_below(n - done));
+    std::iter::once(head).chain(body).chain(tail)
+}
+
+/// Mask of the low `lanes` bytes of a word.
+#[inline]
+const fn lanes_below(lanes: usize) -> u64 {
+    if lanes >= 8 {
         u64::MAX
     } else {
-        (1u64 << (2 * lanes)) - 1
+        (1u64 << (8 * lanes)) - 1
     }
 }
 
-/// Per-byte walk tables: a byte is 4 consecutive edge lanes; the tables
-/// give the net displacement after the 4 steps and the min/max of the
-/// 1..=4 step prefix sums (all in `[-4, 4]`, so `i8`).
-struct ByteWalk {
-    net_dx: [i8; 256],
-    net_dy: [i8; 256],
-    min_dx: [i8; 256],
-    max_dx: [i8; 256],
-    min_dy: [i8; 256],
-    max_dy: [i8; 256],
+/// `p` moved along the edges `codes` (collapsed ones included), summing
+/// eight codes per word.
+pub(crate) fn walk(p: Point, codes: &[u8]) -> Point {
+    let words = codes.chunks_exact(8);
+    let rest = words.remainder();
+    let p = words.fold(p, |q, w| {
+        q + word_offset(u64::from_le_bytes(w.try_into().expect("8 codes")))
+    });
+    rest.iter().fold(p, |q, &c| q + step_offset(c))
 }
 
-const fn build_byte_walk() -> ByteWalk {
-    let mut t = ByteWalk {
-        net_dx: [0; 256],
-        net_dy: [0; 256],
-        min_dx: [0; 256],
-        max_dx: [0; 256],
-        min_dy: [0; 256],
-        max_dy: [0; 256],
-    };
-    let mut b = 0usize;
-    while b < 256 {
-        let (mut x, mut y) = (0i8, 0i8);
-        let (mut min_x, mut max_x, mut min_y, mut max_y) = (0i8, 0i8, 0i8, 0i8);
-        let mut lane = 0usize;
-        while lane < 4 {
-            let code = ((b >> (2 * lane)) & 3) as u8;
-            let o = edge_offset(code);
-            x += o.dx as i8;
-            y += o.dy as i8;
-            if x < min_x {
-                min_x = x;
+/// The positions of the robots of the chain with robot 0 at `origin` and
+/// edges `codes`, robot 0 first.
+pub(crate) fn decode(origin: Point, codes: &[u8]) -> Vec<Point> {
+    let mut out = Vec::with_capacity(codes.len().max(1));
+    let mut p = origin;
+    out.push(p);
+    // The closing edge leads back to robot 0.
+    for &c in &codes[..codes.len().saturating_sub(1)] {
+        p += step_offset(c);
+        out.push(p);
+    }
+    out
+}
+
+/// The bounding box of the chain with robot 0 at `origin` and edges
+/// `codes`, walked from the edges.
+pub(crate) fn bounding(origin: Point, codes: &[u8]) -> Rect {
+    let mut p = origin;
+    let mut r = Rect::point(p);
+    for &c in &codes[..codes.len().saturating_sub(1)] {
+        p += step_offset(c);
+        r.expand(p);
+    }
+    r
+}
+
+/// A cursor over the indices of the collapsed edges ([`EDGE_ZERO`]) of a
+/// code array, ascending, found eight codes per word test. It keeps no
+/// borrow of the codes, so a caller may compact them behind it: every
+/// code at or past the last index reported is still unread or cached.
+pub(crate) struct CollapsedEdges {
+    /// Index of the first code of the current word.
+    base: usize,
+    /// High bit of each byte of the current word still to report.
+    hits: u64,
+}
+
+impl CollapsedEdges {
+    /// The collapsed edges of `codes` from index `from` on.
+    pub(crate) fn starting_at(codes: &[u8], from: usize) -> Self {
+        let base = from & !7;
+        let hits = byte_hits(load_word(codes, base), EDGE_ZERO) & (u64::MAX << (8 * (from - base)));
+        CollapsedEdges { base, hits }
+    }
+
+    /// The next collapsed edge of `codes`.
+    #[inline]
+    pub(crate) fn next(&mut self, codes: &[u8]) -> Option<usize> {
+        while self.hits == 0 {
+            self.base += 8;
+            if self.base >= codes.len() {
+                return None;
             }
-            if x > max_x {
-                max_x = x;
-            }
-            if y < min_y {
-                min_y = y;
-            }
-            if y > max_y {
-                max_y = y;
-            }
-            lane += 1;
+            self.hits = byte_hits(load_word(codes, self.base), EDGE_ZERO);
         }
-        t.net_dx[b] = x;
-        t.net_dy[b] = y;
-        t.min_dx[b] = min_x;
-        t.max_dx[b] = max_x;
-        t.min_dy[b] = min_y;
-        t.max_dy[b] = max_y;
-        b += 1;
+        let byte = self.hits.trailing_zeros() as usize / 8;
+        self.hits &= self.hits - 1;
+        Some(self.base + byte)
     }
-    t
 }
 
-static BYTE_WALK: ByteWalk = build_byte_walk();
+/// The state of one [`rewrite`]'s pass over the edges.
+struct Pass {
+    /// Hop code of the robot at the tail of the next edge.
+    tail: usize,
+    /// Every new code or'ed together: bit 2 is set by a collapse
+    /// ([`EDGE_ZERO`]) and bit 7 only by a stretch ([`EDGE_BROKEN`]).
+    marks: u8,
+    /// No hop seen was illegal.
+    legal: bool,
+    /// Robots seen moving (as edge tails).
+    moved: usize,
+}
 
-/// A taut closed chain as origin + packed edge codes (see the
-/// [module docs](self)).
+impl Pass {
+    /// Rewrite the edges `codes` into `next`; `heads[k]` is the hop of
+    /// the robot at the head of edge `k`. Branch-free per edge.
+    #[inline]
+    fn edges<H: GuardHop>(&mut self, codes: &[u8], next: &mut [u8], heads: &[H]) {
+        for ((&code, out), &h) in codes.iter().zip(next).zip(heads) {
+            let (head, legal) = h.code();
+            self.legal &= legal;
+            // Between rounds every code is a direction (< 4).
+            let new = APPLY_EDGE[usize::from(code & 3)][self.tail][head];
+            *out = new;
+            self.marks |= new;
+            self.moved += usize::from(self.tail != usize::from(HOP_ZERO));
+            self.tail = head;
+        }
+    }
+}
+
+/// What a [`rewrite`] did.
+pub(crate) struct Rewritten {
+    /// Robots with a nonzero hop.
+    pub(crate) moved: usize,
+    /// Some edge collapsed to [`EDGE_ZERO`]; [`splice`] must follow.
+    pub(crate) collapsed: bool,
+}
+
+/// Move the chain with robot 0 at `origin` and taut edges `codes` by one
+/// hop per robot, simultaneously.
+///
+/// Every edge is rewritten through [`APPLY_EDGE`] from the hops of its
+/// two robots, in one pass into `next`, which is swapped with `codes`
+/// only if the move is legal; a block of eight edges between nine equal
+/// hops is copied as it is. An illegal hop is reported first, then the
+/// first edge that would stretch, as [`ChainError::Disconnected`] with
+/// the post-move positions of its two robots; `origin` and `codes` are
+/// then left as they were. Edges that collapse hold [`EDGE_ZERO`].
+pub(crate) fn rewrite<H: GuardHop>(
+    origin: &mut Point,
+    codes: &mut Vec<u8>,
+    next: &mut Vec<u8>,
+    hops: &[H],
+) -> Result<Rewritten, ChainError> {
+    let n = hops.len();
+    let (first, legal) = hops[0].code();
+    if codes.is_empty() {
+        // One robot, no edges.
+        if !legal {
+            return Err(ChainError::IllegalHop {
+                index: 0,
+                hop: hops[0].offset(),
+            });
+        }
+        *origin += hops[0].offset();
+        return Ok(Rewritten {
+            moved: usize::from(first != usize::from(HOP_ZERO)),
+            collapsed: false,
+        });
+    }
+    debug_assert_eq!(codes.len(), n);
+    next.resize(n, 0);
+    let mut pass = Pass {
+        tail: first,
+        marks: 0,
+        legal: true,
+        moved: 0,
+    };
+    // Blocks of eight edges; nine equal hops translate the eight edges
+    // between them rigidly. The block's tails all hop like its first.
+    let mut i = 0;
+    while i + 9 <= n {
+        if H::nine_copied(hops, i) {
+            next[i..i + 8].copy_from_slice(&codes[i..i + 8]);
+            pass.moved += 8 * usize::from(pass.tail != usize::from(HOP_ZERO));
+        } else {
+            pass.edges(&codes[i..i + 8], &mut next[i..i + 8], &hops[i + 1..i + 9]);
+        }
+        i += 8;
+    }
+    pass.edges(&codes[i..n - 1], &mut next[i..n - 1], &hops[i + 1..]);
+    pass.edges(&codes[n - 1..], &mut next[n - 1..], &hops[..1]);
+    if !pass.legal {
+        // A copied block's hops equal its first, which is the head of
+        // the edge before it (robot 0 heads the closing edge): every hop
+        // was checked.
+        let index = hops
+            .iter()
+            .position(|h| !h.code().1)
+            .expect("an illegal hop was seen");
+        return Err(ChainError::IllegalHop {
+            index,
+            hop: hops[index].offset(),
+        });
+    }
+    if pass.marks & 0x80 != 0 {
+        let j = next
+            .iter()
+            .position(|&c| c == EDGE_BROKEN)
+            .expect("a stretched edge was seen");
+        let head = if j + 1 == n { 0 } else { j + 1 };
+        return Err(stretched_edge(
+            j,
+            walk(*origin, &codes[..j]),
+            edge_offset(codes[j]),
+            [hops[j].offset(), hops[head].offset()],
+        ));
+    }
+    std::mem::swap(codes, next);
+    *origin += hops[0].offset();
+    Ok(Rewritten {
+        moved: pass.moved,
+        collapsed: pass.marks & EDGE_ZERO != 0,
+    })
+}
+
+/// Splice the collapsed edges ([`EDGE_ZERO`]) out of the chain with robot
+/// 0 at `origin`: robot `e + 1` goes when edge `e` collapsed, and the
+/// survivors keep their cyclic order. Returns the number of robots
+/// removed.
+///
+/// The codes are compacted with one `copy_within` per gap. When robot 0
+/// goes (the closing edge collapsed), the first survivor becomes robot 0:
+/// the origin moves along the first edge that kept its length, and the
+/// codes rotate so that edge comes last. When every edge collapsed, robot
+/// 0 is the one robot left.
+pub(crate) fn splice(origin: &mut Point, codes: &mut Vec<u8>) -> usize {
+    let n = codes.len();
+    let mut zeros = CollapsedEdges::starting_at(codes, 0);
+    let Some(mut gap) = zeros.next(codes) else {
+        return 0;
+    };
+    let wraps = codes[n - 1] == EDGE_ZERO;
+    let mut write = gap;
+    loop {
+        let end = zeros.next(codes);
+        let stop = end.unwrap_or(n);
+        codes.copy_within(gap + 1..stop, write);
+        write += stop - gap - 1;
+        match end {
+            Some(e) => gap = e,
+            None => break,
+        }
+    }
+    codes.truncate(write);
+    if write == 0 {
+        return n - 1;
+    }
+    if wraps {
+        *origin += edge_offset(codes[0]);
+        codes.rotate_left(1);
+    }
+    n - write
+}
+
+/// A taut closed chain as origin + one edge code per byte (see the
+/// [module docs](self)): the state [`crate::KernelChain`] runs on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PackedChain {
     pub(crate) origin: Point,
-    pub(crate) len: usize,
-    pub(crate) codes: Vec<u64>,
+    /// `codes[i]` is the edge from robot `i` to robot `i + 1` (cyclic);
+    /// empty for a single robot.
+    pub(crate) codes: Vec<u8>,
 }
 
 impl PackedChain {
-    /// Pack a [`ClosedChain`] from its edge codes. Requires a *taut*
-    /// chain — the engine's between-rounds invariant: an edge left
-    /// collapsed by a move is reported by [`ClosedChain::validate`].
+    /// Copy the edge codes of a [`ClosedChain`]. Requires a *taut* chain —
+    /// the engine's between-rounds invariant: an edge left collapsed by a
+    /// move is reported by [`ClosedChain::validate`].
     pub fn from_chain(chain: &ClosedChain) -> Result<PackedChain, ChainError> {
         chain.validate()?;
-        let mut codes = vec![0u64; chain.codes().len().div_ceil(LANES_PER_WORD)];
-        for (i, &code) in chain.codes().iter().enumerate() {
-            codes[i / LANES_PER_WORD] |= u64::from(code) << ((i % LANES_PER_WORD) * 2);
-        }
         Ok(PackedChain {
             origin: chain.origin(),
-            len: chain.len(),
-            codes,
+            codes: chain.codes().to_vec(),
         })
     }
 
@@ -210,49 +472,37 @@ impl PackedChain {
     /// [`PackedChain::from_chain`]).
     pub fn from_positions(pos: &[Point]) -> Result<PackedChain, ChainError> {
         let n = pos.len();
-        if n == 0 {
+        let Some(&origin) = pos.first() else {
             return Err(ChainError::TooShort { len: 0 });
+        };
+        let mut codes = Vec::with_capacity(n);
+        if n > 1 {
+            for (i, &p) in pos.iter().enumerate() {
+                let next = pos[(i + 1) % n];
+                codes.push(edge_code(next - p).ok_or(if next == p {
+                    ChainError::CoincidentNeighbors { index: i, at: p }
+                } else {
+                    ChainError::Disconnected {
+                        index: i,
+                        a: p,
+                        b: next,
+                    }
+                })?);
+            }
         }
-        let origin = pos[0];
-        if n == 1 {
-            return Ok(PackedChain {
-                origin,
-                len: 1,
-                codes: Vec::new(),
-            });
-        }
-        let mut codes = vec![0u64; n.div_ceil(LANES_PER_WORD)];
-        for (i, &p) in pos.iter().enumerate() {
-            let next = pos[(i + 1) % n];
-            let code = edge_code(next - p).ok_or(if next == p {
-                ChainError::CoincidentNeighbors { index: i, at: p }
-            } else {
-                ChainError::Disconnected {
-                    index: i,
-                    a: p,
-                    b: next,
-                }
-            })?;
-            codes[i / LANES_PER_WORD] |= u64::from(code) << ((i % LANES_PER_WORD) * 2);
-        }
-        Ok(PackedChain {
-            origin,
-            len: n,
-            codes,
-        })
+        Ok(PackedChain { origin, codes })
     }
 
     /// Robots in the chain.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.codes.len().max(1)
     }
 
-    /// `true` when the chain has no robots (never for a packed chain
-    /// built through the public constructors).
+    /// `false`: a packed chain holds at least robot 0.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        false
     }
 
     /// Position of robot 0.
@@ -261,115 +511,35 @@ impl PackedChain {
         self.origin
     }
 
-    /// The packed code words (lane `i` = edge `i → i+1`).
+    /// The edge codes, one byte per edge: byte `i` is the step from robot
+    /// `i` to robot `i + 1` (cyclic). A single robot has none.
     #[inline]
-    pub fn words(&self) -> &[u64] {
+    pub fn codes(&self) -> &[u8] {
         &self.codes
-    }
-
-    /// The code of edge `i` (from robot `i` to robot `i + 1`, cyclic).
-    #[inline]
-    pub fn get(&self, i: usize) -> u8 {
-        debug_assert!(i < self.len && self.len >= 2);
-        ((self.codes[i / LANES_PER_WORD] >> ((i % LANES_PER_WORD) * 2)) & 3) as u8
-    }
-
-    /// Overwrite the code of edge `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize, code: u8) {
-        debug_assert!(i < self.len && self.len >= 2);
-        let (w, s) = (i / LANES_PER_WORD, (i % LANES_PER_WORD) * 2);
-        self.codes[w] = (self.codes[w] & !(3u64 << s)) | (u64::from(code & 3) << s);
     }
 
     /// Derive all robot positions (robot 0 first).
     pub fn positions(&self) -> Vec<Point> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.origin;
-        out.push(cur);
-        for i in 0..self.len.saturating_sub(1) {
-            cur += edge_offset(self.get(i));
-            out.push(cur);
-        }
-        out
+        decode(self.origin, &self.codes)
     }
 
-    /// Unpack every edge code into one byte per lane. `out` is resized
-    /// to `len`. One load per 32 lanes — the round kernels decode once
-    /// per round and then index the byte scratch instead of paying the
-    /// word/shift arithmetic of [`PackedChain::get`] per access.
-    pub fn decode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.resize(self.len, 0);
-        for (chunk, &word) in out.chunks_mut(LANES_PER_WORD).zip(&self.codes) {
-            let mut w = word;
-            for lane in chunk {
-                *lane = (w & 3) as u8;
-                w >>= 2;
-            }
-        }
-    }
-
-    /// Bounding box of all robot positions, walking the packed codes a
-    /// byte (4 edges) at a time through precomputed net/min/max prefix
-    /// tables instead of materializing positions.
+    /// Bounding box of all robot positions, walked from the edges.
     pub fn bounding(&self) -> Rect {
-        let (mut x, mut y) = (self.origin.x, self.origin.y);
-        let (mut min_x, mut max_x, mut min_y, mut max_y) = (x, x, y, y);
-        let mut edges = self.len.saturating_sub(1);
-        let mut i = 0usize;
-        while edges >= 4 {
-            let b =
-                ((self.codes[i / LANES_PER_WORD] >> ((i % LANES_PER_WORD) * 2)) & 0xFF) as usize;
-            min_x = min_x.min(x + i64::from(BYTE_WALK.min_dx[b]));
-            max_x = max_x.max(x + i64::from(BYTE_WALK.max_dx[b]));
-            min_y = min_y.min(y + i64::from(BYTE_WALK.min_dy[b]));
-            max_y = max_y.max(y + i64::from(BYTE_WALK.max_dy[b]));
-            x += i64::from(BYTE_WALK.net_dx[b]);
-            y += i64::from(BYTE_WALK.net_dy[b]);
-            i += 4;
-            edges -= 4;
-        }
-        while edges > 0 {
-            let o = edge_offset(self.get(i));
-            x += o.dx;
-            y += o.dy;
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
-            i += 1;
-            edges -= 1;
-        }
-        Rect {
-            min: Point::new(min_x, min_y),
-            max: Point::new(max_x, max_y),
-        }
+        bounding(self.origin, &self.codes)
     }
 
     /// Word-parallel strict south-east-minima scan: robot `i` is marked
     /// iff `se_key(i−1) > se_key(i) < se_key(i+1)` with `se_key = x − y`
-    /// — the compass-se mover rule. `out` receives one word per 32
-    /// robots with bit `2·lane` set for each marked robot. Requires
-    /// `len ≥ 2`.
+    /// — the compass-se mover rule. `out` receives one word per 8 robots
+    /// with bit `8·lane` set for each marked robot. Requires `len ≥ 2`.
     pub fn strict_se_minima_into(&self, out: &mut Vec<u64>) {
-        debug_assert!(self.len >= 2);
-        let words = self.len.div_ceil(LANES_PER_WORD);
+        debug_assert!(self.codes.len() >= 2);
         out.clear();
-        out.resize(words, 0);
-        // Bit-1 plane: 1 ⇔ the edge *decreases* the key. Robot i is a
+        // Bit 1 of a code: 1 ⇔ the edge *decreases* the key. Robot i is a
         // strict minimum iff edge i−1 decreases and edge i increases.
-        let mut carry = u64::from(self.get(self.len - 1) >> 1); // hi bit of the wrap edge
-        for (w, slot) in out.iter_mut().enumerate() {
-            let hi = self.codes[w] & !LO_PLANE;
-            let prev = (hi << 2) | (carry << 1);
-            carry = self.codes[w] >> 63;
-            let mut m = ((prev & !hi) >> 1) & LO_PLANE;
-            if w == words - 1 {
-                m &= lane_mask(self.len - w * LANES_PER_WORD);
-            }
-            *slot = m;
-        }
+        out.extend(neighbour_words(&self.codes, |prev, cur| {
+            (prev >> 1) & !(cur >> 1) & BYTE_LOW
+        }));
     }
 
     /// Word-parallel turn count: the number of robots whose two incident
@@ -377,30 +547,19 @@ impl PackedChain {
     /// straight runs of the cyclic direction sequence). Zero for
     /// `len < 2`.
     pub fn turn_count(&self) -> usize {
-        if self.len < 2 {
+        if self.codes.len() < 2 {
             return 0;
         }
-        let words = self.len.div_ceil(LANES_PER_WORD);
-        let mut carry = u64::from(self.get(self.len - 1) & 1);
-        let mut total = 0u32;
-        for w in 0..words {
-            let lo = self.codes[w] & LO_PLANE;
-            let prev = (lo << 2) | carry;
-            carry = (self.codes[w] >> 62) & 1;
-            let mut m = lo ^ prev;
-            if w == words - 1 {
-                m &= lane_mask(self.len - w * LANES_PER_WORD);
-            }
-            total += m.count_ones();
-        }
-        total as usize
+        neighbour_words(&self.codes, |prev, cur| (prev ^ cur) & BYTE_LOW)
+            .map(|marks| marks.count_ones() as usize)
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::ClosedChain;
+    use crate::rng::SplitMix64;
 
     /// Rectangle-perimeter ring, the canonical taut closed chain.
     fn ring(w: i64, h: i64) -> ClosedChain {
@@ -440,8 +599,31 @@ mod tests {
         ClosedChain::new(pts).unwrap()
     }
 
-    fn se_key(p: Point) -> i64 {
-        p.x - p.y
+    /// The word-boundary sizes of the SWAR scans: one short word, one
+    /// full word, and one lane on either side of eight full words.
+    const SIZES: [usize; 8] = [2, 3, 7, 8, 9, 63, 64, 65];
+
+    /// Random direction sequences of every size in [`SIZES`], a few
+    /// each. They need not close, which is how the odd sizes arise; the
+    /// scans only read the cyclic code sequence.
+    fn random_codes() -> Vec<PackedChain> {
+        let mut rng = SplitMix64::new(0xb17e);
+        SIZES
+            .iter()
+            .flat_map(|&n| std::iter::repeat_n(n, 12))
+            .map(|n| PackedChain {
+                origin: Point::new(rng.range_i64_inclusive(-5, 5), 0),
+                codes: (0..n).map(|_| rng.below(4) as u8).collect(),
+            })
+            .collect()
+    }
+
+    /// Closed rings of 6, 16, 80 and 80 robots.
+    fn closed_rings() -> Vec<PackedChain> {
+        [ring(3, 2), ring(5, 5), ring(40, 2), ring(19, 23)]
+            .iter()
+            .map(|c| PackedChain::from_chain(c).unwrap())
+            .collect()
     }
 
     #[test]
@@ -449,7 +631,12 @@ mod tests {
         for chain in [ring(4, 3), ring(20, 2), ring(17, 9), staircase(40)] {
             let packed = PackedChain::from_chain(&chain).unwrap();
             assert_eq!(packed.len(), chain.len());
+            assert_eq!(packed.codes(), chain.codes());
             assert_eq!(packed.positions(), chain.positions());
+            assert_eq!(
+                PackedChain::from_positions(chain.positions()).unwrap(),
+                packed
+            );
         }
     }
 
@@ -472,6 +659,7 @@ mod tests {
     fn singleton_has_no_edges() {
         let p = PackedChain::from_positions(&[Point::new(7, -3)]).unwrap();
         assert_eq!(p.len(), 1);
+        assert!(p.codes().is_empty());
         assert_eq!(p.positions(), vec![Point::new(7, -3)]);
         assert_eq!(p.bounding(), Rect::point(Point::new(7, -3)));
         assert_eq!(p.turn_count(), 0);
@@ -484,16 +672,31 @@ mod tests {
             assert!(o.is_unit_step());
             assert_eq!(edge_code(o), Some(code));
             assert_eq!(edge_offset(opposite(code)), -o);
+            assert_eq!(step_offset(code), o);
             // bit 1 is the SE-key delta sign, bit 0 the axis.
             let key_delta = o.dx - o.dy;
             assert_eq!(code >> 1 == 1, key_delta < 0);
             assert_eq!(code & 1 == 1, o.dx == 0);
         }
+        assert_eq!(step_offset(EDGE_ZERO), Offset::ZERO);
         for o in [Offset::RIGHT, Offset::DOWN, Offset::LEFT, Offset::UP] {
             assert_eq!(Some(unit_edge_code(o)), edge_code(o));
         }
         assert_eq!(edge_code(Offset::ZERO), None);
         assert_eq!(edge_code(Offset::new(1, 1)), None);
+    }
+
+    /// The per-word direction count and the walk built on it equal the
+    /// per-edge sum, collapsed edges and short tails included.
+    #[test]
+    fn walk_matches_per_edge_sum() {
+        let mut rng = SplitMix64::new(0x3a1c);
+        for len in 0..40 {
+            let codes: Vec<u8> = (0..len).map(|_| rng.below(5) as u8).collect();
+            let p = Point::new(3, -2);
+            let want = codes.iter().fold(p, |q, &c| q + step_offset(c));
+            assert_eq!(walk(p, &codes), want, "{codes:?}");
+        }
     }
 
     #[test]
@@ -503,82 +706,95 @@ mod tests {
             let brute = Rect::bounding(chain.positions().iter().copied()).unwrap();
             assert_eq!(packed.bounding(), brute);
         }
+        for packed in random_codes() {
+            let n = packed.codes.len();
+            let mut p = packed.origin;
+            let mut brute = Rect::point(p);
+            for &c in &packed.codes[..n - 1] {
+                p += edge_offset(c);
+                brute.expand(p);
+            }
+            assert_eq!(packed.bounding(), brute, "n={n}");
+        }
     }
 
     #[test]
     fn minima_mask_matches_bruteforce() {
-        for chain in [ring(3, 2), ring(5, 5), ring(40, 2), ring(19, 23)] {
-            let packed = PackedChain::from_chain(&chain).unwrap();
-            let pos = chain.positions();
-            let n = pos.len();
+        // The key delta of an edge, from its offset.
+        let delta = |c: u8| edge_offset(c).dx - edge_offset(c).dy;
+        for packed in closed_rings().into_iter().chain(random_codes()) {
+            let codes = packed.codes();
+            let n = codes.len();
             let mut mask = Vec::new();
             packed.strict_se_minima_into(&mut mask);
-            for (i, &p) in pos.iter().enumerate() {
-                let prev = pos[(i + n - 1) % n];
-                let next = pos[(i + 1) % n];
-                let want = se_key(prev) > se_key(p) && se_key(next) > se_key(p);
-                let got = mask[i / LANES_PER_WORD] >> ((i % LANES_PER_WORD) * 2) & 1 == 1;
+            assert_eq!(mask.len(), n.div_ceil(8));
+            for i in 0..n {
+                let want = delta(codes[(i + n - 1) % n]) < 0 && delta(codes[i]) > 0;
+                let got = mask[i / 8] >> (8 * (i % 8)) & 1 == 1;
                 assert_eq!(got, want, "robot {i} of {n}");
             }
-            // No bits beyond the chain length.
+            // No bits beyond the chain length or off the lane bit.
             let bits: u32 = mask.iter().map(|w| w.count_ones()).sum();
             let brute = (0..n)
-                .filter(|&i| {
-                    se_key(pos[(i + n - 1) % n]) > se_key(pos[i])
-                        && se_key(pos[(i + 1) % n]) > se_key(pos[i])
-                })
+                .filter(|&i| delta(codes[(i + n - 1) % n]) < 0 && delta(codes[i]) > 0)
                 .count();
-            assert_eq!(bits as usize, brute);
+            assert_eq!(bits as usize, brute, "n={n}");
+        }
+        // On a closed chain the codes' rule is the positions' rule.
+        let chain = staircase(33);
+        let pos = chain.positions();
+        let n = pos.len();
+        let key = |p: Point| p.x - p.y;
+        let mut mask = Vec::new();
+        PackedChain::from_chain(&chain)
+            .unwrap()
+            .strict_se_minima_into(&mut mask);
+        for i in 0..n {
+            let want =
+                key(pos[(i + n - 1) % n]) > key(pos[i]) && key(pos[(i + 1) % n]) > key(pos[i]);
+            assert_eq!(mask[i / 8] >> (8 * (i % 8)) & 1 == 1, want, "robot {i}");
         }
     }
 
     #[test]
     fn turn_count_matches_bruteforce() {
-        for chain in [ring(3, 2), ring(5, 5), ring(40, 2), ring(19, 23)] {
-            let packed = PackedChain::from_chain(&chain).unwrap();
-            let pos = chain.positions();
-            let n = pos.len();
+        for packed in closed_rings().into_iter().chain(random_codes()) {
+            let codes = packed.codes();
+            let n = codes.len();
+            let vertical = |c: u8| edge_offset(c).dx == 0;
             let brute = (0..n)
-                .filter(|&i| {
-                    let a = pos[i] - pos[(i + n - 1) % n];
-                    let b = pos[(i + 1) % n] - pos[i];
-                    (a.dx == 0) != (b.dx == 0)
-                })
+                .filter(|&i| vertical(codes[(i + n - 1) % n]) != vertical(codes[i]))
                 .count();
             assert_eq!(packed.turn_count(), brute, "n={n}");
         }
     }
 
     #[test]
-    fn edge_codes_match_decoded_packing() {
+    fn edge_codes_match_chain_codes() {
         let mut bytes = Vec::new();
-        let mut decoded = Vec::new();
         let pair = ClosedChain::new(vec![Point::new(0, 0), Point::new(0, 1)]).unwrap();
-        for chain in [
-            pair,
-            ring(2, 2),
-            ring(3, 2),
-            ring(40, 2),
-            ring(19, 23),
-            staircase(40),
-        ] {
-            let packed = PackedChain::from_chain(&chain).unwrap();
-            packed.decode_into(&mut decoded);
+        for chain in [pair, ring(2, 2), ring(40, 2), staircase(40)] {
             edge_codes_into(chain.positions(), &mut bytes);
-            assert_eq!(bytes, decoded, "n={}", chain.len());
+            let packed = PackedChain::from_positions(chain.positions()).unwrap();
+            assert_eq!(bytes, packed.codes(), "n={}", chain.len());
         }
         edge_codes_into(&[Point::new(3, 3)], &mut bytes);
         assert!(bytes.is_empty());
     }
 
+    /// The cursor finds exactly the collapsed edges, from any start, at
+    /// every length around the word size.
     #[test]
-    fn set_rewrites_lanes() {
-        let chain = ring(6, 4);
-        let mut packed = PackedChain::from_chain(&chain).unwrap();
-        let old = packed.get(5);
-        packed.set(5, opposite(old));
-        assert_eq!(packed.get(5), opposite(old));
-        packed.set(5, old);
-        assert_eq!(packed.positions(), chain.positions());
+    fn collapsed_edges_match_filter() {
+        let mut rng = SplitMix64::new(0xc011);
+        for len in 1..30 {
+            let codes: Vec<u8> = (0..len).map(|_| rng.below(5) as u8).collect();
+            for from in 0..len {
+                let mut zeros = CollapsedEdges::starting_at(&codes, from);
+                let got: Vec<usize> = std::iter::from_fn(|| zeros.next(&codes)).collect();
+                let want: Vec<usize> = (from..len).filter(|&i| codes[i] == EDGE_ZERO).collect();
+                assert_eq!(got, want, "{codes:?} from {from}");
+            }
+        }
     }
 }

@@ -33,8 +33,8 @@
 //!   every activation subset of every round at small `n`.
 //!
 //! The same fixpoint guards the `global-vision` and `naive-local`
-//! baselines (`baselines::cancel_breaking_hops` and the kernels'
-//! `baselines::kernel::cancel_breaking_hops_codes` delegate here), and
+//! baselines (`baselines::cancel_breaking_hops` delegates here, and
+//! their kernels call [`cancel_breaking_hops`] on hop codes), and
 //! the engine: a [`Strategy`](crate::Strategy) that opts in via
 //! [`Strategy::wants_chain_guard`](crate::Strategy::wants_chain_guard)
 //! gets it applied by [`Sim::step`](crate::Sim::step) after the
@@ -107,26 +107,55 @@ const fn build_edge_ok_bits() -> [u16; 36] {
     t
 }
 
-/// A hop alphabet the guard judges edges in: the hop codes of
-/// [`crate::kernel`] (the kernels) or [`Offset`]s (the boxed engine, where
-/// a strategy may hand in any offset).
+/// A hop alphabet the edge rules read: the hop codes of [`crate::kernel`]
+/// (the kernels) or [`Offset`]s (the boxed engine, where a strategy may
+/// hand in any offset). The guard judges edges in it, and the edge
+/// rewrite of [`crate::packed`] moves them by it.
 pub trait GuardHop: Copy + PartialEq {
     /// The zero hop, which is never cancelled.
     const STAY: Self;
+
+    /// The [`crate::kernel`] hop code that indexes the edge tables, and
+    /// whether the hop is legal; an illegal hop is clamped into the tables.
+    fn code(self) -> (usize, bool);
+
+    /// The offset the hop moves by.
+    fn offset(self) -> Offset;
 
     /// `true` iff the edge of code `e` stays chain adjacent (length ≤ 1)
     /// when its tail robot hops `tail` and its head robot hops `head`.
     fn edge_ok(e: u8, tail: Self, head: Self) -> bool;
 
-    /// `true` iff the nine hops from index `i` on are equal.
+    /// `true` iff the nine hops from index `i` on are equal, so that the
+    /// eight edges between them translate rigidly.
     #[inline]
     fn nine_equal(hops: &[Self], i: usize) -> bool {
         hops[i..i + 8] == hops[i + 1..i + 9]
+    }
+
+    /// `true` only if the nine hops from index `i` on are equal: the test
+    /// by which the edge rewrite of [`crate::packed`] copies the eight
+    /// edges between them. A `false` for equal hops costs speed, not
+    /// correctness.
+    #[inline]
+    fn nine_copied(hops: &[Self], i: usize) -> bool {
+        Self::nine_equal(hops, i)
     }
 }
 
 impl GuardHop for u8 {
     const STAY: u8 = crate::kernel::HOP_ZERO;
+
+    #[inline]
+    fn code(self) -> (usize, bool) {
+        debug_assert!(self < 9, "hop code {self}");
+        (usize::from(self), true)
+    }
+
+    #[inline]
+    fn offset(self) -> Offset {
+        hop_offset(self)
+    }
 
     #[inline]
     fn edge_ok(e: u8, tail: u8, head: u8) -> bool {
@@ -143,6 +172,27 @@ impl GuardHop for u8 {
 
 impl GuardHop for Offset {
     const STAY: Offset = Offset::ZERO;
+
+    #[inline]
+    fn code(self) -> (usize, bool) {
+        let (x, y) = (
+            (self.dx as u64).wrapping_add(1),
+            (self.dy as u64).wrapping_add(1),
+        );
+        ((x.min(2) * 3 + y.min(2)) as usize, (x < 3) & (y < 3))
+    }
+
+    #[inline]
+    fn offset(self) -> Offset {
+        self
+    }
+
+    /// Nine standing robots, the common case of the paper rule, in one
+    /// branch-free fold.
+    #[inline]
+    fn nine_copied(hops: &[Offset], i: usize) -> bool {
+        hops[i..i + 9].iter().fold(0, |a, h| a | h.dx | h.dy) == 0
+    }
 
     #[inline]
     fn edge_ok(e: u8, tail: Offset, head: Offset) -> bool {
