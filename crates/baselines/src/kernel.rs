@@ -28,7 +28,7 @@
 
 use crate::enclosing_center;
 use chain_sim::chain::ChainError;
-use chain_sim::kernel::{count_moved, ActivationRule, KernelChain, RoundKernel, HOP_ZERO};
+use chain_sim::kernel::{mask_hops, ActivationRule, KernelChain, RoundKernel, HOP_ZERO};
 use chain_sim::packed::{edge_offset, word_offset};
 use chain_sim::safety::cancel_breaking_hops;
 use grid_geom::Point;
@@ -97,27 +97,32 @@ impl RoundKernel for CompassSeKernel {
         let packed = chain.packed();
         let codes = packed.codes();
         packed.strict_se_minima_into(&mut self.minima);
-        self.movers.clear();
+        // Every minimum's hop is written to the next free slot; the
+        // activation bit decides whether the slot is taken, so there is
+        // no branch on the coin. Strict minima are never adjacent, so a
+        // word of eight robots holds at most four; `movers` only grows,
+        // and its first `moved` entries are this round's.
+        let turn = rule.turn(round);
+        let mut moved = 0;
         for (w, &word) in self.minima.iter().enumerate() {
             let mut m = word;
+            if m != 0 && self.movers.len() < moved + 4 {
+                self.movers.resize(moved + 4, (0, HOP_ZERO));
+            }
             while m != 0 {
                 let i = w * 8 + (m.trailing_zeros() as usize) / 8;
                 m &= m - 1;
-                if !A::ALWAYS_ON && !rule.active(round, i) {
-                    continue;
-                }
                 let ep = codes[if i == 0 { n - 1 } else { i - 1 }];
                 let en = codes[i];
-                self.movers
-                    .push((i, MIDPOINT_HOP[ep as usize][en as usize]));
+                self.movers[moved] = (i, MIDPOINT_HOP[ep as usize][en as usize]);
+                moved += usize::from(A::ALWAYS_ON || rule.active_in(turn, i));
             }
         }
-        let moved = self.movers.len();
         // Any subset of the strict minima is pairwise non-adjacent, and a
         // minimum's midpoint hop keeps both incident edges adjacent (its
         // neighbors never move), so the sparse apply cannot break the
         // chain — compass-se is SSYNC-safe.
-        chain.apply_sparse(&self.movers);
+        chain.apply_sparse(&self.movers[..moved]);
         Ok(moved)
     }
 }
@@ -174,14 +179,7 @@ impl RoundKernel for NaiveLocalKernel {
             // pairs, and the dense apply reports them identically.
             cancel_breaking_hops(edges, &mut self.hops);
         }
-        if !A::ALWAYS_ON {
-            for (i, h) in self.hops.iter_mut().enumerate() {
-                if !rule.active(round, i) {
-                    *h = HOP_ZERO;
-                }
-            }
-        }
-        let moved = count_moved(&self.hops);
+        let moved = mask_hops(rule, round, &mut self.hops);
         if moved == 0 {
             return Ok(0);
         }
@@ -269,14 +267,7 @@ impl RoundKernel for GlobalVisionKernel {
             center_hops(edges, packed.origin(), center, &mut self.hops);
             cancel_breaking_hops(edges, &mut self.hops);
         }
-        if !A::ALWAYS_ON {
-            for (i, h) in self.hops.iter_mut().enumerate() {
-                if !rule.active(round, i) {
-                    *h = HOP_ZERO;
-                }
-            }
-        }
-        let moved = count_moved(&self.hops);
+        let moved = mask_hops(rule, round, &mut self.hops);
         if moved == 0 {
             return Ok(0);
         }

@@ -19,9 +19,11 @@
 //!   runs on too (the dense apply is its rewrite, the merge its splice),
 //!   plus a sparse apply for never-adjacent mover sets and an amortized
 //!   O(1) gathering check via bounding-box staleness bounds;
-//! * [`ActivationRule`] — `Copy` monomorphic mirrors of the boxed
+//! * [`ActivationRule`] — monomorphic mirrors of the boxed
 //!   [`Scheduler`](crate::Scheduler) kinds, activation formulas shared
-//!   with the boxed implementations so the schedules cannot drift;
+//!   with the boxed implementations so the schedules cannot drift, and
+//!   [`mask_hops`], which consults a rule only for robots that would
+//!   move;
 //! * [`RoundKernel`] / [`KernelSim`] — the specialized round loop,
 //!   replicating [`Sim::step`](crate::Sim::step) /
 //!   [`Sim::run`](crate::Sim::run) byte-for-byte: identical
@@ -40,7 +42,7 @@ use grid_geom::{Offset, Point, Rect};
 use crate::chain::ChainError;
 use crate::engine::{Outcome, RoundSummary, RunLimits, QUIESCENCE_WINDOW};
 use crate::packed::{self, edge_offset, PackedChain, EDGE_ZERO};
-use crate::scheduler::draw;
+use crate::scheduler::{draw, extend_kfair_phases};
 use crate::trace::Progress;
 
 /// Hop code of the zero hop (stay). Hop codes encode a legal hop
@@ -107,39 +109,107 @@ const fn build_apply_edge() -> [[[u8; 9]; 9]; 4] {
     t
 }
 
+/// The low seven bits of every byte of a word.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+/// Eight [`HOP_ZERO`] hops in one word.
+const ZEROS: u64 = u64::from_ne_bytes([HOP_ZERO; 8]);
+
+/// The high bit of every byte of an 8-hop word that is not
+/// [`HOP_ZERO`], all other bits clear (an exact nonzero-byte detector on
+/// the word xor [`HOP_ZERO`]s).
+#[inline]
+fn hop_lanes(word: [u8; 8]) -> u64 {
+    let x = u64::from_le_bytes(word) ^ ZEROS;
+    (((x & LOW7) + LOW7) | x) & !LOW7
+}
+
 /// Count the robots with a nonzero hop, 8 hop bytes per machine word
 /// (the engine's `moved` statistic, and the idle-scan predicate).
 pub fn count_moved(hops: &[u8]) -> usize {
-    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    const ZEROS: u64 = u64::from_ne_bytes([HOP_ZERO; 8]);
-    let mut stay = 0u32;
+    let mut moved = 0;
     let mut chunks = hops.chunks_exact(8);
     for c in chunks.by_ref() {
-        let x = u64::from_ne_bytes(c.try_into().expect("8-byte chunk")) ^ ZEROS;
-        // Exact zero-byte detector: high bit set per zero byte, all
-        // other bits clear.
-        stay += (!((((x & LOW7) + LOW7) | x) | LOW7)).count_ones();
+        moved += hop_lanes(c.try_into().expect("8-byte chunk")).count_ones() as usize;
     }
-    let tail = chunks
-        .remainder()
-        .iter()
-        .filter(|&&h| h == HOP_ZERO)
-        .count();
-    hops.len() - stay as usize - tail
+    let tail = chunks.remainder().iter().filter(|&&h| h != HOP_ZERO);
+    moved + tail.count()
+}
+
+/// Zero the hop of every robot that `rule` leaves asleep in `round`, and
+/// return how many robots still move. A robot whose hop is already
+/// [`HOP_ZERO`] stays whether or not it is active, so the rule is
+/// consulted only for the others, found eight hops per word: the result
+/// is the mask-everyone result, at the cost of the movers the cancel
+/// fixpoint left.
+pub fn mask_hops<A: ActivationRule>(rule: &A, round: u64, hops: &mut [u8]) -> usize {
+    if A::ALWAYS_ON {
+        return count_moved(hops);
+    }
+    let turn = rule.turn(round);
+    let mut moved = 0;
+    for (w, chunk) in hops.chunks_mut(8).enumerate() {
+        let base = w * 8;
+        if let Ok(word) = <[u8; 8]>::try_from(&*chunk) {
+            let mut lanes = hop_lanes(word);
+            while lanes != 0 {
+                let j = lanes.trailing_zeros() as usize / 8;
+                lanes &= lanes - 1;
+                let on = rule.active_in(turn, base + j);
+                moved += usize::from(on);
+                chunk[j] = if on { chunk[j] } else { HOP_ZERO };
+            }
+            continue;
+        }
+        for (j, h) in chunk.iter_mut().enumerate() {
+            if *h != HOP_ZERO {
+                if rule.active_in(turn, base + j) {
+                    moved += 1;
+                } else {
+                    *h = HOP_ZERO;
+                }
+            }
+        }
+    }
+    moved
 }
 
 /// Monomorphic activation schedule: the kernel-side mirror of
 /// [`Scheduler`](crate::Scheduler). Activation is a pure function of
 /// `(rule, round, index)`, exactly as the boxed kinds compute it — the
-/// randomized rules share the boxed schedulers' draw function, so the
-/// two paths cannot drift.
-pub trait ActivationRule: Copy + Send {
+/// randomized rules share the boxed schedulers' draw function and the
+/// k-fair phase table, so the two paths cannot drift.
+///
+/// A kernel asks about many robots per round, so the part of the
+/// decision that depends on the round alone (a periodic rule's residue)
+/// is split out as [`ActivationRule::turn`] and computed once per round.
+pub trait ActivationRule: Send {
     /// `true` when the rule activates every robot every round; lets
     /// kernels skip per-robot activation tests entirely (FSYNC).
     const ALWAYS_ON: bool = false;
 
+    /// Make the rule ready for a chain of `len` robots. [`KernelSim::new`]
+    /// calls it once per chain; merges only shrink the index range after
+    /// that, so per-index state built here serves every later round.
+    fn prepare(&mut self, _len: usize) {}
+
+    /// The round's share of the decision, passed to
+    /// [`ActivationRule::active_in`] for every robot asked about.
+    fn turn(&self, round: u64) -> u64 {
+        round
+    }
+
+    /// Is robot `index` active in a round whose [`turn`] is `turn`? Only
+    /// defined for indices below the length the rule was last prepared
+    /// for.
+    ///
+    /// [`turn`]: ActivationRule::turn
+    fn active_in(&self, turn: u64, index: usize) -> bool;
+
     /// Is robot `index` active in `round`?
-    fn active(&self, round: u64, index: usize) -> bool;
+    #[inline]
+    fn active(&self, round: u64, index: usize) -> bool {
+        self.active_in(self.turn(round), index)
+    }
 
     /// Inverse duty cycle, mirroring
     /// [`Scheduler::slowdown`](crate::Scheduler::slowdown).
@@ -155,16 +225,18 @@ pub struct FsyncRule;
 impl ActivationRule for FsyncRule {
     const ALWAYS_ON: bool = true;
     #[inline]
-    fn active(&self, _round: u64, _index: usize) -> bool {
+    fn active_in(&self, _turn: u64, _index: usize) -> bool {
         true
     }
 }
 
 /// Round-robin residue classes, mirroring
-/// [`RoundRobinSsync`](crate::scheduler::RoundRobinSsync).
-#[derive(Clone, Copy, Debug)]
+/// [`RoundRobinSsync`](crate::scheduler::RoundRobinSsync). Each index's
+/// class is tabulated once per chain, in [`ActivationRule::prepare`].
+#[derive(Clone, Debug)]
 pub struct RoundRobinRule {
     groups: u64,
+    classes: Vec<u32>,
 }
 
 impl RoundRobinRule {
@@ -172,14 +244,26 @@ impl RoundRobinRule {
     pub fn new(groups: u32) -> Self {
         RoundRobinRule {
             groups: u64::from(groups.max(1)),
+            classes: Vec::new(),
         }
     }
 }
 
 impl ActivationRule for RoundRobinRule {
+    fn prepare(&mut self, len: usize) {
+        let groups = self.groups;
+        let known = self.classes.len();
+        // groups comes from a u32, so every class fits one.
+        self.classes
+            .extend((known..len).map(|i| (i as u64 % groups) as u32));
+    }
     #[inline]
-    fn active(&self, round: u64, index: usize) -> bool {
-        self.groups <= 1 || (index as u64) % self.groups == round % self.groups
+    fn turn(&self, round: u64) -> u64 {
+        round % self.groups
+    }
+    #[inline]
+    fn active_in(&self, turn: u64, index: usize) -> bool {
+        u64::from(self.classes[index]) == turn
     }
     fn slowdown(&self) -> u64 {
         self.groups
@@ -207,7 +291,7 @@ impl RandomRule {
 
 impl ActivationRule for RandomRule {
     #[inline]
-    fn active(&self, round: u64, index: usize) -> bool {
+    fn active_in(&self, round: u64, index: usize) -> bool {
         if self.percent >= 100 {
             return true;
         }
@@ -220,11 +304,13 @@ impl ActivationRule for RandomRule {
 }
 
 /// Adversarial k-fair activation, mirroring
-/// [`KFair`](crate::scheduler::KFair).
-#[derive(Clone, Copy, Debug)]
+/// [`KFair`](crate::scheduler::KFair). Each index's phase is tabulated
+/// once per chain, in [`ActivationRule::prepare`].
+#[derive(Clone, Debug)]
 pub struct KFairRule {
     seed: u64,
     k: u64,
+    phases: Vec<u32>,
 }
 
 impl KFairRule {
@@ -234,18 +320,22 @@ impl KFairRule {
         KFairRule {
             seed,
             k: u64::from(k.max(1)),
+            phases: Vec::new(),
         }
     }
 }
 
 impl ActivationRule for KFairRule {
+    fn prepare(&mut self, len: usize) {
+        extend_kfair_phases(self.seed, self.k, &mut self.phases, len);
+    }
     #[inline]
-    fn active(&self, round: u64, index: usize) -> bool {
-        if self.k <= 1 {
-            return true;
-        }
-        let phase = draw(self.seed, 0, index) % self.k;
-        round % self.k == phase
+    fn turn(&self, round: u64) -> u64 {
+        round % self.k
+    }
+    #[inline]
+    fn active_in(&self, turn: u64, index: usize) -> bool {
+        u64::from(self.phases[index]) == turn
     }
     fn slowdown(&self) -> u64 {
         self.k
@@ -509,8 +599,9 @@ pub struct KernelSim<K: RoundKernel, A: ActivationRule> {
 }
 
 impl<K: RoundKernel, A: ActivationRule> KernelSim<K, A> {
-    /// A fresh simulation at round 0.
-    pub fn new(chain: KernelChain, kernel: K, rule: A) -> Self {
+    /// A fresh simulation at round 0; prepares `rule` for the chain.
+    pub fn new(chain: KernelChain, kernel: K, mut rule: A) -> Self {
+        rule.prepare(chain.len());
         KernelSim {
             chain,
             kernel,
@@ -723,29 +814,100 @@ mod tests {
         assert_eq!(count_moved(&hops), brute);
     }
 
-    /// Every activation rule reproduces its boxed scheduler's mask,
-    /// round for round.
+    /// Every activation rule, prepared once for a chain of n₀ robots,
+    /// reproduces its boxed scheduler's mask round for round at every
+    /// length n ≤ n₀, as merges shrink the chain; the boxed k-fair
+    /// scheduler grows its phase table once, to its first mask. And on
+    /// random chains with the dense kernels' post-fixpoint hops,
+    /// [`mask_hops`], which asks the rule only about robots with a
+    /// nonzero hop, leaves exactly the hops and the mover count of the
+    /// boxed mask applied to everyone.
     #[test]
     fn rules_mirror_boxed_schedulers() {
-        let n = 77;
-        let seed = 42;
-        let check = |mut boxed: Box<dyn Scheduler>, rule: &dyn Fn(u64, usize) -> bool| {
-            for round in 0..40 {
-                let mut mask = vec![true; n];
-                boxed.activate(round, &mut mask);
-                for (i, &want) in mask.iter().enumerate() {
-                    assert_eq!(rule(round, i), want, "round {round} robot {i}");
+        use crate::oracle::random_walk;
+        use crate::rng::SplitMix64;
+        use crate::safety::cancel_breaking_hops;
+
+        const N0: usize = 77;
+        const SEED: u64 = 42;
+        // Rounds around a 300-round period and at the end of the range.
+        const LATE: [u64; 6] = [299, 300, 301, 600, u64::MAX - 1, u64::MAX];
+
+        /// `rule`, prepared for `N0`, against `boxed` at every n ≤ `N0`
+        /// (rounds 0..40 and `LATE`), then [`mask_hops`] against the
+        /// boxed mask on every vector of `hops` (rounds 0..8 and `LATE`).
+        fn check<A: ActivationRule>(mut rule: A, mut boxed: Box<dyn Scheduler>, hops: &[Vec<u8>]) {
+            rule.prepare(N0);
+            for n in (1..=N0).rev() {
+                for round in (0..40).chain(LATE) {
+                    let mut mask = vec![true; n];
+                    boxed.activate(round, &mut mask);
+                    for (i, &want) in mask.iter().enumerate() {
+                        assert_eq!(rule.active(round, i), want, "n {n} round {round} robot {i}");
+                    }
                 }
             }
-        };
-        let rr = RoundRobinRule::new(3);
-        check(Box::new(RoundRobinSsync::new(3)), &|r, i| rr.active(r, i));
-        let rnd = RandomRule::new(seed, 37);
-        check(Box::new(SeededRandomSsync::new(seed, 37)), &|r, i| {
-            rnd.active(r, i)
-        });
-        let kf = KFairRule::new(seed, 5);
-        check(Box::new(KFair::new(seed, 5)), &|r, i| kf.active(r, i));
+            let mut moved = 0;
+            for (case, hops) in hops.iter().enumerate() {
+                for round in (0..8).chain(LATE) {
+                    let mut mask = vec![true; hops.len()];
+                    boxed.activate(round, &mut mask);
+                    let want: Vec<u8> = hops
+                        .iter()
+                        .zip(&mask)
+                        .map(|(&h, &on)| if on { h } else { HOP_ZERO })
+                        .collect();
+                    let mut got = hops.clone();
+                    let got_moved = mask_hops(&rule, round, &mut got);
+                    assert_eq!(got, want, "case {case} round {round}");
+                    assert_eq!(got_moved, count_moved(&want), "case {case} round {round}");
+                    moved += got_moved;
+                }
+            }
+            assert!(moved > 0, "no movers");
+        }
+
+        // Random taut chains of up to N0 robots, each with the cancel
+        // fixpoint of random hops, about half of them zero.
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut hops = Vec::new();
+        while hops.len() < 60 {
+            // At most 2 · 33 steps plus 8 of an accordion: ≤ N0 robots.
+            let m = rng.range_usize(1, 34);
+            let walk = random_walk(&mut rng, m);
+            let Ok(chain) = ClosedChain::new(walk) else {
+                continue;
+            };
+            let mut h: Vec<u8> = (0..chain.len())
+                .map(|_| match rng.range_usize(0, 2) {
+                    0 => HOP_ZERO,
+                    _ => rng.range_usize(0, 9) as u8,
+                })
+                .collect();
+            cancel_breaking_hops(chain.codes(), &mut h);
+            hops.push(h);
+        }
+
+        check(FsyncRule, Box::new(crate::scheduler::Fsync), &hops);
+        for k in [1, 2, 5, 300] {
+            check(
+                RoundRobinRule::new(k),
+                Box::new(RoundRobinSsync::new(k)),
+                &hops,
+            );
+            check(
+                KFairRule::new(SEED, k),
+                Box::new(KFair::new(SEED, k)),
+                &hops,
+            );
+        }
+        for p in [1, 37, 50, 100] {
+            check(
+                RandomRule::new(SEED, p),
+                Box::new(SeededRandomSsync::new(SEED, p)),
+                &hops,
+            );
+        }
     }
 
     /// Dense apply + merge replicate `apply_hops` + `merge_pass` on

@@ -133,6 +133,17 @@ pub(crate) fn draw(seed: u64, round: u64, index: usize) -> u64 {
     SplitMix64::new(state).next_u64()
 }
 
+/// Extend a k-fair phase table to `len` indices: index `i` is active in
+/// the rounds `r` with `r % k == phases[i]`, its phase
+/// `draw(seed, 0, i) % k` depending on seed and index only, never on the
+/// round. Merges only shrink a chain, so a table grown once to the
+/// initial length serves every later round. The one definition of the
+/// k-fair phase, shared by [`KFair`] and the kernel's `KFairRule`.
+pub(crate) fn extend_kfair_phases(seed: u64, k: u64, phases: &mut Vec<u32>, len: usize) {
+    // k comes from a u32, so every phase fits one.
+    phases.extend((phases.len()..len).map(|i| (draw(seed, 0, i) % k) as u32));
+}
+
 /// Independent-coin SSYNC: each robot is active with probability
 /// `percent`/100 per round, independently, from a seeded stream.
 #[derive(Clone, Copy, Debug)]
@@ -174,10 +185,12 @@ impl Scheduler for SeededRandomSsync {
 /// rounds — the *minimum* activation a k-fair adversary must grant — at a
 /// per-index phase scrambled from the seed (so neighboring indices do not
 /// wake in lockstep blocks).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct KFair {
     seed: u64,
     k: u64,
+    /// Per-index phases, grown to the first mask's length.
+    phases: Vec<u32>,
 }
 
 impl KFair {
@@ -187,6 +200,7 @@ impl KFair {
         KFair {
             seed,
             k: u64::from(k.max(1)),
+            phases: Vec::new(),
         }
     }
 }
@@ -196,11 +210,12 @@ impl Scheduler for KFair {
         if self.k <= 1 {
             return;
         }
-        for (i, slot) in mask.iter_mut().enumerate() {
-            // Phase depends on seed and index only, never on the round:
-            // each index fires at rounds phase, phase + k, phase + 2k, …
-            let phase = draw(self.seed, 0, i) % self.k;
-            *slot = round % self.k == phase;
+        if self.phases.len() < mask.len() {
+            extend_kfair_phases(self.seed, self.k, &mut self.phases, mask.len());
+        }
+        let turn = (round % self.k) as u32;
+        for (slot, &phase) in mask.iter_mut().zip(&self.phases) {
+            *slot = turn == phase;
         }
     }
     fn slowdown(&self) -> u64 {

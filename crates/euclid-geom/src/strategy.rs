@@ -1,8 +1,10 @@
 //! Euclidean chain strategies: the fold/reflect rule behind the
 //! `euclid-chain` strategy kind.
 
-use crate::chain::{EuclidChain, EDGE_EPS};
-use crate::vec2::Vec2;
+use geom_core::ChainGeometry;
+
+use crate::chain::EuclidChain;
+use crate::vec2::{EuclidSpace, Vec2};
 
 /// A strategy for Euclidean closed chains, driven by
 /// [`EuclidSim`](crate::EuclidSim). `compute` receives the round's
@@ -104,7 +106,7 @@ impl FoldReflect {
                 let p = chain.pos(i);
                 let l = chain.pos(chain.prev(i));
                 let r = chain.pos(chain.next(i));
-                targets[i] = if l.dist(r) <= 1.0 + EDGE_EPS {
+                targets[i] = if EuclidSpace::edge_viable(l, r) {
                     // Fold: land exactly on the key-smaller neighbor; the
                     // other edge becomes the ≤-1 chord between them.
                     if l.key() <= r.key() {
@@ -118,7 +120,7 @@ impl FoldReflect {
                         mid
                     } else {
                         let refl = p.reflect_across(l, r);
-                        if refl.dist(center) <= mid.dist(center) {
+                        if (refl - center).norm_le(mid - center) {
                             refl
                         } else {
                             mid
@@ -154,6 +156,7 @@ impl EuclidStrategy for FoldReflect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::EDGE_EPS;
 
     fn targets_for(chain: &EuclidChain, round: u64) -> Vec<Vec2> {
         let mut targets = chain.positions().to_vec();
