@@ -14,9 +14,10 @@
 //!   to the neighbor midpoint via [`MIDPOINT_HOP`]. Movers are never
 //!   chain-adjacent and their hops keep both incident edges adjacent,
 //!   so the sparse (edge-local) apply path needs no safety scan.
-//! * [`NaiveLocalKernel`] — the midpoint rule for *every* robot, then
-//!   the engine's cancel fixpoint on hop codes
-//!   ([`cancel_breaking_hops`]), then a dense apply.
+//! * [`NaiveLocalKernel`] — the midpoint rule for *every* robot, eight
+//!   robots per word by byte-wise integer arithmetic, then the engine's
+//!   cancel fixpoint on hop codes ([`cancel_breaking_hops`]), then a
+//!   dense apply.
 //! * [`GlobalVisionKernel`] — one step toward the enclosing-square
 //!   center of the exact bounding box, eight robots per word where the
 //!   center is far, then the cancel fixpoint and a dense apply.
@@ -66,6 +67,61 @@ const fn build_midpoint_hop() -> [[u8; 4]; 4] {
         ep += 1;
     }
     t
+}
+
+/// Bit 0 of every byte of a word.
+const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
+
+/// `sgn(a − b) + 1` in every byte, for bytes `a, b ∈ {0, 1, 2}`: the
+/// biased difference `d = a + 2 − b ∈ 0..=4` borrows from no byte, and
+/// `d ≥ 2`, `d ≥ 3` are the high bits of `d + 126`, `d + 125`.
+#[inline]
+fn sgn1(a: u64, b: u64) -> u64 {
+    let d = a + 2 * BYTE_LOW - b;
+    ((d + 0x7e * BYTE_LOW) >> 7 & BYTE_LOW) + ((d + 0x7d * BYTE_LOW) >> 7 & BYTE_LOW)
+}
+
+/// [`MIDPOINT_HOP`] in all eight bytes of a word: byte `k` is the hop
+/// code of the robot whose in-edge is byte `k` of `prev` and whose
+/// out-edge is byte `k` of `next` (direction codes). Per byte, with
+/// `X = dx + 1` and `Y = dy + 1` of each edge's offset, the hop is
+/// `3·sgn1(Xn, Xp) + sgn1(Yn, Yp)`.
+#[inline]
+fn midpoint_word(prev: u64, next: u64) -> u64 {
+    // Bit 0 of a code is the axis (vertical), bit 1 the sign: E = 0
+    // has X = 2, W = 2 has X = 0, S and N have X = 1; S = 1 has Y = 0,
+    // N = 3 has Y = 2, E and W have Y = 1.
+    let x = |c: u64| {
+        let (axis, sign) = (c & BYTE_LOW, c >> 1 & BYTE_LOW);
+        axis | (!(axis | sign) & BYTE_LOW) << 1
+    };
+    let y = |c: u64| {
+        let (axis, sign) = (c & BYTE_LOW, c >> 1 & BYTE_LOW);
+        (axis ^ BYTE_LOW) | (axis & sign) << 1
+    };
+    let sx = sgn1(x(next), x(prev));
+    (sx << 1) + sx + sgn1(y(next), y(prev))
+}
+
+/// The midpoint hop code of every robot of the chain with edges `codes`
+/// (at least two), into `hops`: eight robots per word
+/// ([`midpoint_word`]), robot 0 and the last robots short of a word by
+/// [`MIDPOINT_HOP`].
+fn midpoint_hops(codes: &[u8], hops: &mut Vec<u8>) {
+    let n = codes.len();
+    let word = |i: usize| u64::from_le_bytes(codes[i..i + 8].try_into().expect("8 codes"));
+    hops.resize(n, HOP_ZERO);
+    hops[0] = MIDPOINT_HOP[usize::from(codes[n - 1])][usize::from(codes[0])];
+    let mut blocks = hops[1..].chunks_exact_mut(8);
+    for (k, out) in blocks.by_ref().enumerate() {
+        let i = 1 + 8 * k;
+        out.copy_from_slice(&midpoint_word(word(i - 1), word(i)).to_le_bytes());
+    }
+    let tail = blocks.into_remainder();
+    let start = n - tail.len();
+    for (h, i) in tail.iter_mut().zip(start..) {
+        *h = MIDPOINT_HOP[usize::from(codes[i - 1])][usize::from(codes[i])];
+    }
 }
 
 /// Kernel twin of [`CompassSe`](crate::CompassSe): word-parallel strict
@@ -154,25 +210,7 @@ impl RoundKernel for NaiveLocalKernel {
         }
         {
             let edges = chain.packed().codes();
-            self.hops.clear();
-            self.hops.resize(n, HOP_ZERO);
-            // MIDPOINT_HOP[e][e] == HOP_ZERO, so straight runs keep the
-            // fill value: an 8-lane block whose incoming edges equal its
-            // outgoing edges (one shifted u64 compare) needs no writes.
-            let mut i = 0;
-            while i < n {
-                if i >= 1 && i + 8 <= n {
-                    let e0 = u64::from_le_bytes(edges[i - 1..i + 7].try_into().unwrap());
-                    let e1 = u64::from_le_bytes(edges[i..i + 8].try_into().unwrap());
-                    if e0 == e1 {
-                        i += 8;
-                        continue;
-                    }
-                }
-                let ep = edges[if i == 0 { n - 1 } else { i - 1 }];
-                self.hops[i] = MIDPOINT_HOP[ep as usize][edges[i] as usize];
-                i += 1;
-            }
+            midpoint_hops(edges, &mut self.hops);
             // The cancel fixpoint runs on the *full* hop vector, then the
             // activation mask zeroes inactive robots — the boxed engine's
             // order. Under SSYNC the masking can reintroduce breaking
@@ -317,6 +355,43 @@ mod tests {
                 let want = midpoint_hop(p, a, b);
                 let got = hop_offset(MIDPOINT_HOP[ep as usize][en as usize]);
                 assert_eq!(got, want, "ep={ep} en={en}");
+            }
+        }
+    }
+
+    /// The word-wide midpoint fill equals [`MIDPOINT_HOP`]: every
+    /// `(ep, en)` pair in every lane of a word (the other lanes random),
+    /// and every robot of random code sequences of n = 2..=64, short
+    /// tails included, with the hop buffer reused as n grows and shrinks.
+    #[test]
+    fn midpoint_words_match_table() {
+        let mut rng = SplitMix64::new(0x3d1d);
+        let mut random_word = || -> [u8; 8] { std::array::from_fn(|_| rng.below(4) as u8) };
+        for lane in 0..8 {
+            for ep in 0..4u8 {
+                for en in 0..4u8 {
+                    let (mut prev, mut next) = (random_word(), random_word());
+                    prev[lane] = ep;
+                    next[lane] = en;
+                    let got = midpoint_word(u64::from_le_bytes(prev), u64::from_le_bytes(next));
+                    for (k, hop) in got.to_le_bytes().into_iter().enumerate() {
+                        let want = MIDPOINT_HOP[usize::from(prev[k])][usize::from(next[k])];
+                        assert_eq!(hop, want, "lane {k}: {prev:?} → {next:?}");
+                    }
+                }
+            }
+        }
+        let mut hops = Vec::new();
+        for n in (2..=64).chain((2..=64).rev()) {
+            for _ in 0..10 {
+                let codes: Vec<u8> = (0..n).map(|_| rng.below(4) as u8).collect();
+                midpoint_hops(&codes, &mut hops);
+                let want: Vec<u8> = (0..n)
+                    .map(|i| {
+                        MIDPOINT_HOP[usize::from(codes[(i + n - 1) % n])][usize::from(codes[i])]
+                    })
+                    .collect();
+                assert_eq!(hops, want, "{codes:?}");
             }
         }
     }

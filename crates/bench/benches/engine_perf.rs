@@ -14,6 +14,7 @@
 //! ```
 
 use baselines::{CompassSeKernel, GlobalVisionKernel, NaiveLocalKernel};
+use bench::campaign::store::{git_commit, today_utc};
 use bench::{run_batch_with, BatchOptions, ScenarioSpec, StrategyKind};
 use chain_sim::kernel::{FsyncRule, KernelChain, KernelSim, RoundKernel};
 use chain_sim::{ClosedChain, PackedChain, Recorder, RunLimits, Sim};
@@ -272,9 +273,10 @@ fn kernel_capped_kind(kind: StrategyKind, chain: &ClosedChain, cap: u64) -> u64 
 
 /// The tentpole acceptance bench: observer-free throughput of the packed
 /// kernel path vs the boxed engine, per strategy, at three sizes. Writes
-/// the `BENCH_engine.json` artifact (full mode) and, with `--gate`,
-/// asserts kernel ≥ 5× boxed at n ≥ 16384 and exits non-zero otherwise
-/// (the CI smoke; the full bench targets ≥ 10×).
+/// the `BENCH_engine.json` artifact (full mode, stamped with the commit
+/// and the UTC date) and, with `--gate`, asserts kernel ≥ 5× boxed at
+/// n ≥ 16384 and exits non-zero otherwise (the CI smoke; the full bench
+/// targets ≥ 10×).
 fn bench_kernel_vs_boxed(gate: bool) {
     println!("## kernel_vs_boxed (observer-free capped stepping, FSYNC)");
     let sizes: &[usize] = if gate {
@@ -326,8 +328,11 @@ fn bench_kernel_vs_boxed(gate: bool) {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
         let body = format!(
             "{{\n  \"bench\": \"engine_perf/kernel_vs_boxed\",\n  \
+             \"commit\": \"{}\",\n  \"date\": \"{}\",\n  \
              \"unit\": \"robot_rounds_per_sec\",\n  \"schedule\": \"fsync\",\n  \
-             \"rows\": [\n{rows}\n  ]\n}}\n"
+             \"rows\": [\n{rows}\n  ]\n}}\n",
+            git_commit(),
+            today_utc()
         );
         std::fs::write(path, body).expect("write BENCH_engine.json");
         println!("  wrote {path}");

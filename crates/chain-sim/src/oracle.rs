@@ -4,10 +4,15 @@
 //! the reference the edge-backed [`ClosedChain`] and the kernels'
 //! [`KernelChain`](crate::KernelChain) are checked against, on the random
 //! rounds of [`oracle_case`].
+//!
+//! Beside it lives the chain guard as it ran before it skipped the
+//! confirming sweep ([`cancel_by_sweeps`]), the reference of the one-sweep
+//! [`cancel_breaking_hops`](crate::safety::cancel_breaking_hops).
 
 use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
 use crate::rng::SplitMix64;
 use crate::robot::RobotId;
+use crate::safety::GuardHop;
 use grid_geom::{chain_adjacent, Offset, Point, Rect};
 
 /// A closed chain as positions and ids.
@@ -144,6 +149,44 @@ impl PosChain {
         Rect::bounding(self.pos.iter().copied())
             .expect("chain is non-empty")
             .is_gathered_2x2()
+    }
+}
+
+/// The cancel-to-fixpoint of the chain guard, sweeping in ascending index
+/// order until a sweep cancels nothing. Returns the hops cancelled and the
+/// sweeps run, the last of which changed nothing.
+pub(crate) fn cancel_by_sweeps<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> (usize, usize) {
+    let n = hops.len();
+    if n < 2 {
+        return (0, 0);
+    }
+    let (mut cancelled, mut sweeps) = (0, 0);
+    loop {
+        sweeps += 1;
+        let mut changed = false;
+        let mut ok_left = H::edge_ok(edges[n - 1], hops[n - 1], hops[0]);
+        let mut i = 0;
+        while i < n {
+            if ok_left && i + 9 <= n && H::nine_equal(hops, i) {
+                i += 8;
+                continue;
+            }
+            let h = hops[i];
+            let next = if i + 1 == n { 0 } else { i + 1 };
+            let ok_right = H::edge_ok(edges[i], h, hops[next]);
+            if h == H::STAY || (ok_left && ok_right) {
+                ok_left = ok_right;
+            } else {
+                hops[i] = H::STAY;
+                cancelled += 1;
+                changed = true;
+                ok_left = H::edge_ok(edges[i], H::STAY, hops[next]);
+            }
+            i += 1;
+        }
+        if !changed {
+            return (cancelled, sweeps);
+        }
     }
 }
 

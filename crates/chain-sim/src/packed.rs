@@ -233,12 +233,89 @@ pub(crate) fn decode(origin: Point, codes: &[u8]) -> Vec<Point> {
     out
 }
 
+/// The walk along four direction codes, relative to its start: the net
+/// step and the extremes of the four positions it reaches.
+#[derive(Clone, Copy)]
+struct Quad {
+    dx: i8,
+    dy: i8,
+    min_x: i8,
+    max_x: i8,
+    min_y: i8,
+    max_y: i8,
+}
+
+/// `QUADS[q]` walks the four codes packed two bits each in `q`, the first
+/// in bits 0..2.
+static QUADS: [Quad; 256] = build_quads();
+
+const fn build_quads() -> [Quad; 256] {
+    let zero = Quad {
+        dx: 0,
+        dy: 0,
+        min_x: i8::MAX,
+        max_x: i8::MIN,
+        min_y: i8::MAX,
+        max_y: i8::MIN,
+    };
+    let mut t = [zero; 256];
+    let mut q = 0;
+    while q < 256 {
+        let mut w = zero;
+        let mut k = 0;
+        while k < 4 {
+            let step = edge_offset((q >> (2 * k)) as u8);
+            w.dx += step.dx as i8;
+            w.dy += step.dy as i8;
+            w.min_x = if w.dx < w.min_x { w.dx } else { w.min_x };
+            w.max_x = if w.dx > w.max_x { w.dx } else { w.max_x };
+            w.min_y = if w.dy < w.min_y { w.dy } else { w.min_y };
+            w.max_y = if w.dy > w.max_y { w.dy } else { w.max_y };
+            k += 1;
+        }
+        t[q] = w;
+        q += 1;
+    }
+    t
+}
+
+/// The eight direction codes of `word` (each below 4), two bits each,
+/// the first in bits 0..2.
+#[inline]
+fn gather_codes(word: u64) -> u16 {
+    let w = (word | (word >> 6)) & 0x000f_000f_000f_000f;
+    let w = (w | (w >> 12)) & 0x0000_00ff_0000_00ff;
+    (w | (w >> 24)) as u16
+}
+
 /// The bounding box of the chain with robot 0 at `origin` and edges
-/// `codes`, walked from the edges.
+/// `codes`, walked from the edges: four codes per table lookup
+/// ([`QUADS`]), code by code in a word that holds [`EDGE_ZERO`] and in
+/// the short tail.
 pub(crate) fn bounding(origin: Point, codes: &[u8]) -> Rect {
     let mut p = origin;
     let mut r = Rect::point(p);
-    for &c in &codes[..codes.len().saturating_sub(1)] {
+    let mut words = codes[..codes.len().saturating_sub(1)].chunks_exact(8);
+    for chunk in words.by_ref() {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8 codes"));
+        if word & (u64::from(EDGE_ZERO) * BYTE_LOW) != 0 {
+            for &c in chunk {
+                p += step_offset(c);
+                r.expand(p);
+            }
+            continue;
+        }
+        let quads = gather_codes(word);
+        for q in [quads & 0xff, quads >> 8] {
+            let q = QUADS[usize::from(q)];
+            r.min.x = r.min.x.min(p.x + i64::from(q.min_x));
+            r.max.x = r.max.x.max(p.x + i64::from(q.max_x));
+            r.min.y = r.min.y.min(p.y + i64::from(q.min_y));
+            r.max.y = r.max.y.max(p.y + i64::from(q.max_y));
+            p += Offset::new(i64::from(q.dx), i64::from(q.dy));
+        }
+    }
+    for &c in words.remainder() {
         p += step_offset(c);
         r.expand(p);
     }
@@ -715,6 +792,55 @@ mod tests {
                 brute.expand(p);
             }
             assert_eq!(packed.bounding(), brute, "n={n}");
+        }
+    }
+
+    /// The per-code walk that [`bounding`] reads four codes at a time.
+    fn bounding_by_codes(origin: Point, codes: &[u8]) -> Rect {
+        let mut p = origin;
+        let mut r = Rect::point(p);
+        for &c in &codes[..codes.len().saturating_sub(1)] {
+            p += step_offset(c);
+            r.expand(p);
+        }
+        r
+    }
+
+    /// The word-wide box equals the per-code walk at every length from 1
+    /// to 40, with a collapsed edge in each lane in turn, and on closed
+    /// rings, staircases and random closed walks up to n ≈ 1,000.
+    #[test]
+    fn word_bounding_matches_per_code_walk() {
+        let mut rng = SplitMix64::new(0xb0c5);
+        for len in 1..=40 {
+            for _ in 0..20 {
+                let mut codes: Vec<u8> = (0..len).map(|_| rng.below(4) as u8).collect();
+                let origin = Point::new(
+                    rng.range_i64_inclusive(-50, 50),
+                    rng.range_i64_inclusive(-50, 50),
+                );
+                let want = bounding_by_codes(origin, &codes);
+                assert_eq!(bounding(origin, &codes), want, "{codes:?}");
+                for k in 0..len {
+                    let keep = std::mem::replace(&mut codes[k], EDGE_ZERO);
+                    let want = bounding_by_codes(origin, &codes);
+                    assert_eq!(bounding(origin, &codes), want, "{codes:?}");
+                    codes[k] = keep;
+                }
+            }
+        }
+        let mut chains = vec![ring(3, 2), ring(40, 2), ring(33, 31), staircase(40)];
+        for m in [1, 4, 9, 16, 31, 64, 250, 500] {
+            chains.push(ClosedChain::new(crate::oracle::random_walk(&mut rng, m)).unwrap());
+        }
+        for chain in chains {
+            let brute = Rect::bounding(chain.positions().iter().copied()).unwrap();
+            assert_eq!(
+                bounding(chain.origin(), chain.codes()),
+                brute,
+                "n={}",
+                chain.len()
+            );
         }
     }
 

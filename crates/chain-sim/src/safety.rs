@@ -15,12 +15,19 @@
 //! every hop whose robot would end the round non-adjacent to a chain
 //! neighbor's end-of-round position. Cancellation iterates to a fixpoint,
 //! because zeroing one hop can strand a neighbor that counted on the
-//! cancelled motion.
+//! cancelled motion; another sweep runs only when it did strand a robot
+//! judged earlier in the sweep.
 //!
 //! Why the fixpoint is safe, for *every* activation subset:
 //!
-//! * **Termination.** Hops are only ever zeroed, never created; each sweep
-//!   either zeroes at least one of the ≤ n non-zero hops or stops.
+//! * **Termination.** Hops are only ever zeroed, never created; a sweep
+//!   is followed by another only if it zeroed at least one of the ≤ n
+//!   non-zero hops, so there are at most n sweeps. Most rounds need one:
+//!   a cancellation can only invalidate the judgments of its two
+//!   neighbours, of which just the previous robot (and, at the wrap,
+//!   robot 0) was judged before it in the sweep, and a sweep whose
+//!   cancellations invalidated neither is already the fixpoint — so the
+//!   confirming sweep that would cancel nothing is never run.
 //! * **Safety at the fixpoint.** Suppose edge `(i, j)` were non-adjacent
 //!   after applying the surviving hops. At least one endpoint still moves
 //!   (a round starts taut, so two standing robots are adjacent), and that
@@ -209,13 +216,22 @@ impl GuardHop for Offset {
 /// edge from robot `i` to robot `i + 1`, cyclic): zero every hop whose
 /// robot would end the round non-adjacent to a neighbor's end-of-round
 /// position, sweeping in ascending index order — a cancellation is seen
-/// by the tests after it in the same sweep — until a sweep cancels
+/// by the tests after it in the same sweep — until a sweep would cancel
 /// nothing. Returns the number of hops cancelled.
 ///
 /// Each sweep pays one edge test per robot: a robot's prev-side check is
 /// the previous robot's next-side check, so it rolls forward and is only
 /// re-tested when a cancellation invalidates it, and nine equal hops
 /// (a rigidly translated stretch) skip eight robots at once.
+///
+/// A sweep that cancelled something is followed by another only if a
+/// cancellation invalidated a judgment already made: robot `i`'s new
+/// [`GuardHop::STAY`] can only strand robot `i − 1` (judged against the
+/// old hop on its next side) and, for `i = n − 1`, robot 0 (judged first,
+/// against the old hop on its prev side). Every later robot is judged
+/// against the new value. When both rechecks pass, every surviving hop
+/// passes both of its edge tests, so the state is the fixpoint the
+/// confirming sweep would find, and that sweep is skipped.
 pub fn cancel_breaking_hops<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> usize {
     let n = hops.len();
     if n < 2 {
@@ -224,6 +240,7 @@ pub fn cancel_breaking_hops<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> usize 
     debug_assert_eq!(edges.len(), n);
     let mut cancelled = 0;
     loop {
+        // A cancellation stranded a robot judged earlier in this sweep.
         let mut changed = false;
         // ok_left for robot 0: the wrap edge, with hops[n−1] still at its
         // start-of-sweep value (index 0 is checked first).
@@ -245,7 +262,8 @@ pub fn cancel_breaking_hops<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> usize 
             } else {
                 hops[i] = H::STAY;
                 cancelled += 1;
-                changed = true;
+                changed |= i > 0 && !H::edge_ok(edges[i - 1], hops[i - 1], H::STAY);
+                changed |= i + 1 == n && !H::edge_ok(edges[i], H::STAY, hops[0]);
                 ok_left = H::edge_ok(edges[i], H::STAY, hops[next]);
             }
             i += 1;
@@ -291,10 +309,168 @@ pub fn enforce_chain_safety(chain: &ClosedChain, hops: &mut [Offset]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{hop_code, HOP_ZERO};
+    use crate::oracle::{cancel_by_sweeps, random_walk};
+    use crate::rng::SplitMix64;
     use grid_geom::Point;
 
     fn chain(pts: &[(i64, i64)]) -> ClosedChain {
         ClosedChain::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    }
+
+    /// The edge codes of the `w × h` rectangle ring, counter-clockwise
+    /// from its south-west corner (robot 0): east along the bottom, north,
+    /// west along the top, south back to the corner.
+    fn ring_codes(w: usize, h: usize) -> Vec<u8> {
+        let (e, n, west, s) = (0, 3, 2, 1);
+        let mut codes = vec![e; w - 1];
+        codes.extend(std::iter::repeat_n(n, h - 1));
+        codes.extend(std::iter::repeat_n(west, w - 1));
+        codes.extend(std::iter::repeat_n(s, h - 1));
+        codes
+    }
+
+    /// A staircase ring: `steps` east–north steps up the diagonal, then
+    /// south and west back.
+    fn staircase_codes(steps: usize) -> Vec<u8> {
+        let mut codes: Vec<u8> = (0..2 * steps).map(|k| [0, 3][k % 2]).collect();
+        codes.extend(std::iter::repeat_n(1, steps));
+        codes.extend(std::iter::repeat_n(2, steps));
+        codes
+    }
+
+    /// Run the one-sweep guard and the repeated-sweep reference on copies
+    /// of `hops` and assert that they cancel the same hops. Returns `true`
+    /// when the one-sweep guard needed a second sweep (the reference ran
+    /// three or more, the last confirming).
+    fn agrees<H: GuardHop + std::fmt::Debug>(edges: &[u8], hops: &[H], what: &str) -> bool {
+        let (mut fast, mut slow) = (hops.to_vec(), hops.to_vec());
+        let got = cancel_breaking_hops(edges, &mut fast);
+        let (want, sweeps) = cancel_by_sweeps(edges, &mut slow);
+        assert_eq!(
+            (got, &fast),
+            (want, &slow),
+            "{what}: edges {edges:?}, hops {hops:?}"
+        );
+        sweeps >= 3
+    }
+
+    /// [`agrees`] in both alphabets: the hop codes, and their offsets.
+    fn agrees_both(edges: &[u8], hops: &[u8], what: &str) -> bool {
+        let offsets: Vec<Offset> = hops.iter().map(|&h| hop_offset(h)).collect();
+        let second = agrees(edges, hops, what);
+        assert_eq!(agrees(edges, &offsets, what), second, "{what}: sweeps");
+        second
+    }
+
+    /// The guard that skips the confirming sweep cancels exactly what the
+    /// sweep-until-nothing-changes loop cancels, in both hop alphabets, on
+    /// rings, staircases and random closed walks (n = 2..=64, and a few
+    /// near 1,000), with random hops (dense, sparse, in lockstep blocks,
+    /// and offsets that are no hop at all). Backward cascades — a block
+    /// hopping in lockstep whose last robot is cancelled, which strands
+    /// each robot before it in turn — are built on purpose at every
+    /// rotation, so cancellations land at robot 0 and at robot n − 1.
+    #[test]
+    fn one_sweep_guard_matches_repeated_sweeps() {
+        let mut rng = SplitMix64::new(0x5ee9);
+        let mut shapes: Vec<Vec<u8>> = vec![ring_codes(2, 1), ring_codes(1, 2)];
+        for (w, h) in [(2, 2), (3, 2), (5, 4), (9, 3), (16, 2), (12, 12), (30, 3)] {
+            shapes.push(ring_codes(w, h));
+        }
+        shapes.extend([1, 2, 5, 8, 16].map(staircase_codes));
+        for m in 1..=28 {
+            for _ in 0..3 {
+                let walk = random_walk(&mut rng, m);
+                shapes.push(ClosedChain::new(walk).unwrap().codes().to_vec());
+            }
+        }
+        for _ in 0..4 {
+            let walk = random_walk(&mut rng, 500);
+            shapes.push(ClosedChain::new(walk).unwrap().codes().to_vec());
+        }
+        let (mut cases, mut second) = (0, 0);
+        for (s, edges) in shapes.iter().enumerate() {
+            let n = edges.len();
+            for trial in 0..24 {
+                let what = format!("shape {s} (n = {n}), trial {trial}");
+                let mut hops = vec![HOP_ZERO; n];
+                match trial % 4 {
+                    // Random hop codes, dense to sparse.
+                    0 | 1 => {
+                        let den = [1, 2, 8][trial / 4 % 3];
+                        for h in hops.iter_mut() {
+                            if rng.chance(1, den) {
+                                *h = rng.below(9) as u8;
+                            }
+                        }
+                    }
+                    // Blocks of equal hops, some of them wrapping.
+                    2 => {
+                        for _ in 0..rng.range_usize(1, 4) {
+                            let (start, len) = (rng.range_usize(0, n), rng.range_usize(1, 21));
+                            let h = rng.below(9) as u8;
+                            for k in start..start + len.min(n) {
+                                hops[k % n] = h;
+                            }
+                        }
+                    }
+                    // Offsets, a third of them longer than a hop.
+                    _ => {
+                        let offsets: Vec<Offset> = (0..n)
+                            .map(|_| {
+                                let reach = if rng.chance(1, 3) { 2 } else { 1 };
+                                Offset::new(
+                                    rng.range_i64_inclusive(-reach, reach),
+                                    rng.range_i64_inclusive(-reach, reach),
+                                )
+                            })
+                            .collect();
+                        cases += 1;
+                        second += usize::from(agrees(edges, &offsets, &what));
+                        continue;
+                    }
+                }
+                cases += 1;
+                second += usize::from(agrees_both(edges, &hops, &what));
+            }
+        }
+        // Backward cascades: robots 0..=len of a ring hop north in
+        // lockstep from its south-west corner (safe there: robot 0 lands
+        // on robot n − 1), robot len + 1 stands, and every hop goes, one
+        // sweep each, last first.
+        let up = hop_code(Offset::new(0, 1));
+        let mut cascades = 0;
+        for (w, h) in [(3, 2), (6, 3), (11, 2), (20, 5)] {
+            let edges = ring_codes(w, h);
+            let n = edges.len();
+            for len in 1..w - 1 {
+                let mut hops = vec![HOP_ZERO; n];
+                hops[..=len].fill(up);
+                let mut once = hops.clone();
+                assert_eq!(cancel_breaking_hops(&edges, &mut once), len + 1);
+                assert!(once.iter().all(|&h| h == HOP_ZERO));
+                for k in 0..n {
+                    let (mut e, mut hk) = (edges.clone(), hops.clone());
+                    e.rotate_left(k);
+                    hk.rotate_left(k);
+                    let what = format!("{w}x{h} cascade of {} rotated by {k}", len + 1);
+                    cascades += usize::from(agrees_both(&e, &hk, &what));
+                }
+            }
+        }
+        let random = second;
+        second += cascades;
+        cases += cascades;
+        assert!(
+            random >= 600,
+            "only {random} random cases needed a second sweep"
+        );
+        assert!(
+            cascades >= 1000,
+            "only {cascades} cascades needed a second sweep"
+        );
+        assert!(cases >= 3000, "{cases} cases, {second} with a second sweep");
     }
 
     /// Fig. 1 halfway: two adjacent blacks hop down together. Full

@@ -33,6 +33,9 @@ pub struct EuclidSim<S: EuclidStrategy> {
     retired_travel: f64,
     rounds_since_merge: u64,
     rounds_since_move: u64,
+    /// The gathering criterion of the chain as it stands, computed once
+    /// per round (the chain changes only in [`EuclidSim::step`]).
+    gathered: bool,
 }
 
 impl<S: EuclidStrategy> EuclidSim<S> {
@@ -41,6 +44,7 @@ impl<S: EuclidStrategy> EuclidSim<S> {
     /// per-robot travel totals.
     pub fn new(chain: EuclidChain, strategy: S) -> Self {
         let n = chain.len();
+        let gathered = chain.is_gathered();
         EuclidSim {
             chain,
             strategy,
@@ -52,6 +56,7 @@ impl<S: EuclidStrategy> EuclidSim<S> {
             retired_travel: 0.0,
             rounds_since_merge: 0,
             rounds_since_move: 0,
+            gathered,
         }
     }
 
@@ -81,7 +86,7 @@ impl<S: EuclidStrategy> EuclidSim<S> {
     /// `true` if the gathering criterion (bounding extent ≤ 1 per axis)
     /// holds.
     pub fn is_gathered(&self) -> bool {
-        self.chain.is_gathered()
+        self.gathered
     }
 
     /// Execute one round: look/compute (strategy), simultaneous moves,
@@ -154,12 +159,13 @@ impl<S: EuclidStrategy> EuclidSim<S> {
             self.rounds_since_move += 1;
         }
 
+        self.gathered = self.chain.is_gathered();
         let summary = RoundSummary {
             round: self.round,
             moved,
             removed,
             len_after: self.chain.len(),
-            gathered: self.chain.is_gathered(),
+            gathered: self.gathered,
         };
         self.progress.record_round(moved, removed);
         self.round += 1;
@@ -176,7 +182,7 @@ impl<S: EuclidStrategy> EuclidSim<S> {
         mut on_round: F,
     ) -> Outcome {
         loop {
-            if self.chain.is_gathered() {
+            if self.gathered {
                 return Outcome::Gathered { rounds: self.round };
             }
             if self.round >= limits.max_rounds {
