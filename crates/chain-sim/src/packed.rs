@@ -776,25 +776,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounding_matches_bruteforce() {
-        for chain in [ring(3, 2), ring(40, 2), ring(33, 31), ring(7, 66)] {
-            let packed = PackedChain::from_chain(&chain).unwrap();
-            let brute = Rect::bounding(chain.positions().iter().copied()).unwrap();
-            assert_eq!(packed.bounding(), brute);
-        }
-        for packed in random_codes() {
-            let n = packed.codes.len();
-            let mut p = packed.origin;
-            let mut brute = Rect::point(p);
-            for &c in &packed.codes[..n - 1] {
-                p += edge_offset(c);
-                brute.expand(p);
-            }
-            assert_eq!(packed.bounding(), brute, "n={n}");
-        }
-    }
-
     /// The per-code walk that [`bounding`] reads four codes at a time.
     fn bounding_by_codes(origin: Point, codes: &[u8]) -> Rect {
         let mut p = origin;
@@ -806,41 +787,43 @@ mod tests {
         r
     }
 
-    /// The word-wide box equals the per-code walk at every length from 1
-    /// to 40, with a collapsed edge in each lane in turn, and on closed
-    /// rings, staircases and random closed walks up to n ≈ 1,000.
+    /// The word-wide box equals the positions' box on closed rings,
+    /// staircases and random closed walks up to n ≈ 1,000, and the
+    /// per-code walk on random codes of every length from 1 to 40 and of
+    /// [`SIZES`], with a collapsed edge in each lane in turn.
     #[test]
-    fn word_bounding_matches_per_code_walk() {
+    fn bounding_matches_bruteforce() {
         let mut rng = SplitMix64::new(0xb0c5);
-        for len in 1..=40 {
-            for _ in 0..20 {
-                let mut codes: Vec<u8> = (0..len).map(|_| rng.below(4) as u8).collect();
-                let origin = Point::new(
-                    rng.range_i64_inclusive(-50, 50),
-                    rng.range_i64_inclusive(-50, 50),
-                );
-                let want = bounding_by_codes(origin, &codes);
-                assert_eq!(bounding(origin, &codes), want, "{codes:?}");
-                for k in 0..len {
-                    let keep = std::mem::replace(&mut codes[k], EDGE_ZERO);
-                    let want = bounding_by_codes(origin, &codes);
-                    assert_eq!(bounding(origin, &codes), want, "{codes:?}");
-                    codes[k] = keep;
-                }
-            }
-        }
-        let mut chains = vec![ring(3, 2), ring(40, 2), ring(33, 31), staircase(40)];
+        let mut chains = vec![ring(3, 2), ring(40, 2), ring(33, 31), ring(7, 66)];
+        chains.push(staircase(40));
         for m in [1, 4, 9, 16, 31, 64, 250, 500] {
             chains.push(ClosedChain::new(crate::oracle::random_walk(&mut rng, m)).unwrap());
         }
         for chain in chains {
+            let packed = PackedChain::from_chain(&chain).unwrap();
             let brute = Rect::bounding(chain.positions().iter().copied()).unwrap();
-            assert_eq!(
-                bounding(chain.origin(), chain.codes()),
-                brute,
-                "n={}",
-                chain.len()
-            );
+            assert_eq!(packed.bounding(), brute, "n={}", chain.len());
+        }
+        let lengths = (1..=40).flat_map(|len| std::iter::repeat_n(len, 20));
+        let mut random: Vec<PackedChain> = lengths
+            .map(|len| PackedChain {
+                origin: Point::new(
+                    rng.range_i64_inclusive(-50, 50),
+                    rng.range_i64_inclusive(-50, 50),
+                ),
+                codes: (0..len).map(|_| rng.below(4) as u8).collect(),
+            })
+            .collect();
+        random.extend(random_codes());
+        for mut packed in random {
+            let want = bounding_by_codes(packed.origin, &packed.codes);
+            assert_eq!(packed.bounding(), want, "{:?}", packed.codes);
+            for k in 0..packed.codes.len() {
+                let keep = std::mem::replace(&mut packed.codes[k], EDGE_ZERO);
+                let want = bounding_by_codes(packed.origin, &packed.codes);
+                assert_eq!(packed.bounding(), want, "{:?}", packed.codes);
+                packed.codes[k] = keep;
+            }
         }
     }
 

@@ -311,6 +311,7 @@ mod tests {
     use super::*;
     use crate::kernel::{hop_code, HOP_ZERO};
     use crate::oracle::{cancel_by_sweeps, random_walk};
+    use crate::packed::{EDGE_E, EDGE_N, EDGE_S, EDGE_W};
     use crate::rng::SplitMix64;
     use grid_geom::Point;
 
@@ -322,20 +323,19 @@ mod tests {
     /// from its south-west corner (robot 0): east along the bottom, north,
     /// west along the top, south back to the corner.
     fn ring_codes(w: usize, h: usize) -> Vec<u8> {
-        let (e, n, west, s) = (0, 3, 2, 1);
-        let mut codes = vec![e; w - 1];
-        codes.extend(std::iter::repeat_n(n, h - 1));
-        codes.extend(std::iter::repeat_n(west, w - 1));
-        codes.extend(std::iter::repeat_n(s, h - 1));
+        let mut codes = vec![EDGE_E; w - 1];
+        codes.extend(std::iter::repeat_n(EDGE_N, h - 1));
+        codes.extend(std::iter::repeat_n(EDGE_W, w - 1));
+        codes.extend(std::iter::repeat_n(EDGE_S, h - 1));
         codes
     }
 
     /// A staircase ring: `steps` east–north steps up the diagonal, then
     /// south and west back.
     fn staircase_codes(steps: usize) -> Vec<u8> {
-        let mut codes: Vec<u8> = (0..2 * steps).map(|k| [0, 3][k % 2]).collect();
-        codes.extend(std::iter::repeat_n(1, steps));
-        codes.extend(std::iter::repeat_n(2, steps));
+        let mut codes: Vec<u8> = (0..2 * steps).map(|k| [EDGE_E, EDGE_N][k % 2]).collect();
+        codes.extend(std::iter::repeat_n(EDGE_S, steps));
+        codes.extend(std::iter::repeat_n(EDGE_W, steps));
         codes
     }
 
