@@ -12,7 +12,7 @@
 
 use crate::packed::{
     self, edge_code, edge_codes_into, edge_offset, opposite, step_offset, walk, CollapsedEdges,
-    EDGE_ZERO,
+    EDGE_N, EDGE_ZERO,
 };
 use crate::robot::RobotId;
 use grid_geom::{chain_adjacent, Offset, Point, Rect};
@@ -43,6 +43,14 @@ pub enum ChainError {
         /// The shared position.
         at: Point,
     },
+    /// An edge code that is not a unit step: [`EDGE_ZERO`] or anything
+    /// past it ([`ClosedChain::from_codes`]).
+    NotUnitEdge {
+        /// Index of the robot the edge leaves.
+        index: usize,
+        /// The rejected code.
+        code: u8,
+    },
     /// A robot hop with a component outside `{-1, 0, 1}`.
     IllegalHop {
         /// Index of the robot with the illegal hop.
@@ -67,6 +75,9 @@ impl std::fmt::Display for ChainError {
                     f,
                     "chain neighbors {index} and successor coincide at {at} outside a merge pass"
                 )
+            }
+            ChainError::NotUnitEdge { index, code } => {
+                write!(f, "edge {index} has code {code}, not a unit step")
             }
             ChainError::IllegalHop { index, hop } => {
                 write!(f, "illegal hop {hop} for robot at index {index}")
@@ -176,6 +187,20 @@ pub struct ClosedChain {
     pos: OnceLock<Box<[Point]>>,
 }
 
+/// Two chains are equal when they hold the same robots on the same points:
+/// origin, edge codes and ids (the positions cache and the apply buffer
+/// are not part of the state).
+impl PartialEq for ClosedChain {
+    fn eq(&self, other: &Self) -> bool {
+        self.origin == other.origin
+            && self.codes == other.codes
+            && self.id == other.id
+            && self.collapsed == other.collapsed
+    }
+}
+
+impl Eq for ClosedChain {}
+
 impl ClosedChain {
     /// Build a chain from positions; assigns fresh ids `r0, r1, …`. The
     /// chain keeps the edges; the positions are decoded again when asked
@@ -204,6 +229,63 @@ impl ClosedChain {
         edge_codes_into(&positions, &mut codes);
         Ok(ClosedChain {
             origin: positions[0],
+            codes,
+            id: (0..n as u64).map(RobotId).collect(),
+            collapsed: false,
+            next: Vec::new(),
+            pos: OnceLock::new(),
+        })
+    }
+
+    /// Build a chain from the position of robot 0 and one
+    /// [`crate::packed`] code per edge (byte `i` is the step from robot `i`
+    /// to robot `i + 1`, the last one closing the walk); assigns fresh ids
+    /// `r0, r1, …`. This is [`ClosedChain::new`] for input that is already
+    /// a walk, as the workload generators build it: nothing is decoded.
+    ///
+    /// Returns an error unless the codes form a taut closed chain:
+    /// * fewer than two codes: [`ChainError::TooShort`];
+    /// * a code outside `0..4` ([`EDGE_ZERO`] included):
+    ///   [`ChainError::NotUnitEdge`] for the first one;
+    /// * a last code that does not lead from robot `n − 1` back to
+    ///   `origin`: [`ChainError::CoincidentNeighbors`] at index `n − 1` if
+    ///   robot `n − 1` lands on `origin`, otherwise
+    ///   [`ChainError::Disconnected`] between robot `n − 1` and `origin`
+    ///   (also when the two are adjacent: the walk must close by its own
+    ///   last step).
+    pub fn from_codes(origin: Point, codes: Vec<u8>) -> Result<Self, ChainError> {
+        let n = codes.len();
+        if n < 2 {
+            return Err(ChainError::TooShort { len: n });
+        }
+        // A code is a unit step iff it has no bit above bit 1.
+        if codes.iter().fold(0, |bits, &c| bits | c) > EDGE_N {
+            let index = codes
+                .iter()
+                .position(|&c| c > EDGE_N)
+                .expect("a code past EDGE_N");
+            return Err(ChainError::NotUnitEdge {
+                index,
+                code: codes[index],
+            });
+        }
+        let last = walk(origin, &codes[..n - 1]);
+        if last + edge_offset(codes[n - 1]) != origin {
+            return Err(if last == origin {
+                ChainError::CoincidentNeighbors {
+                    index: n - 1,
+                    at: last,
+                }
+            } else {
+                ChainError::Disconnected {
+                    index: n - 1,
+                    a: last,
+                    b: origin,
+                }
+            });
+        }
+        Ok(ClosedChain {
+            origin,
             codes,
             id: (0..n as u64).map(RobotId).collect(),
             collapsed: false,
@@ -556,6 +638,59 @@ mod tests {
 
     fn square4() -> ClosedChain {
         chain(&[(0, 0), (0, 1), (1, 1), (1, 0)])
+    }
+
+    /// `from_codes` accepts exactly the closed walks of unit steps, with
+    /// the errors its docs name, and builds what `new` builds from the
+    /// walk's positions.
+    #[test]
+    fn from_codes_contract() {
+        use crate::packed::{EDGE_E, EDGE_S, EDGE_W};
+        let o = Point::new(3, -2);
+        let square = ClosedChain::from_codes(o, vec![EDGE_N, EDGE_E, EDGE_S, EDGE_W]).unwrap();
+        let mut moved = square4();
+        moved.translate(Offset::new(3, -2));
+        assert!(square == moved);
+        let pair = chain(&[(3, -2), (4, -2)]);
+        assert!(ClosedChain::from_codes(o, vec![EDGE_E, EDGE_W]).unwrap() == pair);
+        for codes in [vec![], vec![EDGE_E]] {
+            assert_eq!(
+                ClosedChain::from_codes(o, codes.clone()),
+                Err(ChainError::TooShort { len: codes.len() })
+            );
+        }
+        for bad in [EDGE_ZERO, 5, 0x80, u8::MAX] {
+            assert_eq!(
+                ClosedChain::from_codes(o, vec![EDGE_E, EDGE_N, bad, EDGE_W, EDGE_S]),
+                Err(ChainError::NotUnitEdge {
+                    index: 2,
+                    code: bad
+                })
+            );
+        }
+        // Robot 3 of E N W lands next to the origin but the last step
+        // leads away from it; robot 2 of E W lands on it; robot 4 of
+        // E E N W is not next to it.
+        assert_eq!(
+            ClosedChain::from_codes(o, vec![EDGE_E, EDGE_N, EDGE_W, EDGE_N]),
+            Err(ChainError::Disconnected {
+                index: 3,
+                a: Point::new(3, -1),
+                b: o
+            })
+        );
+        assert_eq!(
+            ClosedChain::from_codes(o, vec![EDGE_E, EDGE_W, EDGE_N]),
+            Err(ChainError::CoincidentNeighbors { index: 2, at: o })
+        );
+        assert_eq!(
+            ClosedChain::from_codes(o, vec![EDGE_E, EDGE_E, EDGE_N, EDGE_W, EDGE_S]),
+            Err(ChainError::Disconnected {
+                index: 4,
+                a: Point::new(4, -1),
+                b: o
+            })
+        );
     }
 
     #[test]

@@ -26,6 +26,11 @@ use chain_sim::packed::{edge_code, edge_offset};
 use chain_sim::{ClosedChain, RobotId, SpliceLog, Strategy};
 use grid_geom::Offset;
 
+/// `post_merge` flag of a pre-splice index whose robot keeps its group.
+const KEEPER: u8 = 1;
+/// `post_merge` flag of a pre-splice index whose robot was spliced out.
+const REMOVED: u8 = 2;
+
 /// Instrumentation events (consumed by the audit module and tests).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunEvent {
@@ -82,9 +87,10 @@ pub struct ClosedChainGathering {
     /// Previous round's inherent pattern sizes, compacted through splices
     /// (drives staggered suppression expiry).
     prev_inherent_k: Vec<u8>,
-    /// `post_merge` scratch: keeper flags by pre-splice index, and the
-    /// sorted ids of every robot of a merge group.
-    keeper_flags: Vec<bool>,
+    /// `post_merge` scratch: `KEEPER`/`REMOVED` flags by pre-splice index
+    /// (all clear between rounds), and the sorted ids of every robot of a
+    /// merge group.
+    merge_flags: Vec<u8>,
     merged_ids: Vec<RobotId>,
     next_run_id: u64,
     stats: RunStats,
@@ -108,7 +114,7 @@ impl ClosedChainGathering {
             suppress: Vec::new(),
             suppress_flags: Vec::new(),
             prev_inherent_k: Vec::new(),
-            keeper_flags: Vec::new(),
+            merge_flags: Vec::new(),
             merged_ids: Vec::new(),
             next_run_id: 0,
             stats: RunStats::default(),
@@ -402,8 +408,8 @@ impl Strategy for ClosedChainGathering {
         self.staged_slots.resize(n, RunSlots::EMPTY);
         self.folds.clear();
         self.folds.reserve(n);
-        self.keeper_flags.clear();
-        self.keeper_flags.reserve(n);
+        self.merge_flags.clear();
+        self.merge_flags.resize(n, 0);
         self.merged_ids.clear();
         self.merged_ids.reserve(n);
         let [none, none2] = signature::NO_VIEW;
@@ -554,19 +560,20 @@ impl Strategy for ClosedChainGathering {
             debug_assert_eq!(self.slots.len(), chain.len());
             return;
         }
-        // Keeper flags by pre-splice index.
+        // Flags by pre-splice index, cleared again on the way out.
         let old_n = self.slots.len();
-        self.keeper_flags.clear();
-        self.keeper_flags.resize(old_n, false);
+        let removed = &log.removed_indices;
         for &k in &log.keeper_indices {
-            self.keeper_flags[k] = true;
+            self.merge_flags[k] = KEEPER;
+        }
+        for &r in removed {
+            self.merge_flags[r] = REMOVED;
         }
 
         // Terminate runs on removed robots and on keepers (Table 1.3) and
         // move the others to their post-splice indices. Table and removed
         // indices are both ascending, so one merged sweep remaps them.
         let mut runs = std::mem::take(&mut self.runs);
-        let removed = &log.removed_indices;
         let mut shift = 0; // removed indices below the run's robot
         let mut kept = 0;
         for r in 0..runs.len() {
@@ -582,7 +589,7 @@ impl Strategy for ClosedChainGathering {
                     robot: RobotId(u64::MAX),
                     reason: StopReason::RobotRemoved,
                 });
-            } else if self.keeper_flags[at] {
+            } else if self.merge_flags[at] == KEEPER {
                 self.stop_run(round, &run, chain.id(at - shift), StopReason::Merged);
             } else {
                 runs[kept] = PlacedRun {
@@ -603,29 +610,27 @@ impl Strategy for ClosedChainGathering {
         // there on is copied down without a branch, and the write index
         // advances past survivors only.
         let first_keeper = log.keeper_indices.iter().min();
-        let mut write = removed[0].min(*first_keeper.expect("a removed robot has a keeper"));
+        let first = removed[0].min(*first_keeper.expect("a removed robot has a keeper"));
+        let mut write = first;
         let [none, none2] = signature::NO_VIEW;
-        let last = removed.len() - 1;
-        let mut j = 0; // the next removed index (the last, once behind)
-        let first = write;
+        let flags = &self.merge_flags[..old_n];
+        let slots = &mut self.slots[..old_n];
+        let sig_prev = &mut self.sig_prev[..old_n];
+        let sig_prev2 = &mut self.sig_prev2[..old_n];
+        let suppress = &mut self.suppress[..old_n];
+        let inherent_k = &mut self.prev_inherent_k[..old_n];
         for read in first..old_n {
-            let keeper = self.keeper_flags[read];
-            let gone = read == removed[j];
-            self.slots[write] = if keeper {
-                RunSlots::EMPTY
-            } else {
-                self.slots[read]
-            };
-            self.sig_prev[write] = if keeper { none } else { self.sig_prev[read] };
-            self.sig_prev2[write] = if keeper { none2 } else { self.sig_prev2[read] };
-            self.suppress[write] = if keeper { 0 } else { self.suppress[read] };
-            self.prev_inherent_k[write] = if keeper {
-                0
-            } else {
-                self.prev_inherent_k[read]
-            };
-            write += usize::from(!gone);
-            j = (j + usize::from(gone)).min(last);
+            let flag = flags[read];
+            let keeper = flag == KEEPER;
+            slots[write] = if keeper { RunSlots::EMPTY } else { slots[read] };
+            sig_prev[write] = if keeper { none } else { sig_prev[read] };
+            sig_prev2[write] = if keeper { none2 } else { sig_prev2[read] };
+            suppress[write] = if keeper { 0 } else { suppress[read] };
+            inherent_k[write] = if keeper { 0 } else { inherent_k[read] };
+            write += usize::from(flag != REMOVED);
+        }
+        for &i in log.keeper_indices.iter().chain(removed) {
+            self.merge_flags[i] = 0;
         }
         self.slots.truncate(write);
         self.sig_prev.truncate(write);
@@ -639,6 +644,13 @@ impl Strategy for ClosedChainGathering {
         // "removed because of a merge operation". Both members of a spliced
         // coincidence group count as removed — which one keeps its id is an
         // arbitrary labeling the robots cannot observe.
+        if !runs
+            .iter()
+            .any(|p| matches!(p.run.mode, RunMode::Passing { .. }))
+        {
+            self.runs = runs;
+            return;
+        }
         self.merged_ids.clear();
         for ev in &log.events {
             self.merged_ids.push(ev.keeper);

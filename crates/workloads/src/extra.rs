@@ -1,8 +1,10 @@
 //! Additional structured families: spirals, serpentines and crosses.
 //!
-//! All three are built as *cell regions* whose boundary is traced into the
-//! closed chain ([`crate::polyomino`]) — construction slips fail loudly
-//! instead of producing subtly broken workloads.
+//! All three are boundaries of *cell regions* — cell `(x, y)` is the unit
+//! square `[x, x+1] × [y, y+1]` — walked counterclockwise (region on the
+//! left) from the region's lowest-leftmost corner: the chain
+//! [`crate::polyomino::CellRegion::boundary_chain`] traces, which the tests
+//! check, written here straight as step codes.
 //!
 //! * [`spiral`] — the boundary of a square spiral corridor: a rectangular
 //!   double spiral whose chain length vastly exceeds its bounding box,
@@ -14,75 +16,177 @@
 //! * [`cross`] — a plus-shaped polygon: four arms, eight convex and four
 //!   concave corners of mixed orientation.
 
-use crate::polyomino::CellRegion;
+use crate::walk::{opposite, Walk, E, N, S, W};
 use chain_sim::ClosedChain;
+use grid_geom::Point;
 
 /// Rectangular double spiral: boundary of a width-1 spiral corridor with
 /// `turns` inward laps (coils separated by one empty cell).
+///
+/// The corridor starts at cell (0, 0) and turns left (east, north, west,
+/// south, …) after legs of L, L, L−2, L−2, …, 3, 3 cells, where
+/// L = 4·turns + 1 keeps the coils one cell apart; consecutive legs share
+/// their corner cell. The boundary runs along the outside of every leg,
+/// around the inner end, and back along the inside.
 pub fn spiral(turns: usize) -> ClosedChain {
     assert!(turns >= 1);
-    let mut region = CellRegion::new();
-    // Walk the corridor cells of a square spiral: start at the outside,
-    // turn left (CCW), shrinking the box every second turn.
-    let t = turns as i64;
-    let mut x = 0i64;
-    let mut y = 0i64;
-    region.insert(x, y);
-    // Side lengths: L, L, L-2, L-2, …, where L = 4t+1 keeps coils one cell
-    // apart.
-    let l0 = 4 * t + 1;
-    let dirs = [(1i64, 0i64), (0, 1), (-1, 0), (0, -1)];
-    let mut side = l0;
-    let mut d = 0usize;
-    let mut steps_at_side = 0; // two sides per shrink
-    while side > 0 {
-        for _ in 0..side - 1 {
-            x += dirs[d].0;
-            y += dirs[d].1;
-            region.insert(x, y);
-        }
-        d = (d + 1) % 4;
-        steps_at_side += 1;
-        if steps_at_side == 2 {
-            steps_at_side = 0;
-            side -= 2;
-        }
+    let legs = 4 * turns;
+    let leg = |k: usize| (4 * turns + 1 - 2 * (k / 2)) as i64;
+    let dir = |k: usize| [E, N, W, S][k % 4];
+    let outside: i64 = (0..legs).map(leg).sum();
+    let mut walk = Walk::new(Point::new(0, 0), 2 * outside as usize);
+    for k in 0..legs {
+        walk.run(dir(k), leg(k));
     }
-    region.boundary_chain()
+    // Around the last cell of the last (southward) leg, then back. Inside
+    // a turn two legs share a corner cell, so each inner side but the two
+    // ends is two cells shorter than its leg.
+    walk.run(E, 1);
+    for k in (0..legs).rev() {
+        let ends = usize::from(k == 0) + usize::from(k == legs - 1);
+        walk.run(opposite(dir(k)), leg(k) - 2 + ends as i64);
+    }
+    walk.run(S, 1);
+    walk.close("spiral")
 }
 
 /// Boustrophedon band: `rows` horizontal corridors of `len` cells,
 /// connected alternately at the right and left ends (corridors separated
 /// by one empty row).
+///
+/// Row `r` lies at y = 2r; the connector above an even row is its last
+/// cell, above an odd row its first. The boundary climbs the right-hand
+/// side of the band to the top row and comes down the left-hand side.
 pub fn serpentine(rows: usize, len: i64) -> ClosedChain {
     assert!(rows >= 1 && len >= 2);
-    let mut region = CellRegion::new();
-    for r in 0..rows as i64 {
-        region.insert_rect(0, 2 * r, len, 1);
-        if r + 1 < rows as i64 {
-            // Connector column at alternating ends.
-            let x = if r % 2 == 0 { len - 1 } else { 0 };
-            region.insert(x, 2 * r + 1);
+    let top = rows - 1;
+    let mut walk = Walk::new(Point::new(0, 0), 2 * rows * (len as usize + 1));
+    // Up the right-hand side: each pass starts at the bottom-right
+    // corner of even row r.
+    walk.run(E, len);
+    let mut r = 0;
+    loop {
+        if r == top {
+            walk.run(N, 1).run(W, len);
+            break;
         }
+        // Up the right end past the connector to the top-right corner of
+        // odd row r + 1.
+        walk.run(N, 3);
+        if r + 1 == top {
+            walk.run(W, len);
+            break;
+        }
+        // Over row r + 1, up its connector, along the bottom of row r + 2.
+        walk.run(W, len - 1).run(N, 1).run(E, len - 1);
+        r += 2;
     }
-    region.boundary_chain()
+    // Down the left-hand side: each pass starts at the top-left corner
+    // of row r.
+    let mut r = top;
+    while r > 0 {
+        if r % 2 == 1 {
+            // The connector below is at the right end.
+            walk.run(S, 1);
+            r -= 1;
+        } else {
+            // Down the left end past the connector to odd row r − 1,
+            // whose connector below is at the right end.
+            walk.run(S, 3);
+            r -= 2;
+        }
+        walk.run(E, len - 1).run(S, 1).run(W, len - 1);
+    }
+    walk.run(S, 1);
+    walk.close("serpentine")
 }
 
-/// Plus/cross-shaped polygon with arm length `arm` and arm width `w`.
+/// Plus/cross-shaped polygon with arm length `arm` and arm width `w`: a
+/// horizontal bar of `2·arm + w × w` cells from (−arm, 0) and a vertical
+/// one of `w × 2·arm + w` cells from (0, −arm).
 pub fn cross(arm: i64, w: i64) -> ClosedChain {
     assert!(arm >= 1 && w >= 1);
-    let mut region = CellRegion::new();
-    // Horizontal bar: width 2·arm + w, height w, centered on the core.
-    region.insert_rect(-arm, 0, 2 * arm + w, w);
-    // Vertical bar.
-    region.insert_rect(0, -arm, w, 2 * arm + w);
-    region.boundary_chain()
+    let mut walk = Walk::new(Point::new(-arm, 0), (8 * arm + 4 * w) as usize);
+    // Each quarter: along an arm, out along the next arm's flank (a
+    // clockwise turn), across that arm's end.
+    for (along, out) in [(E, S), (N, E), (W, N), (S, W)] {
+        walk.run(along, arm).run(out, arm).run(along, w);
+    }
+    walk.close("cross")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::polyomino::CellRegion;
     use chain_sim::invariant;
+
+    /// The cell-region definition of each family, traced by
+    /// [`CellRegion::boundary_chain`]: the walks above must equal it.
+    fn spiral_region(turns: usize) -> CellRegion {
+        let mut region = CellRegion::new();
+        let (mut x, mut y) = (0i64, 0i64);
+        region.insert(x, y);
+        let dirs = [(1i64, 0i64), (0, 1), (-1, 0), (0, -1)];
+        let mut side = 4 * turns as i64 + 1;
+        let mut d = 0usize;
+        while side > 0 {
+            for _ in 0..side - 1 {
+                x += dirs[d % 4].0;
+                y += dirs[d % 4].1;
+                region.insert(x, y);
+            }
+            d += 1;
+            if d.is_multiple_of(2) {
+                side -= 2;
+            }
+        }
+        region
+    }
+
+    fn serpentine_region(rows: usize, len: i64) -> CellRegion {
+        let mut region = CellRegion::new();
+        for r in 0..rows as i64 {
+            region.insert_rect(0, 2 * r, len, 1);
+            if r + 1 < rows as i64 {
+                region.insert(if r % 2 == 0 { len - 1 } else { 0 }, 2 * r + 1);
+            }
+        }
+        region
+    }
+
+    fn cross_region(arm: i64, w: i64) -> CellRegion {
+        let mut region = CellRegion::new();
+        region.insert_rect(-arm, 0, 2 * arm + w, w);
+        region.insert_rect(0, -arm, w, 2 * arm + w);
+        region
+    }
+
+    #[test]
+    fn walks_equal_traced_cell_regions() {
+        for turns in 1..=12 {
+            assert!(
+                spiral(turns) == spiral_region(turns).boundary_chain(),
+                "turns={turns}"
+            );
+        }
+        for rows in 1..=9 {
+            for len in 2..=7 {
+                assert!(
+                    serpentine(rows, len) == serpentine_region(rows, len).boundary_chain(),
+                    "rows={rows} len={len}"
+                );
+            }
+        }
+        for arm in 1..=6 {
+            for w in 1..=5 {
+                assert!(
+                    cross(arm, w) == cross_region(arm, w).boundary_chain(),
+                    "arm={arm} w={w}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn spiral_is_valid_and_long() {

@@ -1,26 +1,22 @@
 //! Deterministic structured families.
 //!
-//! Each generator builds the position list of a closed chain directly and
-//! validates it through [`ClosedChain::new`]; a construction bug is a panic
-//! here, never a silently-broken experiment.
+//! Each generator writes its chain as runs of step codes from robot 0 —
+//! the edge codes [`ClosedChain`] stores — and closes it through
+//! [`ClosedChain::from_codes`]; a construction bug is a panic here, never
+//! a silently-broken experiment.
 
+use crate::walk::{opposite, Walk, E, N, S, W};
 use chain_sim::ClosedChain;
 use grid_geom::Point;
-
-fn close(pts: Vec<Point>, what: &str) -> ClosedChain {
-    ClosedChain::new(pts).unwrap_or_else(|e| panic!("invalid {what}: {e}"))
-}
 
 /// Axis-aligned rectangle ring of `w × h` grid points (`w, h ≥ 2`);
 /// `n = 2(w + h) - 4`. Four quasi lines joined at Fig. 5(ii) corners.
 pub fn rectangle(w: i64, h: i64) -> ClosedChain {
     assert!(w >= 2 && h >= 2, "rectangle needs w, h ≥ 2");
-    let mut pts = vec![Point::new(0, 0)];
-    pts.extend((1..w).map(|x| Point::new(x, 0)));
-    pts.extend((1..h).map(|y| Point::new(w - 1, y)));
-    pts.extend((1..w).map(|x| Point::new(w - 1 - x, h - 1)));
-    pts.extend((1..h - 1).map(|y| Point::new(0, h - 1 - y)));
-    close(pts, "rectangle")
+    let (w, h) = (w - 1, h - 1);
+    let mut walk = Walk::new(Point::new(0, 0), 2 * (w + h) as usize);
+    walk.run(E, w).run(N, h).run(W, w).run(S, h);
+    walk.close("rectangle")
 }
 
 /// Castle-wall band: `teeth` battlements on top and bottom of a band of
@@ -31,32 +27,19 @@ pub fn rectangle(w: i64, h: i64) -> ClosedChain {
 /// are plain columns.
 pub fn crenellated_band(teeth: usize, h: i64) -> ClosedChain {
     assert!(teeth >= 1 && h >= 2);
-    let mut pts = vec![Point::new(0, 0)];
-    // Top: teeth pointing up.
-    for i in 0..teeth as i64 {
-        pts.push(Point::new(2 * i + 1, 0));
-        pts.push(Point::new(2 * i + 1, 1));
-        pts.push(Point::new(2 * i + 2, 1));
-        pts.push(Point::new(2 * i + 2, 0));
+    let mut walk = Walk::new(Point::new(0, 0), 8 * teeth + 2 * h as usize);
+    // The top walks right with its teeth pointing up, the right column
+    // goes down, the bottom walks left with its teeth pointing down and
+    // the left column climbs back.
+    for _ in 0..teeth {
+        walk.steps(&[E, N, E, S]);
     }
-    let right = 2 * teeth as i64;
-    // Right column down.
-    for y in 1..=h {
-        pts.push(Point::new(right, -y));
+    walk.run(S, h);
+    for _ in 0..teeth {
+        walk.steps(&[W, S, W, N]);
     }
-    // Bottom: teeth pointing down, walking left.
-    for i in 0..teeth as i64 {
-        let x = right - 2 * i;
-        pts.push(Point::new(x - 1, -h));
-        pts.push(Point::new(x - 1, -h - 1));
-        pts.push(Point::new(x - 2, -h - 1));
-        pts.push(Point::new(x - 2, -h));
-    }
-    // Left column up (excluding the closing corner).
-    for y in (1..h).rev() {
-        pts.push(Point::new(0, -y));
-    }
-    close(pts, "crenellated band")
+    walk.run(N, h);
+    walk.close("crenellated band")
 }
 
 /// Staircase diamond of radius `r`: four stairways joined at four tips.
@@ -64,34 +47,14 @@ pub fn crenellated_band(teeth: usize, h: i64) -> ClosedChain {
 /// seeded at the tips.
 pub fn staircase_diamond(r: i64) -> ClosedChain {
     assert!(r >= 1);
-    let mut pts = Vec::with_capacity((8 * r) as usize);
-    let mut p = Point::new(0, 0);
-    let push_step = |pts: &mut Vec<Point>, p: &mut Point, dx: i64, dy: i64| {
-        *p = Point::new(p.x + dx, p.y + dy);
-        pts.push(*p);
-    };
-    pts.push(p);
+    let mut walk = Walk::new(Point::new(0, 0), 8 * r as usize);
     // NE: R U ×r ; NW: L U ×r ; SW: L D ×r ; SE: R D ×r.
-    for _ in 0..r {
-        push_step(&mut pts, &mut p, 1, 0);
-        push_step(&mut pts, &mut p, 0, 1);
+    for stair in [[E, N], [W, N], [W, S], [E, S]] {
+        for _ in 0..r {
+            walk.steps(&stair);
+        }
     }
-    for _ in 0..r {
-        push_step(&mut pts, &mut p, -1, 0);
-        push_step(&mut pts, &mut p, 0, 1);
-    }
-    for _ in 0..r {
-        push_step(&mut pts, &mut p, -1, 0);
-        push_step(&mut pts, &mut p, 0, -1);
-    }
-    for _ in 0..r {
-        push_step(&mut pts, &mut p, 1, 0);
-        push_step(&mut pts, &mut p, 0, -1);
-    }
-    // The final step returns to the origin, which is already pts[0].
-    let last = pts.pop().expect("non-empty");
-    assert_eq!(last, pts[0], "diamond must close");
-    close(pts, "staircase diamond")
+    walk.close("staircase diamond")
 }
 
 /// Comb polygon: `teeth` upward teeth of height `tooth_len` on a flat
@@ -100,32 +63,18 @@ pub fn staircase_diamond(r: i64) -> ClosedChain {
 pub fn comb(teeth: usize, tooth_len: i64) -> ClosedChain {
     assert!(teeth >= 1 && tooth_len >= 2);
     let l = tooth_len;
-    let mut pts = vec![Point::new(0, 0)];
-    for i in 0..teeth as i64 {
-        let x = 2 * i;
-        // Up the left flank of the tooth. The first tooth starts at the
-        // spine (y=0); later teeth start at the corridor floor (y=1),
-        // where the previous gap landed.
-        let y_start = if i == 0 { 1 } else { 2 };
-        for y in y_start..=l {
-            pts.push(Point::new(x, y));
-        }
-        // Across the top.
-        pts.push(Point::new(x + 1, l));
-        // Down the right flank (to y = 1, the corridor floor).
-        for y in (1..l).rev() {
-            pts.push(Point::new(x + 1, y));
-        }
-        // Across the gap (or to the final descent).
-        pts.push(Point::new(x + 2, 1));
+    let mut walk = Walk::new(Point::new(0, 0), 2 * teeth * (l as usize + 1) + 2);
+    // The first tooth rises from the spine (y = 0), the later ones from
+    // the corridor floor (y = 1), where the previous gap landed.
+    walk.run(N, 1);
+    for _ in 0..teeth {
+        // Up the left flank, across the top, down the right flank to the
+        // corridor floor, across the gap (or to the final descent).
+        walk.run(N, l - 1).run(E, 1).run(S, l - 1).run(E, 1);
     }
-    let right = 2 * teeth as i64;
-    pts.push(Point::new(right, 0));
-    // Bottom spine back to the start.
-    for x in (1..right).rev() {
-        pts.push(Point::new(x, 0));
-    }
-    close(pts, "comb")
+    // Down to the spine and back along it to the start.
+    walk.run(S, 1).run(W, 2 * teeth as i64);
+    walk.close("comb")
 }
 
 /// Skyline polygon over `heights` (all ≥ 1): bottom edge, right wall, then
@@ -135,47 +84,20 @@ pub fn skyline(heights: &[i64]) -> ClosedChain {
     assert!(!heights.is_empty());
     assert!(heights.iter().all(|&h| h >= 1), "heights must be ≥ 1");
     let w = heights.len() as i64;
-    let mut pts = vec![Point::new(0, 0)];
-    // Bottom: (1,0) .. (w, 0).
-    for x in 1..=w {
-        pts.push(Point::new(x, 0));
-    }
-    // Right wall up to the last column's height.
-    let h_last = heights[heights.len() - 1];
-    for y in 1..=h_last {
-        pts.push(Point::new(w, y));
-    }
-    // Profile: walk columns right to left. At column i (cells [i, i+1]),
-    // the roof is at heights[i]; move horizontally across the roof, then
-    // vertically to the next column's roof.
+    let (first, last) = (heights[0], heights[heights.len() - 1]);
+    let climbs: i64 = heights.windows(2).map(|p| (p[1] - p[0]).abs()).sum();
+    let mut walk = Walk::new(Point::new(0, 0), (2 * w + last + climbs + first) as usize);
+    // Bottom, then the right wall up to the last column's roof.
+    walk.run(E, w).run(N, last);
+    // Profile, right to left: across the roof of column i (cells
+    // [i, i + 1]), then up or down to the roof of column i − 1; the left
+    // wall is the last descent, to the ground.
     for i in (0..heights.len()).rev() {
-        let x = i as i64;
-        let h = heights[i];
-        pts.push(Point::new(x, h)); // across the roof of column i
-        let next_h = if i == 0 { 0 } else { heights[i - 1] };
-        if next_h != h {
-            let step = if next_h > h { 1 } else { -1 };
-            let mut y = h;
-            loop {
-                y += step;
-                if y == next_h {
-                    break;
-                }
-                pts.push(Point::new(x, y));
-            }
-            if i != 0 {
-                pts.push(Point::new(x, next_h));
-            }
-        }
+        let next = if i == 0 { 0 } else { heights[i - 1] };
+        let rise = next - heights[i];
+        walk.run(W, 1).run(if rise > 0 { N } else { S }, rise.abs());
     }
-    // Left wall: from (0, heights[0] or its path) down to (0,1).
-    // The profile loop above ends at (0, h0); descend to (0,1).
-    let top_left = pts.last().copied().expect("non-empty");
-    assert_eq!(top_left.x, 0);
-    for y in (1..top_left.y).rev() {
-        pts.push(Point::new(0, y));
-    }
-    close(pts, "skyline")
+    walk.close("skyline")
 }
 
 /// Hairpin flower: four zero-area arms of length `arm` radiating from one
@@ -183,18 +105,11 @@ pub fn skyline(heights: &[i64]) -> ClosedChain {
 /// overlaps itself everywhere — the adversarial degenerate case.
 pub fn hairpin_flower(arm: i64) -> ClosedChain {
     assert!(arm >= 1);
-    let dirs = [(1i64, 0i64), (0, 1), (-1, 0), (0, -1)];
-    let mut pts = Vec::with_capacity((8 * arm) as usize);
-    for (dx, dy) in dirs {
-        pts.push(Point::new(0, 0));
-        for k in 1..=arm {
-            pts.push(Point::new(k * dx, k * dy));
-        }
-        for k in (1..arm).rev() {
-            pts.push(Point::new(k * dx, k * dy));
-        }
+    let mut walk = Walk::new(Point::new(0, 0), 8 * arm as usize);
+    for out in [E, N, W, S] {
+        walk.run(out, arm).run(opposite(out), arm);
     }
-    close(pts, "hairpin flower")
+    walk.close("hairpin flower")
 }
 
 #[cfg(test)]

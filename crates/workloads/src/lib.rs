@@ -20,7 +20,12 @@
 //! * [`random_loop`] — arbitrary self-crossing closed lattice walks, the
 //!   fully adversarial case.
 //!
-//! Every generator returns a validated [`ClosedChain`].
+//! Every family is written as a walk of step codes from robot 0 — the
+//! edge codes [`ClosedChain`] stores — and closed through
+//! [`ClosedChain::from_codes`], which checks that the walk closes; no
+//! position list is built. Position input (the [`mod@perturb`] operators,
+//! [`CellRegion`] traces) goes through the validating
+//! [`ClosedChain::new`].
 
 pub mod euclid;
 pub mod extra;
@@ -29,6 +34,7 @@ pub mod perturb;
 pub mod polyomino;
 pub mod random;
 pub mod rng;
+mod walk;
 
 pub use euclid::{euclid_points, ring};
 pub use extra::{cross, serpentine, spiral};

@@ -4,9 +4,10 @@
 //! Cell `(x, y)` occupies the unit square `[x, x+1] × [y, y+1]`. For a
 //! 4-connected region without holes or diagonal pinch points, the directed
 //! boundary edges (region kept on the left) form a single cycle over
-//! lattice vertices — exactly a valid closed chain. Constructing families
-//! this way is robust: any geometric slip fails loudly in
-//! [`ClosedChain::new`] instead of producing a subtly broken workload.
+//! lattice vertices — exactly a valid closed chain, validated through
+//! [`ClosedChain::new`]. The region families of [`crate::extra`] write
+//! their boundary walks as step codes directly; their tests check them
+//! against this trace.
 
 use chain_sim::ClosedChain;
 use grid_geom::Point;

@@ -5,12 +5,13 @@
 
 use crate::families::skyline;
 use crate::rng::SplitMix64;
+use crate::walk::{Walk, E, N, S, W};
 use chain_sim::ClosedChain;
-use grid_geom::{Offset, Point};
+use grid_geom::Point;
 
 /// A uniformly shuffled *closed lattice walk* with `n` unit steps (`n`
 /// rounded up to the next even value, at least 4): a balanced multiset of
-/// +x/−x/+y/−y steps in random order.
+/// +x/−x/+y/−y steps in random order, from the origin.
 ///
 /// Consecutive robots always differ (every step is a unit step), so this is
 /// a valid closed chain; it self-crosses and folds back on itself freely —
@@ -29,21 +30,11 @@ pub fn random_loop(n: usize, seed: u64) -> ClosedChain {
     };
     let b = half - a;
     let (a, b) = if b == 0 { (a - 1, 1) } else { (a, b) };
-    let mut steps: Vec<Offset> = Vec::with_capacity(n);
-    steps.extend(std::iter::repeat_n(Offset::RIGHT, a));
-    steps.extend(std::iter::repeat_n(Offset::LEFT, a));
-    steps.extend(std::iter::repeat_n(Offset::UP, b));
-    steps.extend(std::iter::repeat_n(Offset::DOWN, b));
-    rng.shuffle(&mut steps);
-    let mut pts = Vec::with_capacity(n);
-    let mut p = Point::new(0, 0);
-    for s in &steps[..n - 1] {
-        pts.push(p);
-        p += *s;
-    }
-    pts.push(p);
-    debug_assert_eq!(p + steps[n - 1], Point::new(0, 0));
-    ClosedChain::new(pts).expect("balanced shuffled steps always close a valid chain")
+    let (a, b) = (a as i64, b as i64);
+    let mut walk = Walk::new(Point::new(0, 0), n);
+    walk.run(E, a).run(W, a).run(N, b).run(S, b);
+    rng.shuffle(&mut walk.codes);
+    walk.close("random loop")
 }
 
 /// A random skyline polygon with roughly `n` robots: random column heights
