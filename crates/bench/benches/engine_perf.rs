@@ -2,7 +2,7 @@
 //!
 //! These measure engine throughput (robot·rounds per second), the cost of
 //! one FSYNC round at various chain sizes, merge-scan cost, full
-//! gatherings, and — the pipeline's headline number — how `run_batch`
+//! gatherings, and — the pipeline's headline number — how `run_batch_with`
 //! scales with the available cores.
 //!
 //! The offline build has no criterion, so this is a plain `harness = false`
@@ -195,7 +195,7 @@ fn bench_batch_scaling() {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    println!("## batch_scaling (run_batch over {cores} cores)");
+    println!("## batch_scaling (run_batch_with over {cores} cores)");
     let specs: Vec<ScenarioSpec> = Family::ALL
         .iter()
         .flat_map(|&fam| (0..4u64).map(move |seed| ScenarioSpec::paper(fam, 192, seed)))

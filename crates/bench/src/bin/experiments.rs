@@ -12,7 +12,7 @@
 //!
 //! `--threads N` overrides the batch executor's worker count (default:
 //! one per available core) for every table — results are identical at any
-//! thread count (a `run_batch` guarantee); only wall-clock changes.
+//! thread count (a `run_batch_with` guarantee); only wall-clock changes.
 //!
 //! `--trace-out FILE` attaches a sampling phase timer to every table run
 //! and writes the sampled compute/guard/apply/merge spans as Chrome

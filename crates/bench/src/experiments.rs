@@ -6,11 +6,11 @@
 //! but `tests/` contains hard assertions for the load-bearing claims.
 //!
 //! Every table is produced the same way: enumerate one [`ScenarioSpec`]
-//! per experiment cell, execute the whole grid with [`run_batch`] (one
+//! per experiment cell, execute the whole grid with [`run_batch_with`] (one
 //! parallel fan-out per table), then fold the ordered
 //! [`ScenarioResult`]s into rows.
 
-use crate::scenario::{run_batch, ScenarioResult, ScenarioSpec, StrategyKind};
+use crate::scenario::{run_batch_with, BatchOptions, ScenarioResult, ScenarioSpec, StrategyKind};
 use crate::Table;
 use chain_sim::SchedulerKind;
 use gathering_core::GatherConfig;
@@ -143,7 +143,7 @@ pub fn t1_theorem1(e: Effort, sel: &FamilySelection) -> Table {
             })
         })
         .collect();
-    let results = run_batch(&specs);
+    let results = run_batch_with(&specs, BatchOptions::default());
     for group in results.chunks(seeds as usize) {
         let fam = group[0].spec.family;
         let n_avg = mean(&group.iter().map(|r| r.n as f64).collect::<Vec<_>>());
@@ -205,7 +205,7 @@ pub fn t2_lemma1(e: Effort, sel: &FamilySelection) -> Table {
             (0..e.seeds().min(3)).map(move |seed| ScenarioSpec::audited(fam, e.audit_n(), seed))
         })
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let s = r.audit.as_ref().expect("audited spec");
         t.row(vec![
             r.spec.family.name().to_string(),
@@ -246,7 +246,7 @@ pub fn t3_lemma2(e: Effort, sel: &FamilySelection) -> Table {
         .into_iter()
         .map(|fam| ScenarioSpec::audited(fam, e.audit_n(), 1))
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let s = r.audit.as_ref().expect("audited spec");
         t.row(vec![
             r.spec.family.name().to_string(),
@@ -286,7 +286,7 @@ pub fn t4_lemma3(e: Effort, sel: &FamilySelection) -> Table {
         .into_iter()
         .map(|fam| ScenarioSpec::audited(fam, e.audit_n(), 2))
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let s = r.audit.as_ref().expect("audited spec");
         t.row(vec![
             r.spec.family.name().to_string(),
@@ -325,7 +325,7 @@ pub fn t5_pipelining(e: Effort, sel: &FamilySelection) -> Table {
         .into_iter()
         .map(|fam| ScenarioSpec::paper(fam, e.audit_n(), 3))
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let stats = r.stats.as_ref().expect("paper runs carry stats");
         t.row(vec![
             r.spec.family.name().to_string(),
@@ -367,7 +367,7 @@ pub fn t6_goodpairs(e: Effort, sel: &FamilySelection) -> Table {
         .into_iter()
         .map(|fam| ScenarioSpec::audited(fam, e.audit_n(), 4))
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let s = r.audit.as_ref().expect("audited spec");
         // Progress pairs are exactly good pairs started in mergeless
         // windows; lemma1_violations counts mergeless windows without one.
@@ -420,7 +420,7 @@ pub fn t7_baselines(e: Effort, sel: &FamilySelection) -> Table {
             )
         })
         .collect();
-    let results = run_batch(&specs);
+    let results = run_batch_with(&specs, BatchOptions::default());
     for group in results.chunks(1 + RACE.len()) {
         let mut row = vec![
             group[0].spec.family.name().to_string(),
@@ -461,7 +461,7 @@ pub fn t8_open_vs_closed(e: Effort, sel: &FamilySelection) -> Table {
                 })
         })
         .collect();
-    let results = run_batch(&specs);
+    let results = run_batch_with(&specs, BatchOptions::default());
     for pair in results.chunks(2) {
         let (zip, closed) = (&pair[0], &pair[1]);
         let zip_rounds = zip.open.expect("zip detail").rounds;
@@ -501,7 +501,7 @@ pub fn t8b_hopper(e: Effort, sel: &FamilySelection) -> Table {
         .into_iter()
         .map(|fam| ScenarioSpec::strategy(fam, e.audit_n(), 7, StrategyKind::Hopper))
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let out = r.open.expect("hopper detail");
         let optimal = out.optimal_len.expect("hopper reports the optimum");
         t.row(vec![
@@ -609,7 +609,7 @@ pub fn t9_ablation(e: Effort, sel: &FamilySelection) -> Table {
                 .map(move |&(fam, n, seed)| ScenarioSpec::with_config(fam, n, seed, *cfg))
         })
         .collect();
-    let results = run_batch(&specs);
+    let results = run_batch_with(&specs, BatchOptions::default());
     for ((name, _), group) in configs.iter().zip(results.chunks(suite.len())) {
         let gathered = group.iter().filter(|r| r.is_gathered()).count();
         let worst = group
@@ -640,7 +640,7 @@ pub fn t10_suppression(e: Effort, sel: &FamilySelection) -> Table {
         .into_iter()
         .map(|fam| ScenarioSpec::paper(fam, e.audit_n(), 2))
         .collect();
-    for r in run_batch(&specs) {
+    for r in run_batch_with(&specs, BatchOptions::default()) {
         let stats = r.stats.as_ref().expect("paper runs carry stats");
         t.row(vec![
             r.spec.family.name().to_string(),
@@ -693,7 +693,7 @@ pub fn t11_schedulers(e: Effort, sel: &FamilySelection) -> Table {
             })
         })
         .collect();
-    let results = run_batch(&specs);
+    let results = run_batch_with(&specs, BatchOptions::default());
     for group in results.chunks(SchedulerKind::SWEEP.len()) {
         let mut row = vec![
             group[0].spec.family.name().to_string(),
@@ -768,8 +768,8 @@ pub fn t12_ssync_repair(e: Effort, sel: &FamilySelection) -> Table {
         .iter()
         .map(|&fam| ScenarioSpec::paper(fam, size, 8))
         .collect();
-    let results = run_batch(&specs);
-    let reference = run_batch(&reference);
+    let results = run_batch_with(&specs, BatchOptions::default());
+    let reference = run_batch_with(&reference, BatchOptions::default());
     for (group, paper) in results.chunks(SchedulerKind::SWEEP.len()).zip(&reference) {
         let mut row = vec![
             group[0].spec.family.name().to_string(),
@@ -831,7 +831,7 @@ pub fn t13_geometry(e: Effort, sel: &FamilySelection) -> Table {
         for &n in e.sizes() {
             let grid = ScenarioSpec::paper(fam, n, 8);
             let euclid = ScenarioSpec::euclid(fam, n, 8);
-            let results = run_batch(&[grid, euclid]);
+            let results = run_batch_with(&[grid, euclid], BatchOptions::default());
             let (g, u) = (&results[0], &results[1]);
             let cell = |r: &ScenarioResult| match r.rounds() {
                 Some(rounds) => rounds.to_string(),

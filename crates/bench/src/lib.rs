@@ -16,11 +16,13 @@
 //!
 //! Every experiment flows through the unified [`scenario`] pipeline: tables
 //! enumerate [`ScenarioSpec`]s and consume [`ScenarioResult`]s from
-//! [`run_batch`], which fans out over std's scoped threads.
+//! [`run_batch_with`], which fans out over std's scoped threads. A single
+//! run is [`run_scenario`] ([`scenario::run_scenario_tapped`] with
+//! telemetry taps).
 //!
 //! ## Batch execution guarantees
 //!
-//! [`run_batch`] / [`run_batch_with`] promise, for any spec list:
+//! [`run_batch_with`] promises, for any spec list:
 //!
 //! * **Ordering** — the result vector is index-aligned with the input
 //!   (`results[i].spec == specs[i]`), regardless of which worker ran
@@ -52,9 +54,8 @@ pub mod wire;
 pub use campaign::{CampaignRow, CampaignSpec, RunOptions, StrategySweep};
 pub use experiments::{all_tables, Effort, FamilySelection};
 pub use scenario::{
-    run_batch, run_batch_timed, run_batch_with, run_scenario, run_scenario_probed,
-    set_default_phase_timer, set_default_threads, BatchOptions, DriveReport, LimitPolicy,
-    OpenChainOutcome, ScenarioDriver, ScenarioResult, ScenarioSpec, StrategyKind,
+    run_batch_with, run_scenario, set_default_phase_timer, set_default_threads, BatchOptions,
+    LimitPolicy, OpenChainOutcome, ScenarioResult, ScenarioSpec, StrategyKind,
 };
 pub use table::Table;
 // The scheduler registry is engine-level (`chain_sim::scheduler`) but is a
@@ -63,83 +64,3 @@ pub use chain_sim::SchedulerKind;
 // Same for the geometry registry (`geom_core::GeometryKind`): an
 // engine-level axis that campaign grids and wire specs select by name.
 pub use geom_core::GeometryKind;
-
-use chain_sim::{ClosedChain, Outcome, RunLimits, Sim, Strategy};
-use gathering_core::{ClosedChainGathering, GatherConfig};
-
-/// One gathering measurement (single-run convenience API; sweeps should go
-/// through [`run_batch`]).
-#[derive(Clone, Debug)]
-pub struct GatherRun {
-    /// Chain length at the start of the run.
-    pub n: usize,
-    /// How the run ended.
-    pub outcome: Outcome,
-    /// Total robots removed by merges over the run.
-    pub merges_total: usize,
-    /// Longest mergeless gap (rounds), the Theorem 1 progress measure.
-    pub longest_gap: u64,
-}
-
-impl GatherRun {
-    /// Rounds to gather, if the run gathered.
-    pub fn rounds(&self) -> Option<u64> {
-        match self.outcome {
-            Outcome::Gathered { rounds } => Some(rounds),
-            _ => None,
-        }
-    }
-}
-
-/// Run the paper's algorithm on a chain and collect the trace summary.
-/// Limits derive from the config's `L` via [`RunLimits::for_gathering`] —
-/// the one constructor every limit derivation routes through.
-pub fn measure_gathering(chain: ClosedChain, cfg: GatherConfig) -> GatherRun {
-    let n = chain.len();
-    let mut sim = Sim::new(chain, ClosedChainGathering::new(cfg));
-    let outcome = sim.run(RunLimits::for_gathering(n, cfg.l_period));
-    let progress = sim.progress();
-    GatherRun {
-        n,
-        outcome,
-        merges_total: progress.total_removed(),
-        longest_gap: progress.longest_mergeless_gap(),
-    }
-}
-
-/// Run an arbitrary strategy to completion with generous diameter-derived
-/// limits ([`RunLimits::generous`]).
-pub fn measure_strategy<S: Strategy>(chain: ClosedChain, strategy: S) -> GatherRun {
-    let n = chain.len();
-    let d = chain.bounding().diameter() as u64;
-    let mut sim = Sim::new(chain, strategy);
-    let outcome = sim.run(RunLimits::generous(n, d));
-    let progress = sim.progress();
-    GatherRun {
-        n,
-        outcome,
-        merges_total: progress.total_removed(),
-        longest_gap: progress.longest_mergeless_gap(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use workloads::Family;
-
-    #[test]
-    fn measure_gathering_smoke() {
-        let chain = Family::Rectangle.generate(40, 0);
-        let run = measure_gathering(chain, GatherConfig::paper());
-        assert!(run.outcome.is_gathered());
-        assert!(run.merges_total > 0);
-    }
-
-    #[test]
-    fn measure_strategy_runs_baselines() {
-        let chain = Family::Rectangle.generate(32, 0);
-        let run = measure_strategy(chain, baselines::GlobalVision::new());
-        assert!(run.outcome.is_gathered());
-    }
-}

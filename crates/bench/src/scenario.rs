@@ -1,25 +1,29 @@
 //! The unified scenario pipeline.
 //!
-//! Every experiment in the harness — every cell of every table T1–T11 — is
+//! Every experiment in the harness — every cell of every table T1–T13 — is
 //! one [`ScenarioSpec`]: a workload family, a target size, a seed, a
 //! strategy from the registry ([`StrategyKind`]), an activation schedule
 //! ([`SchedulerKind`], FSYNC by default), and a limit policy. The
-//! batch executor [`run_batch`] fans a spec list out over worker threads
-//! (std's scoped threads with an atomic work queue — self-balancing, no
-//! locks, order-preserving) and returns one [`ScenarioResult`] per spec.
+//! batch executor [`run_batch_with`] fans a spec list out over worker
+//! threads (std's scoped threads with an atomic work queue —
+//! self-balancing, no locks, order-preserving) and returns one
+//! [`ScenarioResult`] per spec.
 //!
 //! The registry covers the paper's algorithm, the four closed-chain
 //! baselines of Section 1 (behind one `Box<dyn Strategy>` factory), the
-//! audited paper runs that feed the Lemma tables, and the two open-chain
-//! \[KM09\] settings (zip, Manhattan hopper) the paper generalizes.
+//! audited paper runs that feed the Lemma tables, the two open-chain
+//! \[KM09\] settings (zip, Manhattan hopper) the paper generalizes, and
+//! the Euclidean closed-chain strategy.
 //!
-//! Execution is **one pipeline**: [`run_scenario`] asks the registry for a
-//! [`ScenarioDriver`] and runs it under the spec's [`RunLimits`] — no
-//! per-kind branching. The audited kind is not a separate engine path; its
-//! driver is the paper strategy on the same engine with the
-//! `LemmaAuditor` observer attached (see `chain_sim::observe`), and the
-//! open-chain settings run behind the same driver interface and limit
-//! policy as everything else.
+//! Execution is **one pipeline**: [`run_scenario`] (or
+//! [`run_scenario_tapped`], with telemetry taps) generates the chain,
+//! resolves the spec's [`RunLimits`] and hands both to one private
+//! dispatch, a single `match` on the kind. The audited kind is not a
+//! separate engine path: it is the paper strategy on the same engine with
+//! the `LemmaAuditor` observer attached (see `chain_sim::observe`). The
+//! kernel-eligible baselines run monomorphized on `KernelSim`, and the
+//! open-chain and Euclidean settings run their procedures under the same
+//! limit policy and progress feed as everything else.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,7 +39,7 @@ use chain_sim::kernel::{
 };
 use chain_sim::strategy::Stand;
 use chain_sim::{
-    ClosedChain, FrameRing, OpenChain, Outcome, PackedChain, ProgressProbe, ProgressSlot,
+    ClosedChain, FrameRing, OpenChain, Outcome, PackedChain, Progress, ProgressProbe, ProgressSlot,
     ReplaySink, ReplayWriter, RunLimits, SchedulerKind, Sim, Strategy,
 };
 use euclid_geom::{EuclidChain, EuclidSim, FoldReflect, Vec2};
@@ -142,13 +146,13 @@ impl StrategyKind {
     /// The closed-chain strategy factory: the paper's algorithm and all
     /// four baselines behind one object-safe interface. The audited kind
     /// builds the same paper strategy with event recording on — the audit
-    /// itself is an *observer* the driver attaches, not a different
+    /// itself is an *observer* [`run_scenario`] attaches, not a different
     /// strategy. A recording strategy accumulates run events until
     /// something drains them, so run it with an auditor attached (or go
-    /// through [`StrategyKind::driver`], which composes one); bare engine
-    /// runs that want zero overhead should build
-    /// [`StrategyKind::Paper`] instead. Returns `None` only for the
-    /// open-chain settings, which have no closed-chain `Strategy`.
+    /// through [`run_scenario`], which composes one); bare engine runs
+    /// that want zero overhead should build [`StrategyKind::Paper`]
+    /// instead. Returns `None` only for the open-chain and Euclidean
+    /// settings, which have no grid closed-chain `Strategy`.
     pub fn build(&self) -> Option<Box<dyn Strategy + Send>> {
         match self {
             StrategyKind::Paper(cfg) => Some(Box::new(ClosedChainGathering::new(*cfg))),
@@ -200,167 +204,15 @@ impl StrategyKind {
             StrategyKind::EuclidChain => RunLimits::for_euclid_chain(n),
         }
     }
-
-    /// Build the driver that executes this kind on `chain` under the
-    /// given activation `scheduler` — the single entry point
-    /// [`run_scenario`] uses for every registry kind. Closed kinds get
-    /// the engine (audited = paper + the `LemmaAuditor` observer) with
-    /// the scheduler attached, `seed` feeding its randomized kinds (one
-    /// scenario seed determines both the chain and the schedule). The
-    /// open-chain kinds get the corresponding \[KM09\] procedure over the
-    /// chain cut open; the \[KM09\] procedures are FSYNC-only, so an
-    /// SSYNC scheduler on an open kind is rejected at grid-construction
-    /// time rather than silently ignored.
-    ///
-    /// # Panics
-    /// If `scheduler` is an SSYNC kind and `self` is an open-chain kind.
-    pub fn driver(
-        &self,
-        chain: ClosedChain,
-        scheduler: SchedulerKind,
-        seed: u64,
-    ) -> Box<dyn ScenarioDriver> {
-        self.driver_probed(chain, scheduler, seed, None)
-    }
-
-    /// [`StrategyKind::driver`] with an optional live-progress feed: when
-    /// a [`ProgressSlot`] is supplied, engine kinds attach a
-    /// [`ProgressProbe`] observer so other threads can watch the run
-    /// round by round (the `gatherd` progress endpoint), and the
-    /// open-chain kinds publish their start and end states (their \[KM09\]
-    /// procedures run outside the engine, so there is no per-round feed).
-    ///
-    /// # Panics
-    /// If `scheduler` is an SSYNC kind and `self` is an open-chain kind.
-    pub fn driver_probed(
-        &self,
-        chain: ClosedChain,
-        scheduler: SchedulerKind,
-        seed: u64,
-        probe: Option<Arc<ProgressSlot>>,
-    ) -> Box<dyn ScenarioDriver> {
-        StrategyFactory::resolve(*self).driver_tapped(
-            chain,
-            scheduler,
-            seed,
-            RunTaps::probed(probe),
-        )
-    }
-
-    /// The boxed/engine execution paths — everything except the kernel
-    /// fast path, which [`StrategyFactory::driver_tapped`] dispatches in
-    /// front of this.
-    fn driver_boxed(
-        &self,
-        chain: ClosedChain,
-        scheduler: SchedulerKind,
-        seed: u64,
-        taps: RunTaps,
-    ) -> Box<dyn ScenarioDriver> {
-        // Attach whatever taps were requested. Observers are passive: the
-        // run's result is byte-identical with or without them.
-        fn attach<S: Strategy + 'static>(sim: &mut Sim<S>, taps: RunTaps) {
-            if let Some(slot) = taps.probe {
-                sim.add_observer(ProgressProbe::new(slot));
-            }
-            if let Some(tap) = taps.replay {
-                let mut writer = ReplayWriter::new(tap.sink);
-                if let Some(ring) = tap.ring {
-                    writer = writer.with_ring(ring);
-                }
-                sim.add_observer(writer);
-            }
-            if let Some(timer) = taps.phases {
-                sim.set_phase_timer(timer);
-            }
-        }
-        match self {
-            StrategyKind::Paper(cfg) => {
-                let mut sim = Sim::new(chain, ClosedChainGathering::new(*cfg))
-                    .with_scheduler(scheduler.build(seed));
-                attach(&mut sim, taps);
-                Box::new(PaperDriver {
-                    sim,
-                    audited: false,
-                })
-            }
-            StrategyKind::PaperAudited(cfg) => {
-                let strategy = ClosedChainGathering::new(*cfg).with_event_recording();
-                let auditor = LemmaAuditor::new(&strategy);
-                let mut sim = Sim::new(chain, strategy)
-                    .with_scheduler(scheduler.build(seed))
-                    .observe(auditor);
-                attach(&mut sim, taps);
-                Box::new(PaperDriver { sim, audited: true })
-            }
-            StrategyKind::PaperSsync(_)
-            | StrategyKind::GlobalVision
-            | StrategyKind::CompassSe
-            | StrategyKind::NaiveLocal
-            | StrategyKind::Stand => {
-                // `PaperSsync` builds `SsyncGathering`, whose
-                // `wants_chain_guard` turns the engine's chain-safety
-                // guard on through the boxed forwarding.
-                let mut sim = Sim::new(
-                    chain,
-                    self.build().expect("closed-chain kinds always build"),
-                )
-                .with_scheduler(scheduler.build(seed));
-                attach(&mut sim, taps);
-                Box::new(EngineDriver { sim })
-            }
-            StrategyKind::OpenZip | StrategyKind::Hopper => {
-                assert!(
-                    scheduler.is_fsync(),
-                    "open-chain kind {} has no SSYNC semantics (scheduler {})",
-                    self.name(),
-                    scheduler.name()
-                );
-                assert!(
-                    taps.replay.is_none(),
-                    "open-chain kind {} runs outside the engine; no replay recording",
-                    self.name()
-                );
-                Box::new(OpenDriver {
-                    chain,
-                    hopper: matches!(self, StrategyKind::Hopper),
-                    probe: taps.probe,
-                })
-            }
-            StrategyKind::EuclidChain => {
-                assert!(
-                    scheduler.is_fsync(),
-                    "euclid-chain is FSYNC-only (scheduler {}); its safety argument \
-                     needs the active parity class's neighbors static",
-                    scheduler.name()
-                );
-                assert!(
-                    taps.replay.is_none(),
-                    "euclid-chain runs on the continuous backend; the replay format \
-                     encodes grid hop codes and cannot record it"
-                );
-                // Lift the grid family instance into Euclidean general
-                // position (seed-derived rotation, edges rescaled to unit
-                // viability) — see `workloads::euclid_points`.
-                let pts = workloads::euclid_points(&chain, seed);
-                let euclid =
-                    EuclidChain::new(pts.into_iter().map(|(x, y)| Vec2::new(x, y)).collect())
-                        .expect("lifted family chains are viable Euclidean chains");
-                Box::new(EuclidDriver {
-                    sim: EuclidSim::new(euclid, FoldReflect),
-                    probe: taps.probe,
-                })
-            }
-        }
-    }
 }
 
 /// Telemetry taps for one scenario run: a live progress slot, replay
-/// recording, or both. All taps are passive — the run's
+/// recording and a phase timer, in any combination. All taps are passive — the run's
 /// [`ScenarioResult`] is byte-identical with or without them; what
 /// changes is only the execution path (replay recording needs the
 /// observer-capable boxed engine, which the kernel path replicates byte
-/// for byte).
+/// for byte, travel aside: only the boxed engine tracks
+/// [`ScenarioResult::max_travel`]).
 #[derive(Clone, Debug, Default)]
 pub struct RunTaps {
     /// Live progress counters (the gatherd `/progress` feed).
@@ -375,24 +227,6 @@ pub struct RunTaps {
     pub phases: Option<Arc<PhaseTimer>>,
 }
 
-impl RunTaps {
-    /// Taps carrying only a progress slot (the pre-replay probed shape).
-    pub fn probed(probe: Option<Arc<ProgressSlot>>) -> Self {
-        RunTaps {
-            probe,
-            ..Self::default()
-        }
-    }
-
-    /// Taps carrying only a phase timer.
-    pub fn timed(timer: Arc<PhaseTimer>) -> Self {
-        RunTaps {
-            phases: Some(timer),
-            ..Self::default()
-        }
-    }
-}
-
 /// The replay half of [`RunTaps`]: where the finished replay blob goes,
 /// plus an optional live frame ring for streaming watchers.
 #[derive(Clone, Debug)]
@@ -403,493 +237,6 @@ pub struct ReplayTap {
     /// When present, one encoded [`chain_sim::LiveFrame`] per round is
     /// published here for streaming consumers.
     pub ring: Option<Arc<FrameRing>>,
-}
-
-/// A resolved kind→driver factory: the registry resolution for one
-/// strategy kind — which execution path it takes, in particular whether
-/// its specs are eligible for the data-oriented kernel path — done once
-/// and reused by every spec sharing the kind. The batch executor hoists
-/// these into a [`FactorySet`], so batch setup resolves O(kinds)
-/// factories, not O(specs).
-#[derive(Clone, Copy, Debug)]
-pub struct StrategyFactory {
-    kind: StrategyKind,
-    kernel_eligible: bool,
-}
-
-impl StrategyFactory {
-    /// Resolve `kind` against the registry.
-    pub fn resolve(kind: StrategyKind) -> Self {
-        StrategyFactory {
-            kernel_eligible: matches!(
-                kind,
-                StrategyKind::GlobalVision
-                    | StrategyKind::CompassSe
-                    | StrategyKind::NaiveLocal
-                    | StrategyKind::Stand
-            ),
-            kind,
-        }
-    }
-
-    /// The kind this factory builds drivers for.
-    pub fn kind(&self) -> StrategyKind {
-        self.kind
-    }
-
-    /// `true` when this kind's scenarios run on the data-oriented kernel
-    /// path (see `chain_sim::kernel`).
-    pub fn kernel_eligible(&self) -> bool {
-        self.kernel_eligible
-    }
-
-    /// Build the driver for one scenario of this factory's kind — the
-    /// dispatch behind [`StrategyKind::driver_probed`].
-    ///
-    /// Kernel-eligible kinds ride the monomorphized kernel path
-    /// (byte-identical to the boxed engine; `tests/kernel_diff.rs`). A
-    /// progress slot is passive shared state the kernel driver publishes
-    /// into natively, so probed runs — the gatherd cache misses — stay
-    /// on the fast path too. Only an input chain the packed
-    /// representation rejects (coinciding neighbors, which only a
-    /// hand-built chain can have) falls back to the boxed engine, which
-    /// merges them away on round one.
-    pub fn driver_probed(
-        &self,
-        chain: ClosedChain,
-        scheduler: SchedulerKind,
-        seed: u64,
-        probe: Option<Arc<ProgressSlot>>,
-    ) -> Box<dyn ScenarioDriver> {
-        self.driver_tapped(chain, scheduler, seed, RunTaps::probed(probe))
-    }
-
-    /// [`StrategyFactory::driver_probed`] generalized to the full
-    /// [`RunTaps`]: progress slot, replay recording, or both.
-    ///
-    /// Replay recording routes through the boxed engine even for
-    /// kernel-eligible kinds — the kernel path has no observers by
-    /// design, and its byte-identity with the boxed engine (CI-gated in
-    /// `tests/kernel_diff.rs`) is exactly what makes the detour safe: a
-    /// recorded run produces the same [`DriveReport`] the kernel would.
-    pub fn driver_tapped(
-        &self,
-        chain: ClosedChain,
-        scheduler: SchedulerKind,
-        seed: u64,
-        taps: RunTaps,
-    ) -> Box<dyn ScenarioDriver> {
-        if self.kernel_eligible && taps.replay.is_none() {
-            match kernel_driver(
-                &self.kind,
-                chain,
-                scheduler,
-                seed,
-                taps.probe.clone(),
-                taps.phases.clone(),
-            ) {
-                Ok(driver) => return driver,
-                Err(chain) => return self.kind.driver_boxed(chain, scheduler, seed, taps),
-            }
-        }
-        self.kind.driver_boxed(chain, scheduler, seed, taps)
-    }
-}
-
-/// The hoisted kind→factory table of a batch: exactly one
-/// [`StrategyFactory::resolve`] per *distinct* strategy kind in the spec
-/// list.
-pub struct FactorySet {
-    factories: Vec<StrategyFactory>,
-}
-
-impl FactorySet {
-    /// Resolve every distinct kind appearing in `specs` exactly once
-    /// (linear scan — kind counts are single digits).
-    pub fn for_specs(specs: &[ScenarioSpec]) -> Self {
-        let mut factories: Vec<StrategyFactory> = Vec::new();
-        for spec in specs {
-            if !factories.iter().any(|f| f.kind() == spec.strategy) {
-                factories.push(StrategyFactory::resolve(spec.strategy));
-            }
-        }
-        FactorySet { factories }
-    }
-
-    /// Resolved factories — equals the number of distinct kinds in the
-    /// batch, never the number of specs.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// `true` when the batch had no specs.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
-    }
-
-    /// The factory for `kind`. Falls back to an on-the-fly resolution if
-    /// a kind outside the construction set is asked for, keeping the
-    /// lookup total.
-    pub fn get(&self, kind: StrategyKind) -> StrategyFactory {
-        self.factories
-            .iter()
-            .find(|f| f.kind() == kind)
-            .copied()
-            .unwrap_or_else(|| StrategyFactory::resolve(kind))
-    }
-}
-
-/// What any [`ScenarioDriver`] reports back: the uniform superset of every
-/// kind's detail (paper stats, audit summaries, open-chain outcomes).
-#[derive(Clone, Debug)]
-pub struct DriveReport {
-    /// How the run ended.
-    pub outcome: Outcome,
-    /// Total robots removed by merges over the run.
-    pub merges_total: usize,
-    /// Longest mergeless gap (rounds).
-    pub longest_gap: u64,
-    /// Run statistics of the paper's strategy (paper kinds only).
-    pub stats: Option<RunStats>,
-    /// Lemma audit summary (audited kinds only).
-    pub audit: Option<AuditSummary>,
-    /// Open-chain detail (open kinds only).
-    pub open: Option<OpenChainOutcome>,
-    /// Last round with any movement or merge — the makespan half of the
-    /// min-max objectives (0 for paths that do not track it).
-    pub makespan: u64,
-    /// Maximum per-robot cumulative travel distance — the min-max travel
-    /// objective. `None` on paths that do not track travel (the kernel
-    /// fast path and the open-chain procedures).
-    pub max_travel: Option<f64>,
-}
-
-/// The uniform execution interface behind [`run_scenario`]: one driver per
-/// registry kind, built by [`StrategyKind::driver`], run once under the
-/// spec's [`RunLimits`]. Closed-chain kinds wrap the engine's single run
-/// loop (plus whatever observers the kind composes); open-chain kinds wrap
-/// the \[KM09\] procedures.
-pub trait ScenarioDriver {
-    /// Run to completion under `limits` and report. Consumes the driver —
-    /// a driver executes exactly one scenario (build a fresh one per run).
-    fn drive(self: Box<Self>, limits: RunLimits) -> DriveReport;
-}
-
-/// Closed-chain driver for the paper's algorithm — plain or with the
-/// Lemma audit observer attached (`audited`).
-struct PaperDriver {
-    sim: Sim<ClosedChainGathering>,
-    audited: bool,
-}
-
-impl ScenarioDriver for PaperDriver {
-    fn drive(mut self: Box<Self>, limits: RunLimits) -> DriveReport {
-        let outcome = self.sim.run(limits);
-        let progress = self.sim.progress();
-        // Preserve the registry's reporting split: audited results carry
-        // the audit summary (whose gap/merge accounting is authoritative
-        // for the Lemma tables), plain paper results carry the run stats.
-        let audit = self.audited.then(|| {
-            self.sim
-                .observer::<LemmaAuditor>()
-                .expect("audited driver attached the auditor")
-                .summary()
-        });
-        let makespan = progress.makespan();
-        let max_travel = Some(self.sim.max_travel());
-        match audit {
-            Some(summary) => DriveReport {
-                outcome,
-                merges_total: summary.total_merged_robots,
-                longest_gap: summary.longest_mergeless_gap,
-                stats: None,
-                audit: Some(summary),
-                open: None,
-                makespan,
-                max_travel,
-            },
-            None => DriveReport {
-                outcome,
-                merges_total: progress.total_removed(),
-                longest_gap: progress.longest_mergeless_gap(),
-                stats: Some(self.sim.strategy().stats().clone()),
-                audit: None,
-                open: None,
-                makespan,
-                max_travel,
-            },
-        }
-    }
-}
-
-/// Closed-chain driver for the boxed baseline strategies (the fallback
-/// when the packed representation rejects the input chain).
-struct EngineDriver {
-    sim: Sim<Box<dyn Strategy + Send>>,
-}
-
-impl ScenarioDriver for EngineDriver {
-    fn drive(mut self: Box<Self>, limits: RunLimits) -> DriveReport {
-        let outcome = self.sim.run(limits);
-        let progress = self.sim.progress();
-        DriveReport {
-            outcome,
-            merges_total: progress.total_removed(),
-            longest_gap: progress.longest_mergeless_gap(),
-            stats: None,
-            audit: None,
-            open: None,
-            makespan: progress.makespan(),
-            max_travel: Some(self.sim.max_travel()),
-        }
-    }
-}
-
-/// Closed-chain driver on the data-oriented fast path: a monomorphized
-/// `(RoundKernel, ActivationRule)` pair over packed hop-code state,
-/// byte-identical to [`EngineDriver`] on the same spec. When a progress
-/// slot is attached it publishes exactly what a [`ProgressProbe`] would
-/// (the slot is passive shared state, not an observer, so the kernel
-/// path keeps its no-observers guarantee).
-struct KernelDriver<K: RoundKernel, A: ActivationRule> {
-    sim: KernelSim<K, A>,
-    probe: Option<Arc<ProgressSlot>>,
-}
-
-impl<K: RoundKernel, A: ActivationRule> ScenarioDriver for KernelDriver<K, A> {
-    fn drive(mut self: Box<Self>, limits: RunLimits) -> DriveReport {
-        let outcome = match &self.probe {
-            None => self.sim.run(limits),
-            Some(slot) => {
-                slot.publish(0, self.sim.chain().len(), 0, 0);
-                let mut removed_total = 0usize;
-                let feed = Arc::clone(slot);
-                // Kernel-eligible strategies never opt into the chain
-                // guard, so the guard counter stays 0 on this path.
-                let outcome = self.sim.run_with(limits, |summary| {
-                    removed_total += summary.removed;
-                    feed.publish(summary.round + 1, summary.len_after, removed_total, 0);
-                });
-                // Mirror `ProgressProbe::on_finish`: republish the final
-                // state at the last published round, then close the feed.
-                slot.publish(
-                    slot.snapshot().round,
-                    self.sim.chain().len(),
-                    removed_total,
-                    0,
-                );
-                slot.finish();
-                outcome
-            }
-        };
-        let progress = self.sim.progress();
-        DriveReport {
-            outcome,
-            merges_total: progress.total_removed(),
-            longest_gap: progress.longest_mergeless_gap(),
-            stats: None,
-            audit: None,
-            open: None,
-            makespan: progress.makespan(),
-            // The kernel path deliberately tracks no per-robot travel —
-            // it would cost a float write per hop on the hot loop and the
-            // byte-identity gate compares Progress, not travel.
-            max_travel: None,
-        }
-    }
-}
-
-/// Closed-chain driver on the continuous Euclidean backend:
-/// [`EuclidSim`] running the [`FoldReflect`] strategy over an
-/// [`EuclidChain`] lifted from the grid family instance. Mirrors
-/// [`KernelDriver`]'s probe handling (the slot is passive shared state).
-struct EuclidDriver {
-    sim: EuclidSim<FoldReflect>,
-    probe: Option<Arc<ProgressSlot>>,
-}
-
-impl ScenarioDriver for EuclidDriver {
-    fn drive(mut self: Box<Self>, limits: RunLimits) -> DriveReport {
-        let outcome = match &self.probe {
-            None => self.sim.run(limits),
-            Some(slot) => {
-                slot.publish(0, self.sim.chain().len(), 0, 0);
-                let mut removed_total = 0usize;
-                let feed = Arc::clone(slot);
-                let outcome = self.sim.run_with(limits, |summary| {
-                    removed_total += summary.removed;
-                    feed.publish(summary.round + 1, summary.len_after, removed_total, 0);
-                });
-                slot.publish(
-                    slot.snapshot().round,
-                    self.sim.chain().len(),
-                    removed_total,
-                    0,
-                );
-                slot.finish();
-                outcome
-            }
-        };
-        let progress = self.sim.progress();
-        DriveReport {
-            outcome,
-            merges_total: progress.total_removed(),
-            longest_gap: progress.longest_mergeless_gap(),
-            stats: None,
-            audit: None,
-            open: None,
-            makespan: progress.makespan(),
-            max_travel: Some(self.sim.max_travel()),
-        }
-    }
-}
-
-/// Build the kernel-path driver for a kernel-eligible strategy kind, or
-/// hand the chain back if the packed representation rejects it (input
-/// chains with coinciding neighbors — the boxed engine merges those on
-/// round one, the packed invariant forbids them).
-///
-/// The double match monomorphizes one driver per (strategy, scheduler)
-/// combination; every combination replicates the boxed engine byte for
-/// byte (`tests/kernel_diff.rs`).
-fn kernel_driver(
-    kind: &StrategyKind,
-    chain: ClosedChain,
-    scheduler: SchedulerKind,
-    seed: u64,
-    probe: Option<Arc<ProgressSlot>>,
-    phases: Option<Arc<PhaseTimer>>,
-) -> Result<Box<dyn ScenarioDriver>, ClosedChain> {
-    fn with_rule<K: RoundKernel + 'static>(
-        kernel: K,
-        chain: KernelChain,
-        scheduler: SchedulerKind,
-        seed: u64,
-        probe: Option<Arc<ProgressSlot>>,
-        phases: Option<Arc<PhaseTimer>>,
-    ) -> Box<dyn ScenarioDriver> {
-        fn boxed<K: RoundKernel + 'static, A: ActivationRule + 'static>(
-            mut sim: KernelSim<K, A>,
-            probe: Option<Arc<ProgressSlot>>,
-            phases: Option<Arc<PhaseTimer>>,
-        ) -> Box<dyn ScenarioDriver> {
-            if let Some(timer) = phases {
-                sim.set_phase_timer(timer);
-            }
-            Box::new(KernelDriver { sim, probe })
-        }
-        match scheduler {
-            SchedulerKind::Fsync => boxed(KernelSim::new(chain, kernel, FsyncRule), probe, phases),
-            SchedulerKind::RoundRobin(groups) => boxed(
-                KernelSim::new(chain, kernel, RoundRobinRule::new(groups)),
-                probe,
-                phases,
-            ),
-            SchedulerKind::Random(percent) => boxed(
-                KernelSim::new(chain, kernel, RandomRule::new(seed, percent)),
-                probe,
-                phases,
-            ),
-            SchedulerKind::KFair(k) => boxed(
-                KernelSim::new(chain, kernel, KFairRule::new(seed, k)),
-                probe,
-                phases,
-            ),
-        }
-    }
-
-    let packed = match PackedChain::from_chain(&chain) {
-        Ok(packed) => packed,
-        Err(_) => return Err(chain),
-    };
-    let kc = KernelChain::new(packed);
-    Ok(match kind {
-        StrategyKind::CompassSe => {
-            with_rule(CompassSeKernel::new(), kc, scheduler, seed, probe, phases)
-        }
-        StrategyKind::NaiveLocal => {
-            with_rule(NaiveLocalKernel::new(), kc, scheduler, seed, probe, phases)
-        }
-        StrategyKind::GlobalVision => with_rule(
-            GlobalVisionKernel::new(),
-            kc,
-            scheduler,
-            seed,
-            probe,
-            phases,
-        ),
-        StrategyKind::Stand => with_rule(StandKernel, kc, scheduler, seed, probe, phases),
-        other => unreachable!("no kernel for strategy kind {}", other.name()),
-    })
-}
-
-/// Open-chain driver: the generated closed chain is cut open
-/// ([`OpenChain::from_closed_positions`]) and run through the zip or the
-/// Manhattan hopper.
-struct OpenDriver {
-    chain: ClosedChain,
-    hopper: bool,
-    probe: Option<Arc<ProgressSlot>>,
-}
-
-impl ScenarioDriver for OpenDriver {
-    fn drive(self: Box<Self>, limits: RunLimits) -> DriveReport {
-        let chain = self.chain;
-        let n = chain.len();
-        if let Some(slot) = &self.probe {
-            slot.publish(0, n, 0, 0);
-        }
-        let open = OpenChain::from_closed_positions(chain.positions())
-            .expect("family chains cut open cleanly");
-        let (outcome, detail) = if self.hopper {
-            let out = manhattan_hopper(open, limits.max_rounds);
-            let outcome = if out.is_optimal() {
-                Outcome::Gathered { rounds: out.rounds }
-            } else {
-                Outcome::RoundLimit { rounds: out.rounds }
-            };
-            (
-                outcome,
-                OpenChainOutcome {
-                    rounds: out.rounds,
-                    final_len: out.final_len,
-                    optimal_len: Some(out.optimal_len),
-                },
-            )
-        } else {
-            let zip = open_chain_zip(open, limits.max_rounds);
-            let outcome = if zip.gathered {
-                Outcome::Gathered { rounds: zip.rounds }
-            } else {
-                Outcome::RoundLimit { rounds: zip.rounds }
-            };
-            (
-                outcome,
-                OpenChainOutcome {
-                    rounds: zip.rounds,
-                    final_len: zip.final_len,
-                    optimal_len: None,
-                },
-            )
-        };
-        if let Some(slot) = &self.probe {
-            slot.publish(detail.rounds, detail.final_len, n - detail.final_len, 0);
-            slot.finish();
-        }
-        DriveReport {
-            outcome,
-            merges_total: n - detail.final_len,
-            longest_gap: 0,
-            stats: None,
-            audit: None,
-            open: Some(detail),
-            // The [KM09] procedures run every robot every round until they
-            // stop, so the last active round is the round count; they
-            // track no per-robot travel.
-            makespan: detail.rounds,
-            max_travel: None,
-        }
-    }
 }
 
 /// How a scenario's run limits are chosen.
@@ -1002,8 +349,8 @@ impl ScenarioSpec {
     /// exactly the `euclid-chain` strategy under FSYNC, and `euclid-chain`
     /// cannot run on the grid. Returns the human-readable rejection, or
     /// `None` when the combination is runnable. Service layers surface
-    /// this before building a driver; [`run_scenario`] panics on it (a
-    /// spec that bypassed validation is a caller bug).
+    /// this before running; [`run_scenario`] panics on it (a spec that
+    /// bypassed validation is a caller bug).
     pub fn geometry_error(&self) -> Option<String> {
         match self.geometry {
             GeometryKind::Grid => self.strategy.is_euclid().then(|| {
@@ -1126,68 +473,349 @@ impl ScenarioResult {
 }
 
 /// Run one scenario to completion: generate the chain, resolve the limits,
-/// build the registry driver, drive. One pipeline for every kind — the
-/// per-kind differences live entirely in [`StrategyKind::driver`].
+/// drive. One pipeline for every kind — the per-kind differences live
+/// entirely in one dispatch `match`.
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioResult {
-    run_scenario_probed(spec, None)
+    run_scenario_tapped(spec, RunTaps::default())
 }
 
-/// [`run_scenario`] with an optional live-progress feed: supply a shared
-/// [`ProgressSlot`] and watch the run from another thread while it
-/// executes (see [`StrategyKind::driver_probed`]). The probe changes
-/// nothing about the result — observers are passive.
-pub fn run_scenario_probed(
-    spec: &ScenarioSpec,
-    probe: Option<Arc<ProgressSlot>>,
-) -> ScenarioResult {
-    run_scenario_tapped(spec, RunTaps::probed(probe))
-}
-
-/// [`run_scenario`] with the full telemetry tap set: live progress,
-/// replay recording into a [`ReplaySink`], and/or live frame streaming
-/// through a [`FrameRing`] (see [`RunTaps`]). Taps are passive — the
-/// result is byte-identical to an untapped run of the same spec.
+/// [`run_scenario`] with telemetry taps: live progress into a
+/// [`ProgressSlot`], replay recording into a [`ReplaySink`], live frame
+/// streaming through a [`FrameRing`], and/or phase timing (see
+/// [`RunTaps`]). Taps are passive — the result equals an untapped run of
+/// the same spec, except that a replay of a kernel-eligible kind reports
+/// the boxed engine's [`ScenarioResult::max_travel`].
 ///
 /// # Panics
-/// If `taps.replay` is set for an open-chain strategy kind — the \[KM09\]
-/// procedures run outside the engine, so there is no per-round record to
-/// write. Service layers reject that combination at request-validation
-/// time.
+/// If the spec fails [`ScenarioSpec::geometry_error`], or if an
+/// open-chain or Euclidean kind gets an SSYNC scheduler or a replay tap —
+/// those procedures run outside the grid engine, so there is no schedule
+/// to apply and no per-round hop record to write. Service layers reject
+/// these combinations at request-validation time.
 pub fn run_scenario_tapped(spec: &ScenarioSpec, taps: RunTaps) -> ScenarioResult {
-    run_scenario_resolved(spec, &StrategyFactory::resolve(spec.strategy), taps)
-}
-
-/// [`run_scenario_tapped`] against a pre-resolved factory — the batch
-/// executor's per-spec body, with the kind→factory resolution hoisted
-/// out ([`FactorySet`]).
-fn run_scenario_resolved(
-    spec: &ScenarioSpec,
-    factory: &StrategyFactory,
-    taps: RunTaps,
-) -> ScenarioResult {
     if let Some(err) = spec.geometry_error() {
         panic!("invalid scenario spec: {err} (service layers validate before running)");
     }
     let t0 = Instant::now();
     let chain = spec.generate();
-    let n = chain.len();
     let limits = spec.resolve_limits(&chain);
-    let report = factory
-        .driver_tapped(chain, spec.scheduler, spec.seed, taps)
-        .drive(limits);
+    let mut result = drive(spec, chain, limits, taps);
+    result.wall = t0.elapsed();
+    result
+}
 
+/// Execute `spec` on its generated `chain`: one arm per execution path.
+///
+/// Kernel-eligible kinds ride the monomorphized kernel path
+/// (byte-identical to the boxed engine; `tests/kernel_diff.rs`). A
+/// progress slot is passive shared state the kernel path publishes into
+/// natively, so probed runs — the gatherd cache misses — stay on it too.
+/// Replay recording needs the observer stack, so a recorded run of those
+/// kinds takes the boxed engine; the kernel's byte-identity with it is
+/// what makes the detour safe.
+fn drive(
+    spec: &ScenarioSpec,
+    chain: ClosedChain,
+    limits: RunLimits,
+    taps: RunTaps,
+) -> ScenarioResult {
+    let n = chain.len();
+    let recorded = taps.replay.is_some();
+    match spec.strategy {
+        StrategyKind::Paper(cfg) => {
+            let (sim, outcome) = engine(
+                Sim::new(chain, ClosedChainGathering::new(cfg)),
+                spec,
+                limits,
+                taps,
+            );
+            ScenarioResult {
+                stats: Some(sim.strategy().stats().clone()),
+                ..ran(spec, n, outcome, &sim.progress(), Some(sim.max_travel()))
+            }
+        }
+        StrategyKind::PaperAudited(cfg) => {
+            let strategy = ClosedChainGathering::new(cfg).with_event_recording();
+            let auditor = LemmaAuditor::new(&strategy);
+            let (sim, outcome) = engine(
+                Sim::new(chain, strategy).observe(auditor),
+                spec,
+                limits,
+                taps,
+            );
+            // Audited results carry the audit summary, whose gap/merge
+            // accounting is authoritative for the Lemma tables.
+            let audit = sim
+                .observer::<LemmaAuditor>()
+                .expect("the auditor is attached")
+                .summary();
+            ScenarioResult {
+                merges_total: audit.total_merged_robots,
+                longest_gap: audit.longest_mergeless_gap,
+                audit: Some(audit),
+                ..ran(spec, n, outcome, &sim.progress(), Some(sim.max_travel()))
+            }
+        }
+        StrategyKind::GlobalVision if !recorded => {
+            kernel(GlobalVisionKernel::new(), spec, chain, limits, taps)
+        }
+        StrategyKind::CompassSe if !recorded => {
+            kernel(CompassSeKernel::new(), spec, chain, limits, taps)
+        }
+        StrategyKind::NaiveLocal if !recorded => {
+            kernel(NaiveLocalKernel::new(), spec, chain, limits, taps)
+        }
+        StrategyKind::Stand if !recorded => kernel(StandKernel, spec, chain, limits, taps),
+        StrategyKind::PaperSsync(_)
+        | StrategyKind::GlobalVision
+        | StrategyKind::CompassSe
+        | StrategyKind::NaiveLocal
+        | StrategyKind::Stand => boxed(spec, chain, limits, taps),
+        StrategyKind::OpenZip | StrategyKind::Hopper => {
+            assert!(
+                spec.scheduler.is_fsync(),
+                "open-chain kind {} has no SSYNC semantics (scheduler {})",
+                spec.strategy.name(),
+                spec.scheduler.name()
+            );
+            assert!(
+                !recorded,
+                "open-chain kind {} runs outside the engine; no replay recording",
+                spec.strategy.name()
+            );
+            let hopper = matches!(spec.strategy, StrategyKind::Hopper);
+            let (outcome, open) = with_progress(taps.probe, n, |hook| {
+                // The generated closed chain, cut open.
+                let cut = OpenChain::from_closed_positions(chain.positions())
+                    .expect("family chains cut open cleanly");
+                let (gathered, open) = if hopper {
+                    let out = manhattan_hopper(cut, limits.max_rounds);
+                    let open = OpenChainOutcome {
+                        rounds: out.rounds,
+                        final_len: out.final_len,
+                        optimal_len: Some(out.optimal_len),
+                    };
+                    (out.is_optimal(), open)
+                } else {
+                    let zip = open_chain_zip(cut, limits.max_rounds);
+                    let open = OpenChainOutcome {
+                        rounds: zip.rounds,
+                        final_len: zip.final_len,
+                        optimal_len: None,
+                    };
+                    (zip.gathered, open)
+                };
+                // The procedures have no per-round feed: the whole run is
+                // reported as one step.
+                hook(open.rounds, open.final_len, n - open.final_len);
+                let rounds = open.rounds;
+                let outcome = if gathered {
+                    Outcome::Gathered { rounds }
+                } else {
+                    Outcome::RoundLimit { rounds }
+                };
+                ((outcome, open), open.final_len)
+            });
+            ScenarioResult {
+                spec: *spec,
+                n,
+                outcome,
+                merges_total: n - open.final_len,
+                longest_gap: 0,
+                stats: None,
+                audit: None,
+                open: Some(open),
+                // The [KM09] procedures run every robot every round until
+                // they stop, so the last active round is the round count;
+                // they track no per-robot travel.
+                makespan: open.rounds,
+                max_travel: None,
+                wall: Duration::ZERO,
+            }
+        }
+        StrategyKind::EuclidChain => {
+            assert!(
+                spec.scheduler.is_fsync(),
+                "euclid-chain is FSYNC-only (scheduler {}); its safety argument \
+                 needs the active parity class's neighbors static",
+                spec.scheduler.name()
+            );
+            assert!(
+                !recorded,
+                "euclid-chain runs on the continuous backend; the replay format \
+                 encodes grid hop codes and cannot record it"
+            );
+            // Lift the grid family instance into Euclidean general
+            // position (seed-derived rotation, edges rescaled to unit
+            // viability) — see `workloads::euclid_points`.
+            let pts = workloads::euclid_points(&chain, spec.seed);
+            let euclid = EuclidChain::new(pts.into_iter().map(|(x, y)| Vec2::new(x, y)).collect())
+                .expect("lifted family chains are viable Euclidean chains");
+            let mut sim = EuclidSim::new(euclid, FoldReflect);
+            let outcome = with_progress(taps.probe, sim.chain().len(), |hook| {
+                let outcome = sim.run_with(limits, |s| hook(s.round + 1, s.len_after, s.removed));
+                (outcome, sim.chain().len())
+            });
+            ran(spec, n, outcome, &sim.progress(), Some(sim.max_travel()))
+        }
+    }
+}
+
+/// Run `sim` on the spec's schedule with the taps attached. Observers are
+/// passive: the run's result is byte-identical with or without them.
+fn engine<S: Strategy + 'static>(
+    sim: Sim<S>,
+    spec: &ScenarioSpec,
+    limits: RunLimits,
+    taps: RunTaps,
+) -> (Sim<S>, Outcome) {
+    let mut sim = sim.with_scheduler(spec.scheduler.build(spec.seed));
+    if let Some(slot) = taps.probe {
+        sim.add_observer(ProgressProbe::new(slot));
+    }
+    if let Some(tap) = taps.replay {
+        let mut writer = ReplayWriter::new(tap.sink);
+        if let Some(ring) = tap.ring {
+            writer = writer.with_ring(ring);
+        }
+        sim.add_observer(writer);
+    }
+    if let Some(timer) = taps.phases {
+        sim.set_phase_timer(timer);
+    }
+    let outcome = sim.run(limits);
+    (sim, outcome)
+}
+
+/// A closed kind on the boxed engine, through its registry strategy.
+/// `PaperSsync` builds `SsyncGathering`, whose `wants_chain_guard` turns
+/// the engine's chain-safety guard on through the boxed forwarding.
+fn boxed(
+    spec: &ScenarioSpec,
+    chain: ClosedChain,
+    limits: RunLimits,
+    taps: RunTaps,
+) -> ScenarioResult {
+    let n = chain.len();
+    let strategy = spec
+        .strategy
+        .build()
+        .expect("closed-chain kinds always build");
+    let (sim, outcome) = engine(Sim::new(chain, strategy), spec, limits, taps);
+    ran(spec, n, outcome, &sim.progress(), Some(sim.max_travel()))
+}
+
+/// A kernel-eligible kind on the kernel path: one monomorphized
+/// `KernelSim<K, A>` run per (kernel, activation rule) pair. An input
+/// chain the packed representation rejects (coinciding neighbors, which
+/// only a hand-built chain can have) takes the boxed engine instead,
+/// which merges them away on round one.
+fn kernel<K: RoundKernel>(
+    kernel: K,
+    spec: &ScenarioSpec,
+    chain: ClosedChain,
+    limits: RunLimits,
+    taps: RunTaps,
+) -> ScenarioResult {
+    fn run<K: RoundKernel, A: ActivationRule>(
+        mut sim: KernelSim<K, A>,
+        spec: &ScenarioSpec,
+        n: usize,
+        limits: RunLimits,
+        taps: RunTaps,
+    ) -> ScenarioResult {
+        if let Some(timer) = taps.phases {
+            sim.set_phase_timer(timer);
+        }
+        let outcome = with_progress(taps.probe, n, |hook| {
+            let outcome = sim.run_with(limits, |s| hook(s.round + 1, s.len_after, s.removed));
+            (outcome, sim.chain().len())
+        });
+        // The kernel path deliberately tracks no per-robot travel — it
+        // would cost a float write per hop on the hot loop, and the
+        // byte-identity gate compares Progress, not travel.
+        ran(spec, n, outcome, sim.progress(), None)
+    }
+
+    let Ok(packed) = PackedChain::from_chain(&chain) else {
+        return boxed(spec, chain, limits, taps);
+    };
+    let (n, kc) = (chain.len(), KernelChain::new(packed));
+    let seed = spec.seed;
+    match spec.scheduler {
+        SchedulerKind::Fsync => run(KernelSim::new(kc, kernel, FsyncRule), spec, n, limits, taps),
+        SchedulerKind::RoundRobin(groups) => run(
+            KernelSim::new(kc, kernel, RoundRobinRule::new(groups)),
+            spec,
+            n,
+            limits,
+            taps,
+        ),
+        SchedulerKind::Random(percent) => run(
+            KernelSim::new(kc, kernel, RandomRule::new(seed, percent)),
+            spec,
+            n,
+            limits,
+            taps,
+        ),
+        SchedulerKind::KFair(k) => run(
+            KernelSim::new(kc, kernel, KFairRule::new(seed, k)),
+            spec,
+            n,
+            limits,
+            taps,
+        ),
+    }
+}
+
+/// Drive a run that has no observer stack (the kernel, the Euclidean
+/// sim, the \[KM09\] procedures) while publishing into `probe` what a
+/// [`ProgressProbe`] would: the initial state, every round the run
+/// reports through its hook as `(rounds done, chain length, robots
+/// removed)`, then the final state at the last reported round before the
+/// feed closes. `run` returns its value and the final chain length.
+fn with_progress<T>(
+    probe: Option<Arc<ProgressSlot>>,
+    len: usize,
+    run: impl FnOnce(&mut dyn FnMut(u64, usize, usize)) -> (T, usize),
+) -> T {
+    let Some(slot) = probe else {
+        return run(&mut |_, _, _| {}).0;
+    };
+    slot.publish(0, len, 0, 0);
+    let mut removed_total = 0;
+    // None of these runs has the chain guard, so its counter stays 0.
+    let (value, final_len) = run(&mut |round, len, removed| {
+        removed_total += removed;
+        slot.publish(round, len, removed_total, 0);
+    });
+    slot.publish(slot.snapshot().round, final_len, removed_total, 0);
+    slot.finish();
+    value
+}
+
+/// The result of a run that `progress` accounts for, before the arms of
+/// `drive` add their kind's detail (and [`run_scenario_tapped`] its wall
+/// time).
+fn ran(
+    spec: &ScenarioSpec,
+    n: usize,
+    outcome: Outcome,
+    progress: &Progress,
+    max_travel: Option<f64>,
+) -> ScenarioResult {
     ScenarioResult {
         spec: *spec,
         n,
-        outcome: report.outcome,
-        merges_total: report.merges_total,
-        longest_gap: report.longest_gap,
-        stats: report.stats,
-        audit: report.audit,
-        open: report.open,
-        makespan: report.makespan,
-        max_travel: report.max_travel,
-        wall: t0.elapsed(),
+        outcome,
+        merges_total: progress.total_removed(),
+        longest_gap: progress.longest_mergeless_gap(),
+        stats: None,
+        audit: None,
+        open: None,
+        makespan: progress.makespan(),
+        max_travel,
+        wall: Duration::ZERO,
     }
 }
 
@@ -1197,9 +825,8 @@ static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Set the process-wide default worker-thread count for batch execution.
 ///
-/// Every [`run_batch`] call (and every [`run_batch_with`] call whose
-/// options say `threads: 0`) uses this value instead of
-/// `available_parallelism` once it is nonzero — the `--threads` override
+/// Every [`run_batch_with`] call whose options say `threads: 0` uses
+/// this value instead of `available_parallelism` once it is nonzero — the `--threads` override
 /// of the `experiments` and `campaign` binaries. `0` restores the
 /// per-core default. Thread count never changes results (determinism is a
 /// batch guarantee), only parallelism.
@@ -1216,11 +843,12 @@ static DEFAULT_PHASE_TIMER: std::sync::RwLock<Option<Arc<PhaseTimer>>> =
 
 /// Install (or clear, with `None`) the process-wide default phase timer.
 ///
-/// While set, every [`run_batch`] / [`run_batch_with`] call attaches the
-/// timer to its runs exactly as [`run_batch_timed`] would — so a binary
-/// can phase-profile code paths that call the batch executor internally
-/// (the experiment tables) without threading a timer through them.
-/// Passive: results are unchanged; only wall-time attribution is
+/// While set, every [`run_batch_with`] call attaches the timer to all of
+/// its runs: every spec's run attributes its rounds into the one timer
+/// (histograms are lock-free; trace spans carry per-thread lane ids), so
+/// a binary can phase-profile code paths that call the batch executor
+/// internally (the experiment tables) without threading a timer through
+/// them. Passive: results are unchanged; only wall-time attribution is
 /// collected.
 pub fn set_default_phase_timer(timer: Option<Arc<PhaseTimer>>) {
     *DEFAULT_PHASE_TIMER.write().unwrap() = timer;
@@ -1255,11 +883,6 @@ impl BatchOptions {
 }
 
 /// Run every scenario of a batch, in parallel, preserving input order.
-pub fn run_batch(specs: &[ScenarioSpec]) -> Vec<ScenarioResult> {
-    run_batch_with(specs, BatchOptions::default())
-}
-
-/// [`run_batch`] with explicit executor options.
 ///
 /// Work distribution is an atomic next-index queue over scoped threads:
 /// self-balancing like a work-stealing pool for this shape of workload
@@ -1267,66 +890,23 @@ pub fn run_batch(specs: &[ScenarioSpec]) -> Vec<ScenarioResult> {
 /// each worker returns its `(index, result)` pairs and the batch is
 /// reassembled positionally.
 pub fn run_batch_with(specs: &[ScenarioSpec], opts: BatchOptions) -> Vec<ScenarioResult> {
-    run_batch_shared(specs, opts, &RunTaps::default())
-}
-
-/// [`run_batch_with`] with a shared sampling [`PhaseTimer`]: every spec's
-/// run attributes its rounds into the one timer (histograms are
-/// lock-free; trace spans carry per-thread lane ids), so a whole table's
-/// phase profile — and its Chrome trace — comes out of a single object.
-/// Timing is passive; results are byte-identical to [`run_batch_with`].
-pub fn run_batch_timed(
-    specs: &[ScenarioSpec],
-    opts: BatchOptions,
-    timer: Arc<PhaseTimer>,
-) -> Vec<ScenarioResult> {
-    run_batch_shared(specs, opts, &RunTaps::timed(timer))
-}
-
-/// The batch executor body. `base` taps are cloned into every spec's run
-/// — only taps that make sense shared across runs belong here (a phase
-/// timer; *not* a progress slot or replay sink, which are per-run).
-fn run_batch_shared(
-    specs: &[ScenarioSpec],
-    opts: BatchOptions,
-    base: &RunTaps,
-) -> Vec<ScenarioResult> {
     if specs.is_empty() {
         return Vec::new();
     }
-    // A batch without its own timer inherits the process-wide default
-    // (one read per batch, not per spec).
-    let inherited;
-    let base = if base.phases.is_none() {
-        match DEFAULT_PHASE_TIMER.read().unwrap().clone() {
-            Some(timer) => {
-                inherited = RunTaps {
-                    phases: Some(timer),
-                    ..base.clone()
-                };
-                &inherited
-            }
-            None => base,
-        }
-    } else {
-        base
+    // The process-wide phase timer, read once per batch, not per spec.
+    let taps = RunTaps {
+        phases: DEFAULT_PHASE_TIMER.read().unwrap().clone(),
+        ..RunTaps::default()
     };
-    // Hoisted batch setup: one factory per distinct kind, shared by every
-    // worker — O(kinds), not O(specs).
-    let factories = FactorySet::for_specs(specs);
+    let run = |spec: &ScenarioSpec| run_scenario_tapped(spec, taps.clone());
     let threads = opts.effective_threads(specs.len());
     if threads <= 1 {
-        return specs
-            .iter()
-            .map(|s| run_scenario_resolved(s, &factories.get(s.strategy), base.clone()))
-            .collect();
+        return specs.iter().map(run).collect();
     }
 
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<ScenarioResult>> = specs.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let factories = &factories;
-        let base = &*base;
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
@@ -1336,15 +916,7 @@ fn run_batch_shared(
                         if i >= specs.len() {
                             break;
                         }
-                        let spec = &specs[i];
-                        local.push((
-                            i,
-                            run_scenario_resolved(
-                                spec,
-                                &factories.get(spec.strategy),
-                                base.clone(),
-                            ),
-                        ));
+                        local.push((i, run(&specs[i])));
                     }
                     local
                 })
@@ -1371,37 +943,13 @@ mod tests {
         let specs: Vec<ScenarioSpec> = (0..8)
             .map(|seed| ScenarioSpec::paper(Family::Rectangle, 32 + 4 * seed as usize, seed))
             .collect();
-        let parallel = run_batch(&specs);
+        let parallel = run_batch_with(&specs, BatchOptions::default());
         let serial = run_batch_with(&specs, BatchOptions::threads(1));
         assert_eq!(parallel.len(), specs.len());
         for ((p, s), spec) in parallel.iter().zip(&serial).zip(&specs) {
             assert_eq!(p.spec, *spec);
             assert_eq!(p.fingerprint(), s.fingerprint());
             assert!(p.is_gathered());
-        }
-    }
-
-    /// Satellite: batch setup resolves each distinct strategy kind once —
-    /// `FactorySet` is O(kinds), not O(specs) — and the hoisted factories
-    /// produce the same results as per-spec resolution.
-    #[test]
-    fn batch_setup_is_o_kinds_and_matches_per_spec_runs() {
-        let specs: Vec<ScenarioSpec> = (0..32)
-            .flat_map(|seed| {
-                [
-                    ScenarioSpec::strategy(Family::Rectangle, 32, seed, StrategyKind::CompassSe),
-                    ScenarioSpec::strategy(Family::Skyline, 32, seed, StrategyKind::NaiveLocal),
-                ]
-            })
-            .collect();
-        let factories = FactorySet::for_specs(&specs);
-        assert_eq!(factories.len(), 2, "64 specs over 2 kinds resolve twice");
-        for kind in [StrategyKind::CompassSe, StrategyKind::NaiveLocal] {
-            assert!(factories.get(kind).kernel_eligible());
-        }
-        let batch = run_batch_with(&specs, BatchOptions::threads(2));
-        for (r, spec) in batch.iter().zip(&specs) {
-            assert_eq!(r.fingerprint(), run_scenario(spec).fingerprint());
         }
     }
 
@@ -1440,19 +988,18 @@ mod tests {
             strategy.init(&chain);
             assert!(!strategy.name().is_empty());
         }
-        // Only the open-chain settings have no closed-chain strategy; they
-        // still get a driver like everything else.
+        // Only the open-chain and Euclidean settings have no grid
+        // closed-chain strategy; they still run like everything else.
         assert!(StrategyKind::OpenZip.build().is_none());
         assert!(StrategyKind::Hopper.build().is_none());
+        assert!(StrategyKind::EuclidChain.build().is_none());
     }
 
     #[test]
-    fn every_kind_gets_a_driver() {
+    fn every_kind_runs() {
         for name in StrategyKind::ALL_NAMES {
             let kind = StrategyKind::from_name(name).unwrap();
-            let chain = Family::Rectangle.generate(16, 0);
-            let limits = kind.auto_limits(&chain);
-            let report = kind.driver(chain, SchedulerKind::Fsync, 0).drive(limits);
+            let report = run_scenario(&ScenarioSpec::strategy(Family::Rectangle, 16, 0, kind));
             // Stand stalls; every other kind finishes this tiny input.
             if name != "stand" {
                 assert!(report.outcome.is_gathered(), "{name}: {:?}", report.outcome);
@@ -1478,7 +1025,7 @@ mod tests {
     }
 
     /// Satellite: `from_closed_positions` round-trips under the unified
-    /// driver — the open drivers cut the *same* generated geometry open,
+    /// pipeline — the open-chain kinds cut the *same* generated geometry open,
     /// and the reported final lengths are consistent with the cut chain.
     #[test]
     fn open_chain_round_trip_under_unified_driver() {
@@ -1544,7 +1091,11 @@ mod tests {
     fn probed_runs_match_and_publish_final_state() {
         let spec = ScenarioSpec::paper(Family::Rectangle, 32, 0);
         let slot = ProgressSlot::new();
-        let probed = run_scenario_probed(&spec, Some(slot.clone()));
+        let probe = |slot: &Arc<ProgressSlot>| RunTaps {
+            probe: Some(slot.clone()),
+            ..RunTaps::default()
+        };
+        let probed = run_scenario_tapped(&spec, probe(&slot));
         assert_eq!(probed.fingerprint(), run_scenario(&spec).fingerprint());
         let snap = slot.snapshot();
         assert!(snap.finished);
@@ -1554,7 +1105,7 @@ mod tests {
 
         let zip = ScenarioSpec::strategy(Family::Rectangle, 32, 0, StrategyKind::OpenZip);
         let zslot = ProgressSlot::new();
-        let z = run_scenario_probed(&zip, Some(zslot.clone()));
+        let z = run_scenario_tapped(&zip, probe(&zslot));
         let zs = zslot.snapshot();
         assert!(zs.finished);
         assert_eq!(zs.removed, z.merges_total);
@@ -1566,8 +1117,8 @@ mod tests {
             .iter()
             .map(|&family| ScenarioSpec::paper(family, 40, 3))
             .collect();
-        let a = run_batch(&specs);
-        let b = run_batch(&specs);
+        let a = run_batch_with(&specs, BatchOptions::default());
+        let b = run_batch_with(&specs, BatchOptions::default());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.fingerprint(), y.fingerprint(), "{:?}", x.spec);
         }

@@ -10,13 +10,17 @@
 //! truncation, any bit flip — must fail with a positioned error, never a
 //! panic.
 
+use std::sync::Arc;
+
 use bench::scenario::{
-    run_scenario, run_scenario_tapped, LimitPolicy, ReplayTap, RunTaps, ScenarioSpec, StrategyKind,
+    run_scenario, run_scenario_tapped, LimitPolicy, ReplayTap, RunTaps, ScenarioResult,
+    ScenarioSpec, StrategyKind,
 };
 use chain_sim::{
     FrameRing, LiveFrame, ProgressSlot, Recorder, ReplayOutcome, ReplayReader, ReplaySink,
     ReplayWriter, RunLimits, SchedulerKind, Sim,
 };
+use obs::PhaseTimer;
 use workloads::Family;
 
 /// The draw grid: every closed-chain strategy kind crossed with the
@@ -119,20 +123,88 @@ fn reader_chains_match_recorder_snapshots_across_draws() {
     }
 }
 
-/// Taps are passive: the tapped run's result equals the untapped run's,
-/// field for field, and the replay's round count equals the reported
-/// rounds. (The service-level pin — byte-identical `CampaignRow`s across
+/// Taps are passive, whatever path they force: every spec of the draw
+/// grid plus the audited, Euclidean and open-chain kinds runs untapped,
+/// with a probe, with a phase timer, and (closed kinds only) with probe +
+/// replay + ring, and every [`ScenarioResult`] field except `wall` agrees.
+/// The one pinned difference is `max_travel` on the kernel-eligible
+/// kinds: the kernel path tracks no travel (`None`), and a replay forces
+/// the boxed engine, which does (`Some`). The replay's round count equals
+/// the reported rounds, and the ring and the slot close on the same final
+/// state. (The service-level pin — byte-identical `CampaignRow`s across
 /// watched/unwatched processes — lives in `gatherd`'s tests; this is the
 /// engine-level root of that guarantee.)
 #[test]
 fn tapped_runs_are_byte_identical_to_untapped() {
-    for spec in [
-        ScenarioSpec::strategy(Family::Rectangle, 48, 1, StrategyKind::paper()),
-        ScenarioSpec::strategy(Family::Skyline, 32, 2, StrategyKind::GlobalVision),
-        ScenarioSpec::strategy(Family::Comb, 24, 3, StrategyKind::paper_ssync())
-            .with_scheduler(SchedulerKind::KFair(4)),
-    ] {
+    let mut specs = draws();
+    specs.push(ScenarioSpec::audited(Family::Rectangle, 32, 1));
+    specs.push(ScenarioSpec::euclid(Family::Skyline, 32, 2));
+    specs.push(ScenarioSpec::strategy(
+        Family::Comb,
+        32,
+        3,
+        StrategyKind::OpenZip,
+    ));
+    specs.push(ScenarioSpec::strategy(
+        Family::Rectangle,
+        32,
+        4,
+        StrategyKind::Hopper,
+    ));
+    for spec in specs {
+        let kernel_kind = matches!(
+            spec.strategy,
+            StrategyKind::GlobalVision
+                | StrategyKind::CompassSe
+                | StrategyKind::NaiveLocal
+                | StrategyKind::Stand
+        );
+        let recordable = !spec.strategy.is_open_chain() && !spec.strategy.is_euclid();
         let plain = run_scenario(&spec);
+        let same = |tapped: &ScenarioResult, taps: &str, travel: bool| {
+            assert_eq!(tapped.spec, plain.spec, "{spec:?} [{taps}]");
+            assert_eq!(tapped.n, plain.n, "{spec:?} [{taps}]");
+            assert_eq!(tapped.outcome, plain.outcome, "{spec:?} [{taps}]");
+            assert_eq!(tapped.merges_total, plain.merges_total, "{spec:?} [{taps}]");
+            assert_eq!(tapped.longest_gap, plain.longest_gap, "{spec:?} [{taps}]");
+            assert_eq!(tapped.stats, plain.stats, "{spec:?} [{taps}]");
+            assert_eq!(
+                format!("{:?}", tapped.audit),
+                format!("{:?}", plain.audit),
+                "{spec:?} [{taps}]"
+            );
+            assert_eq!(tapped.open, plain.open, "{spec:?} [{taps}]");
+            assert_eq!(tapped.makespan, plain.makespan, "{spec:?} [{taps}]");
+            if travel {
+                assert_eq!(tapped.max_travel, plain.max_travel, "{spec:?} [{taps}]");
+            }
+        };
+
+        let slot = ProgressSlot::new();
+        let probed = run_scenario_tapped(
+            &spec,
+            RunTaps {
+                probe: Some(slot.clone()),
+                ..RunTaps::default()
+            },
+        );
+        same(&probed, "probe", true);
+        let snap = slot.snapshot();
+        assert!(snap.finished, "{spec:?} [probe]");
+        assert_eq!(snap.removed, probed.merges_total, "{spec:?} [probe]");
+
+        let timed = run_scenario_tapped(
+            &spec,
+            RunTaps {
+                phases: Some(Arc::new(PhaseTimer::new(1))),
+                ..RunTaps::default()
+            },
+        );
+        same(&timed, "phases", true);
+
+        if !recordable {
+            continue;
+        }
         let sink = ReplaySink::new();
         let ring = FrameRing::new(64);
         let slot = ProgressSlot::new();
@@ -147,8 +219,13 @@ fn tapped_runs_are_byte_identical_to_untapped() {
                 phases: None,
             },
         );
-        assert_eq!(plain.fingerprint(), tapped.fingerprint(), "{spec:?}");
-        assert_eq!(plain.outcome, tapped.outcome, "{spec:?}");
+        // A replay forces the boxed engine: the only field that may
+        // differ is the travel the kernel path does not track.
+        same(&tapped, "probe+replay+ring", !kernel_kind);
+        if kernel_kind {
+            assert_eq!(plain.max_travel, None, "{spec:?}: kernel path");
+            assert!(tapped.max_travel.is_some(), "{spec:?}: boxed path");
+        }
 
         let blob = sink.take();
         let mut reader = ReplayReader::new(&blob).unwrap();

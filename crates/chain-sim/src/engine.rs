@@ -4,7 +4,7 @@
 //! round at a time, enforcing the model: simultaneous hops, connectivity
 //! preservation, and the merge pass that implements the paper's
 //! chain-shortening progress measure. *Which* robots act each round is the
-//! [`Scheduler`]'s decision — the default [`Fsync`]
+//! [`Scheduler`]'s decision — the default [`FsyncRule`]
 //! activates everyone (the paper's model); SSYNC schedulers
 //! ([`Sim::with_scheduler`]) activate a per-round subset, whose complement
 //! keeps zero hops.
@@ -26,9 +26,9 @@
 //! exactly what they retain.
 
 use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
-use crate::kernel::GatherCheck;
+use crate::kernel::{FsyncRule, GatherCheck};
 use crate::observe::{AnyObserver, Observer, RoundCtx};
-use crate::scheduler::{Fsync, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::strategy::Strategy;
 use crate::trace::Progress;
 use grid_geom::Offset;
@@ -259,7 +259,7 @@ impl<S: Strategy> Sim<S> {
         Sim {
             chain,
             strategy,
-            scheduler: Box::new(Fsync),
+            scheduler: Box::new(FsyncRule),
             round: 0,
             hops: vec![Offset::ZERO; n],
             active: vec![true; n],
@@ -316,7 +316,7 @@ impl<S: Strategy> Sim<S> {
     }
 
     /// Replace the activation scheduler (builder style). The default is
-    /// [`Fsync`]; attach an SSYNC scheduler before stepping — the schedule
+    /// [`FsyncRule`]; attach an SSYNC scheduler before stepping — the schedule
     /// is indexed by round, so swapping mid-run would splice two schedules
     /// together.
     pub fn with_scheduler(mut self, scheduler: Box<dyn Scheduler + Send>) -> Self {
@@ -990,9 +990,9 @@ mod tests {
 
     #[test]
     fn observers_see_activation_masks() {
-        use crate::scheduler::RoundRobinSsync;
+        use crate::kernel::RoundRobinRule;
         let mut sim = Sim::new(ring6(), Stand)
-            .with_scheduler(Box::new(RoundRobinSsync::new(2)))
+            .with_scheduler(Box::new(RoundRobinRule::new(2)))
             .observe(MaskLog(Vec::new()));
         sim.step().unwrap();
         sim.step().unwrap();
@@ -1008,14 +1008,14 @@ mod tests {
     /// Regression (review finding): a low-duty scheduler whose
     /// legitimate activation gaps exceed the base quiescence window must
     /// not be misdeclared stalled — the window scales with the
-    /// scheduler's inverse duty cycle. `RoundRobinSsync(100)` on a
+    /// scheduler's inverse duty cycle. `RoundRobinRule(100)` on a
     /// 6-robot chain activates nobody for 94 consecutive rounds of every
     /// period; the fold still collapses once index 2's turn comes.
     #[test]
     fn low_duty_scheduler_is_not_misread_as_quiescent() {
-        use crate::scheduler::RoundRobinSsync;
+        use crate::kernel::RoundRobinRule;
         let mut sim =
-            Sim::new(folded6(), FoldDown).with_scheduler(Box::new(RoundRobinSsync::new(100)));
+            Sim::new(folded6(), FoldDown).with_scheduler(Box::new(RoundRobinRule::new(100)));
         let outcome = sim.run(RunLimits {
             max_rounds: 100_000,
             stall_window: 100_000,
@@ -1029,9 +1029,8 @@ mod tests {
     /// sequences on the merge-exercising Fig. 1 workload.
     #[test]
     fn explicit_fsync_matches_default() {
-        use crate::scheduler::Fsync;
         let mut a = Sim::new(fig1_chain(), Fig1);
-        let mut b = Sim::new(fig1_chain(), Fig1).with_scheduler(Box::new(Fsync));
+        let mut b = Sim::new(fig1_chain(), Fig1).with_scheduler(Box::new(FsyncRule));
         for _ in 0..3 {
             assert_eq!(a.step().ok(), b.step().ok());
         }

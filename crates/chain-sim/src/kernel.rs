@@ -19,11 +19,11 @@
 //!   runs on too (the dense apply is its rewrite, the merge its splice),
 //!   plus a sparse apply for never-adjacent mover sets and an amortized
 //!   O(1) gathering check via bounding-box staleness bounds;
-//! * [`ActivationRule`] — monomorphic mirrors of the boxed
-//!   [`Scheduler`](crate::Scheduler) kinds, activation formulas shared
-//!   with the boxed implementations so the schedules cannot drift, and
-//!   [`mask_hops`], which consults a rule only for robots that would
-//!   move;
+//! * [`ActivationRule`] — the one implementation of every activation
+//!   schedule: the kernels call it monomorphically, and the boxed engine
+//!   gets it as a [`Scheduler`](crate::Scheduler) through a blanket
+//!   impl; plus [`mask_hops`], which consults a rule only for robots that
+//!   would move;
 //! * [`RoundKernel`] / [`KernelSim`] — the specialized round loop,
 //!   replicating [`Sim::step`](crate::Sim::step) /
 //!   [`Sim::run`](crate::Sim::run) byte-for-byte: identical
@@ -42,7 +42,7 @@ use grid_geom::{Offset, Point, Rect};
 use crate::chain::ChainError;
 use crate::engine::{Outcome, RoundSummary, RunLimits, QUIESCENCE_WINDOW};
 use crate::packed::{self, edge_offset, PackedChain, EDGE_ZERO};
-use crate::scheduler::{draw, extend_kfair_phases};
+use crate::rng::SplitMix64;
 use crate::trace::Progress;
 
 /// Hop code of the zero hop (stay). Hop codes encode a legal hop
@@ -173,11 +173,11 @@ pub fn mask_hops<A: ActivationRule>(rule: &A, round: u64, hops: &mut [u8]) -> us
     moved
 }
 
-/// Monomorphic activation schedule: the kernel-side mirror of
-/// [`Scheduler`](crate::Scheduler). Activation is a pure function of
-/// `(rule, round, index)`, exactly as the boxed kinds compute it — the
-/// randomized rules share the boxed schedulers' draw function and the
-/// k-fair phase table, so the two paths cannot drift.
+/// Monomorphic activation schedule. Activation is a pure function of
+/// `(rule, round, index)`. Every rule is also a
+/// [`Scheduler`](crate::Scheduler) (a blanket impl in
+/// [`crate::scheduler`]), which is how the boxed engine runs the same
+/// schedules; [`SchedulerKind`](crate::SchedulerKind) builds them.
 ///
 /// A kernel asks about many robots per round, so the part of the
 /// decision that depends on the round alone (a periodic rule's residue)
@@ -211,8 +211,8 @@ pub trait ActivationRule: Send {
         self.active_in(self.turn(round), index)
     }
 
-    /// Inverse duty cycle, mirroring
-    /// [`Scheduler::slowdown`](crate::Scheduler::slowdown).
+    /// Inverse duty cycle (see
+    /// [`Scheduler::slowdown`](crate::Scheduler::slowdown)).
     fn slowdown(&self) -> u64 {
         1
     }
@@ -230,9 +230,11 @@ impl ActivationRule for FsyncRule {
     }
 }
 
-/// Round-robin residue classes, mirroring
-/// [`RoundRobinSsync`](crate::scheduler::RoundRobinSsync). Each index's
-/// class is tabulated once per chain, in [`ActivationRule::prepare`].
+/// Round-robin SSYNC: indices are partitioned into `groups` residue
+/// classes (`i % groups`), and class `round % groups` is active each
+/// round. `groups = 1` degenerates to FSYNC; `groups = n` activates one
+/// robot per round. Each index's class is tabulated once per chain, in
+/// [`ActivationRule::prepare`].
 #[derive(Clone, Debug)]
 pub struct RoundRobinRule {
     groups: u64,
@@ -266,12 +268,28 @@ impl ActivationRule for RoundRobinRule {
         u64::from(self.classes[index]) == turn
     }
     fn slowdown(&self) -> u64 {
+        // Also the worst activation gap: with more groups than robots,
+        // the turns pointing at empty residue classes activate nobody.
         self.groups
     }
 }
 
-/// Independent seeded coin, mirroring
-/// [`SeededRandomSsync`](crate::scheduler::SeededRandomSsync).
+/// Mix a `(seed, round, index)` triple into one SplitMix64 draw — the
+/// stateless core of the randomized rules. Being stateless makes the
+/// schedule a pure function of the triple: merges can shrink the chain
+/// between rounds without any index-remapping bookkeeping.
+#[inline]
+fn draw(seed: u64, round: u64, index: usize) -> u64 {
+    // Distinct odd multipliers keep (round, index) pairs from colliding
+    // in the seed expansion; SplitMix64 then scrambles the state.
+    let state = seed
+        ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ (index as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    SplitMix64::new(state).next_u64()
+}
+
+/// Independent-coin SSYNC: each robot is active with probability
+/// `percent`/100 per round, independently, from a seeded stream.
 #[derive(Clone, Copy, Debug)]
 pub struct RandomRule {
     seed: u64,
@@ -295,17 +313,23 @@ impl ActivationRule for RandomRule {
         if self.percent >= 100 {
             return true;
         }
+        // Lemire reduction of one draw to [0, 100).
         let coin = ((u128::from(draw(self.seed, round, index)) * 100) >> 64) as u64;
         coin < self.percent
     }
     fn slowdown(&self) -> u64 {
+        // The expected activation gap; the scaled quiescence window (64×
+        // this) makes a false stall from coin-flip gaps astronomically
+        // unlikely at any percentage the registry admits.
         100u64.div_ceil(self.percent.max(1))
     }
 }
 
-/// Adversarial k-fair activation, mirroring
-/// [`KFair`](crate::scheduler::KFair). Each index's phase is tabulated
-/// once per chain, in [`ActivationRule::prepare`].
+/// Adversarial k-fair SSYNC: every index is active exactly once every `k`
+/// rounds — the *minimum* activation a k-fair adversary must grant — at a
+/// per-index phase scrambled from the seed (so neighboring indices do not
+/// wake in lockstep blocks). Index `i`'s phase is `draw(seed, 0, i) % k`,
+/// tabulated once per chain in [`ActivationRule::prepare`].
 #[derive(Clone, Debug)]
 pub struct KFairRule {
     seed: u64,
@@ -327,7 +351,10 @@ impl KFairRule {
 
 impl ActivationRule for KFairRule {
     fn prepare(&mut self, len: usize) {
-        extend_kfair_phases(self.seed, self.k, &mut self.phases, len);
+        let (seed, k) = (self.seed, self.k);
+        // k comes from a u32, so every phase fits one.
+        self.phases
+            .extend((self.phases.len()..len).map(|i| (draw(seed, 0, i) % k) as u32));
     }
     #[inline]
     fn turn(&self, round: u64) -> u64 {
@@ -737,7 +764,7 @@ impl<K: RoundKernel, A: ActivationRule> KernelSim<K, A> {
 mod tests {
     use super::*;
     use crate::chain::ClosedChain;
-    use crate::scheduler::{KFair, RoundRobinSsync, Scheduler, SeededRandomSsync};
+    use crate::scheduler::Scheduler;
     use crate::strategy::Stand;
     use crate::Sim;
 
@@ -814,16 +841,14 @@ mod tests {
         assert_eq!(count_moved(&hops), brute);
     }
 
-    /// Every activation rule, prepared once for a chain of n₀ robots,
-    /// reproduces its boxed scheduler's mask round for round at every
-    /// length n ≤ n₀, as merges shrink the chain; the boxed k-fair
-    /// scheduler grows its phase table once, to its first mask. And on
-    /// random chains with the dense kernels' post-fixpoint hops,
-    /// [`mask_hops`], which asks the rule only about robots with a
-    /// nonzero hop, leaves exactly the hops and the mover count of the
-    /// boxed mask applied to everyone.
+    /// On random chains with the dense kernels' post-fixpoint hops,
+    /// [`mask_hops`], which asks the rule only about robots with a nonzero
+    /// hop, leaves exactly the hops and the mover count of the rule's own
+    /// [`Scheduler`] mask applied to everyone — for every rule, at lengths
+    /// shrinking below the one it was prepared for, early and late in the
+    /// round range.
     #[test]
-    fn rules_mirror_boxed_schedulers() {
+    fn mask_hops_matches_the_scheduler_mask() {
         use crate::oracle::random_walk;
         use crate::rng::SplitMix64;
         use crate::safety::cancel_breaking_hops;
@@ -833,25 +858,17 @@ mod tests {
         // Rounds around a 300-round period and at the end of the range.
         const LATE: [u64; 6] = [299, 300, 301, 600, u64::MAX - 1, u64::MAX];
 
-        /// `rule`, prepared for `N0`, against `boxed` at every n ≤ `N0`
-        /// (rounds 0..40 and `LATE`), then [`mask_hops`] against the
-        /// boxed mask on every vector of `hops` (rounds 0..8 and `LATE`).
-        fn check<A: ActivationRule>(mut rule: A, mut boxed: Box<dyn Scheduler>, hops: &[Vec<u8>]) {
+        /// `rule`, prepared for `N0`, through [`mask_hops`] against its
+        /// scheduler mask on every vector of `hops` (rounds 0..8 and
+        /// `LATE`).
+        fn check<A: ActivationRule + Clone>(mut rule: A, hops: &[Vec<u8>]) {
             rule.prepare(N0);
-            for n in (1..=N0).rev() {
-                for round in (0..40).chain(LATE) {
-                    let mut mask = vec![true; n];
-                    boxed.activate(round, &mut mask);
-                    for (i, &want) in mask.iter().enumerate() {
-                        assert_eq!(rule.active(round, i), want, "n {n} round {round} robot {i}");
-                    }
-                }
-            }
+            let mut scheduler = rule.clone();
             let mut moved = 0;
             for (case, hops) in hops.iter().enumerate() {
                 for round in (0..8).chain(LATE) {
                     let mut mask = vec![true; hops.len()];
-                    boxed.activate(round, &mut mask);
+                    Scheduler::activate(&mut scheduler, round, &mut mask);
                     let want: Vec<u8> = hops
                         .iter()
                         .zip(&mask)
@@ -888,25 +905,13 @@ mod tests {
             hops.push(h);
         }
 
-        check(FsyncRule, Box::new(crate::scheduler::Fsync), &hops);
+        check(FsyncRule, &hops);
         for k in [1, 2, 5, 300] {
-            check(
-                RoundRobinRule::new(k),
-                Box::new(RoundRobinSsync::new(k)),
-                &hops,
-            );
-            check(
-                KFairRule::new(SEED, k),
-                Box::new(KFair::new(SEED, k)),
-                &hops,
-            );
+            check(RoundRobinRule::new(k), &hops);
+            check(KFairRule::new(SEED, k), &hops);
         }
         for p in [1, 37, 50, 100] {
-            check(
-                RandomRule::new(SEED, p),
-                Box::new(SeededRandomSsync::new(SEED, p)),
-                &hops,
-            );
+            check(RandomRule::new(SEED, p), &hops);
         }
     }
 

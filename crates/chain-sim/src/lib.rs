@@ -13,9 +13,11 @@
 //!   neighbor (the paper's progress measure, Fig. 1).
 //! * The **activation schedule** as an explicit model axis ([`scheduler`]):
 //!   a [`Scheduler`] decides per round which robots act. The default
-//!   [`scheduler::Fsync`] activates everyone (the paper's FSYNC model);
-//!   SSYNC schedulers (round-robin, seeded random, adversarial k-fair)
-//!   activate a subset, and inactive robots keep zero hops.
+//!   [`FsyncRule`] activates everyone (the paper's FSYNC model); SSYNC
+//!   schedules (round-robin, seeded random, adversarial k-fair) activate
+//!   a subset, and inactive robots keep zero hops. Each schedule is one
+//!   [`ActivationRule`], which the kernels call directly and the boxed
+//!   engine runs as a [`Scheduler`].
 //! * The **chain-safety guard** ([`safety`]): an engine-side cancel
 //!   fixpoint that commits a hop only if neighbor adjacency survives the
 //!   round's activation subset — the repair that lets FSYNC-designed

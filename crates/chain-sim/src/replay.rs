@@ -50,10 +50,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::chain::{ClosedChain, SpliceLog};
+use crate::chain::{ChainError, ClosedChain, SpliceLog};
 use crate::engine::{Outcome, RoundSummary};
 use crate::observe::{Observer, RoundCtx};
-use crate::packed::edge_offset;
+use crate::packed::{edge_code, walk, EDGE_E};
 use crate::strategy::Strategy;
 use grid_geom::{Offset, Point};
 
@@ -268,6 +268,22 @@ fn taut_codes(chain: &ClosedChain) -> impl ExactSizeIterator<Item = u8> + '_ {
     chain.codes()[..chain.len() - 1].iter().copied()
 }
 
+/// The chain of `n` robots with robot 0 at `origin` and the packed 2-bit
+/// codes of edges `0..n-1`; the closing edge is the step from the walk's
+/// end back to `origin`. A walk that ends on `origin` or more than one
+/// step from it is no chain: the error is [`ClosedChain::new`]'s for those
+/// points.
+fn chain_from_codes(origin: Point, n: usize, packed: &[u8]) -> Result<ClosedChain, ChainError> {
+    if n < 2 {
+        return ClosedChain::new(vec![origin; n]);
+    }
+    let mut codes: Vec<u8> = (0..n - 1).map(|i| code_get(packed, i)).collect();
+    let last = walk(origin, &codes);
+    // Without a unit step back, any code makes `from_codes` report the gap.
+    codes.push(edge_code(origin - last).unwrap_or(EDGE_E));
+    ClosedChain::from_codes(origin, codes)
+}
+
 /// Decode the origin + edge-code geometry payload back into a chain.
 fn read_chain(cur: &mut Cursor<'_>) -> Result<ClosedChain, ReplayError> {
     let n = cur.varint()? as usize;
@@ -279,18 +295,10 @@ fn read_chain(cur: &mut Cursor<'_>) -> Result<ClosedChain, ReplayError> {
     if n > cur.data.len().saturating_mul(8) + 8 {
         return Err(cur.err(format!("implausible chain length {n}")));
     }
-    let x0 = cur.zvarint()?;
-    let y0 = cur.zvarint()?;
+    let origin = Point::new(cur.zvarint()?, cur.zvarint()?);
     let edges = cur.bytes((n - 1).div_ceil(4))?;
-    let mut positions = Vec::with_capacity(n);
-    let mut p = Point::new(x0, y0);
-    positions.push(p);
-    for i in 0..n - 1 {
-        let d = edge_offset(code_get(edges, i));
-        p = Point::new(p.x + d.dx, p.y + d.dy);
-        positions.push(p);
-    }
-    ClosedChain::new(positions).map_err(|e| cur.err(format!("decoded chain is invalid: {e}")))
+    chain_from_codes(origin, n, edges)
+        .map_err(|e| cur.err(format!("decoded chain is invalid: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -515,21 +523,13 @@ impl LiveFrame {
 
     /// Reconstruct the frame's chain (for rendering).
     pub fn chain(&self) -> Result<ClosedChain, ReplayError> {
-        let mut positions = Vec::with_capacity(self.len);
-        let mut p = self.origin;
-        positions.push(p);
-        for i in 0..self.len - 1 {
-            if i / 4 >= self.codes.len() {
-                return Err(ReplayError {
-                    offset: i,
-                    what: "frame edge codes shorter than its length".to_string(),
-                });
-            }
-            let d = edge_offset(code_get(&self.codes, i));
-            p = Point::new(p.x + d.dx, p.y + d.dy);
-            positions.push(p);
+        if self.codes.len() < self.len.saturating_sub(1).div_ceil(4) {
+            return Err(ReplayError {
+                offset: 4 * self.codes.len(),
+                what: "frame edge codes shorter than its length".to_string(),
+            });
         }
-        ClosedChain::new(positions).map_err(|e| ReplayError {
+        chain_from_codes(self.origin, self.len, &self.codes).map_err(|e| ReplayError {
             offset: 0,
             what: format!("frame chain is invalid: {e}"),
         })
@@ -1163,6 +1163,61 @@ mod tests {
         let mut reader = ReplayReader::new(&blob).unwrap();
         while let Some(_r) = reader.next_round().unwrap() {}
         assert!(reader.outcome().is_some());
+    }
+
+    /// A walk that does not close — it ends two steps from its origin, or
+    /// on it — is a positioned error in a replay header and in a frame,
+    /// never a panic.
+    #[test]
+    fn unclosed_walks_are_positioned_errors() {
+        use crate::packed::{EDGE_N, EDGE_W};
+        for codes in [[EDGE_E, EDGE_E], [EDGE_E, EDGE_W], [EDGE_N, EDGE_E]] {
+            let mut blob = REPLAY_MAGIC.to_vec();
+            blob.push(REPLAY_VERSION);
+            for v in [3, zigzag(5), zigzag(-2)] {
+                put_varint(&mut blob, v);
+            }
+            put_codes(&mut blob, codes.into_iter());
+            let Err(err) = ReplayReader::new(&blob) else {
+                panic!("{codes:?}: an open walk is no chain");
+            };
+            assert_eq!(err.offset, blob.len(), "{codes:?}: {}", err.what);
+            assert!(
+                err.what.starts_with("decoded chain is invalid"),
+                "{}",
+                err.what
+            );
+
+            let mut packed = Vec::new();
+            put_codes(&mut packed, codes.into_iter());
+            let frame = LiveFrame {
+                round: 1,
+                len: 3,
+                removed_total: 0,
+                guard_cancels: 0,
+                gathered: false,
+                finished: false,
+                origin: Point::new(5, -2),
+                codes: packed,
+            };
+            let decoded = LiveFrame::decode(&frame.encode()).unwrap();
+            let err = decoded.chain().expect_err("an open walk is no chain");
+            assert!(
+                err.what.starts_with("frame chain is invalid"),
+                "{}",
+                err.what
+            );
+        }
+        // The walks that do close decode, a single robot included.
+        let one = LiveFrame::from_chain(
+            &ClosedChain::new(vec![Point::new(3, 4)]).unwrap(),
+            0,
+            0,
+            0,
+            true,
+        );
+        let chain = LiveFrame::decode(&one.encode()).unwrap().chain().unwrap();
+        assert_eq!(chain.positions(), &[Point::new(3, 4)]);
     }
 
     #[test]

@@ -16,29 +16,33 @@
 //! look–compute–move cycle had not been scheduled this round. Observers
 //! see the mask through [`RoundCtx::active`](crate::RoundCtx::active).
 //!
-//! All schedulers are **deterministic**: a mask is a pure function of
-//! `(seed, round, index, n)`, with randomness coming from the workspace's
-//! [`SplitMix64`] generator. Indices are *current chain indices* — after a
-//! merge splices robots out, the schedule applies to the positions that
-//! remain, which matches the adversary abstraction (the scheduler picks
-//! which chain slots act, not robot identities).
+//! Each schedule is written once, as an [`ActivationRule`] in
+//! [`crate::kernel`]; every rule is a [`Scheduler`] through one blanket
+//! impl, so the boxed engine and the monomorphized kernels run the same
+//! code. [`SchedulerKind`] names them:
 //!
-//! Shipped schedulers:
-//!
-//! * [`Fsync`] — all robots active every round. This is the paper's model
+//! * `fsync` — all robots active every round. This is the paper's model
 //!   and the engine default; the scheduler path is byte-identical to the
 //!   pre-scheduler engine on seeded workloads (pinned in
 //!   `tests/schedulers.rs`).
-//! * [`RoundRobinSsync`] — indices are dealt into `groups` residue
-//!   classes; one class is active per round, cycling.
-//! * [`SeededRandomSsync`] — every robot is active independently with
+//! * `rr{groups}` — indices are dealt into `groups` residue classes; one
+//!   class is active per round, cycling.
+//! * `rand{percent}` — every robot is active independently with
 //!   probability `percent`/100 each round (seeded, reproducible).
-//! * [`KFair`] — the adversarial minimum under k-fairness: each index is
+//! * `kfair{k}` — the adversarial minimum under k-fairness: each index is
 //!   active exactly once every `k` rounds, at a seed-scrambled phase, so
 //!   the adversary delays every activation as long as a k-fair schedule
 //!   allows.
+//!
+//! All schedules are **deterministic**: a mask is a pure function of
+//! `(seed, round, index, n)`, with randomness coming from the workspace's
+//! [`SplitMix64`](crate::rng::SplitMix64) generator. Indices are *current
+//! chain indices* — after a merge splices robots out, the schedule
+//! applies to the positions that remain, which matches the adversary
+//! abstraction (the scheduler picks which chain slots act, not robot
+//! identities).
 
-use crate::rng::SplitMix64;
+use crate::kernel::{ActivationRule, FsyncRule, KFairRule, RandomRule, RoundRobinRule};
 
 /// Per-round activation decisions; see the [module docs](self).
 ///
@@ -63,163 +67,22 @@ pub trait Scheduler {
     }
 }
 
-/// Boxed schedulers forward to their contents, mirroring the blanket
-/// `Strategy` impl, so `Box<dyn Scheduler + Send>` plugs into the same
-/// engine as a concrete scheduler.
-impl<T: Scheduler + ?Sized> Scheduler for Box<T> {
+/// Every activation rule is a scheduler: the rule is prepared for the
+/// mask's length (merges only shrink it, so per-index tables are built
+/// once) and asked about every robot.
+impl<A: ActivationRule> Scheduler for A {
     fn activate(&mut self, round: u64, mask: &mut [bool]) {
-        (**self).activate(round, mask)
-    }
-    fn slowdown(&self) -> u64 {
-        (**self).slowdown()
-    }
-}
-
-/// The fully synchronous schedule: every robot active every round (the
-/// paper's model, and the engine default).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Fsync;
-
-impl Scheduler for Fsync {
-    fn activate(&mut self, _round: u64, _mask: &mut [bool]) {}
-}
-
-/// Round-robin SSYNC: indices are partitioned into `groups` residue
-/// classes (`i % groups`), and class `round % groups` is active each
-/// round. `groups = 1` degenerates to FSYNC; `groups = n` activates one
-/// robot per round.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundRobinSsync {
-    groups: u64,
-}
-
-impl RoundRobinSsync {
-    /// A round-robin schedule over `groups` classes (clamped to ≥ 1).
-    pub fn new(groups: u32) -> Self {
-        RoundRobinSsync {
-            groups: u64::from(groups.max(1)),
-        }
-    }
-}
-
-impl Scheduler for RoundRobinSsync {
-    fn activate(&mut self, round: u64, mask: &mut [bool]) {
-        if self.groups <= 1 {
+        if A::ALWAYS_ON {
             return;
         }
-        let turn = round % self.groups;
+        self.prepare(mask.len());
+        let turn = self.turn(round);
         for (i, slot) in mask.iter_mut().enumerate() {
-            *slot = (i as u64) % self.groups == turn;
+            *slot = self.active_in(turn, i);
         }
     }
     fn slowdown(&self) -> u64 {
-        // Also the worst activation gap: with more groups than robots,
-        // the turns pointing at empty residue classes activate nobody.
-        self.groups
-    }
-}
-
-/// Mix a `(seed, round, index)` triple into one SplitMix64 draw — the
-/// stateless core of the randomized schedulers. Being stateless makes the
-/// schedule a pure function of the triple: merges can shrink the chain
-/// between rounds without any index-remapping bookkeeping.
-#[inline]
-pub(crate) fn draw(seed: u64, round: u64, index: usize) -> u64 {
-    // Distinct odd multipliers keep (round, index) pairs from colliding
-    // in the seed expansion; SplitMix64 then scrambles the state.
-    let state = seed
-        ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ (index as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-    SplitMix64::new(state).next_u64()
-}
-
-/// Extend a k-fair phase table to `len` indices: index `i` is active in
-/// the rounds `r` with `r % k == phases[i]`, its phase
-/// `draw(seed, 0, i) % k` depending on seed and index only, never on the
-/// round. Merges only shrink a chain, so a table grown once to the
-/// initial length serves every later round. The one definition of the
-/// k-fair phase, shared by [`KFair`] and the kernel's `KFairRule`.
-pub(crate) fn extend_kfair_phases(seed: u64, k: u64, phases: &mut Vec<u32>, len: usize) {
-    // k comes from a u32, so every phase fits one.
-    phases.extend((phases.len()..len).map(|i| (draw(seed, 0, i) % k) as u32));
-}
-
-/// Independent-coin SSYNC: each robot is active with probability
-/// `percent`/100 per round, independently, from a seeded stream.
-#[derive(Clone, Copy, Debug)]
-pub struct SeededRandomSsync {
-    seed: u64,
-    percent: u64,
-}
-
-impl SeededRandomSsync {
-    /// Activation probability `percent`% (clamped to 1..=100) from `seed`.
-    pub fn new(seed: u64, percent: u8) -> Self {
-        SeededRandomSsync {
-            seed,
-            percent: u64::from(percent.clamp(1, 100)),
-        }
-    }
-}
-
-impl Scheduler for SeededRandomSsync {
-    fn activate(&mut self, round: u64, mask: &mut [bool]) {
-        if self.percent >= 100 {
-            return;
-        }
-        for (i, slot) in mask.iter_mut().enumerate() {
-            // Lemire reduction of one draw to [0, 100).
-            let coin = ((u128::from(draw(self.seed, round, i)) * 100) >> 64) as u64;
-            *slot = coin < self.percent;
-        }
-    }
-    fn slowdown(&self) -> u64 {
-        // The expected activation gap; the scaled quiescence window (64×
-        // this) makes a false stall from coin-flip gaps astronomically
-        // unlikely at any percentage the registry admits.
-        100u64.div_ceil(self.percent.max(1))
-    }
-}
-
-/// Adversarial k-fair SSYNC: every index is active exactly once every `k`
-/// rounds — the *minimum* activation a k-fair adversary must grant — at a
-/// per-index phase scrambled from the seed (so neighboring indices do not
-/// wake in lockstep blocks).
-#[derive(Clone, Debug)]
-pub struct KFair {
-    seed: u64,
-    k: u64,
-    /// Per-index phases, grown to the first mask's length.
-    phases: Vec<u32>,
-}
-
-impl KFair {
-    /// A k-fair adversary with period `k` (clamped to ≥ 1) and a seeded
-    /// phase assignment.
-    pub fn new(seed: u64, k: u32) -> Self {
-        KFair {
-            seed,
-            k: u64::from(k.max(1)),
-            phases: Vec::new(),
-        }
-    }
-}
-
-impl Scheduler for KFair {
-    fn activate(&mut self, round: u64, mask: &mut [bool]) {
-        if self.k <= 1 {
-            return;
-        }
-        if self.phases.len() < mask.len() {
-            extend_kfair_phases(self.seed, self.k, &mut self.phases, mask.len());
-        }
-        let turn = (round % self.k) as u32;
-        for (slot, &phase) in mask.iter_mut().zip(&self.phases) {
-            *slot = turn == phase;
-        }
-    }
-    fn slowdown(&self) -> u64 {
-        self.k
+        ActivationRule::slowdown(self)
     }
 }
 
@@ -232,11 +95,11 @@ pub enum SchedulerKind {
     /// All robots active every round (the paper's model; the default).
     #[default]
     Fsync,
-    /// [`RoundRobinSsync`] with this many groups.
+    /// [`RoundRobinRule`] with this many groups.
     RoundRobin(u32),
-    /// [`SeededRandomSsync`] with this activation percentage.
+    /// [`RandomRule`] with this activation percentage.
     Random(u8),
-    /// [`KFair`] with this period.
+    /// [`KFairRule`] with this period.
     KFair(u32),
 }
 
@@ -289,10 +152,10 @@ impl SchedulerKind {
     /// determines both the chain and the schedule).
     pub fn build(&self, seed: u64) -> Box<dyn Scheduler + Send> {
         match *self {
-            SchedulerKind::Fsync => Box::new(Fsync),
-            SchedulerKind::RoundRobin(g) => Box::new(RoundRobinSsync::new(g)),
-            SchedulerKind::Random(p) => Box::new(SeededRandomSsync::new(seed, p)),
-            SchedulerKind::KFair(k) => Box::new(KFair::new(seed, k)),
+            SchedulerKind::Fsync => Box::new(FsyncRule),
+            SchedulerKind::RoundRobin(g) => Box::new(RoundRobinRule::new(g)),
+            SchedulerKind::Random(p) => Box::new(RandomRule::new(seed, p)),
+            SchedulerKind::KFair(k) => Box::new(KFairRule::new(seed, k)),
         }
     }
 
@@ -319,7 +182,7 @@ impl SchedulerKind {
 mod tests {
     use super::*;
 
-    fn mask_of(s: &mut dyn Scheduler, round: u64, n: usize) -> Vec<bool> {
+    fn mask_of(s: &mut Box<dyn Scheduler + Send>, round: u64, n: usize) -> Vec<bool> {
         let mut mask = vec![true; n];
         s.activate(round, &mut mask);
         mask
@@ -327,7 +190,7 @@ mod tests {
 
     #[test]
     fn fsync_activates_everyone() {
-        let mut f = Fsync;
+        let mut f = SchedulerKind::Fsync.build(0);
         for round in 0..8 {
             assert!(mask_of(&mut f, round, 7).iter().all(|&a| a));
         }
@@ -335,7 +198,7 @@ mod tests {
 
     #[test]
     fn round_robin_partitions_rounds() {
-        let mut rr = RoundRobinSsync::new(3);
+        let mut rr = SchedulerKind::RoundRobin(3).build(0);
         let n = 10;
         // Over any 3 consecutive rounds, every index is active exactly once.
         let mut counts = vec![0usize; n];
@@ -348,22 +211,22 @@ mod tests {
         }
         assert_eq!(counts, vec![1; n]);
         // groups=1 is FSYNC.
-        let mut one = RoundRobinSsync::new(1);
+        let mut one = SchedulerKind::RoundRobin(1).build(0);
         assert!(mask_of(&mut one, 5, n).iter().all(|&a| a));
     }
 
     #[test]
     fn seeded_random_is_reproducible_and_seed_sensitive() {
-        let mut a = SeededRandomSsync::new(7, 50);
-        let mut b = SeededRandomSsync::new(7, 50);
-        let mut c = SeededRandomSsync::new(8, 50);
+        let mut a = SchedulerKind::Random(50).build(7);
+        let mut b = SchedulerKind::Random(50).build(7);
+        let mut c = SchedulerKind::Random(50).build(8);
         let masks_a: Vec<Vec<bool>> = (0..32).map(|r| mask_of(&mut a, r, 64)).collect();
         let masks_b: Vec<Vec<bool>> = (0..32).map(|r| mask_of(&mut b, r, 64)).collect();
         let masks_c: Vec<Vec<bool>> = (0..32).map(|r| mask_of(&mut c, r, 64)).collect();
         assert_eq!(masks_a, masks_b, "same seed, same schedule");
         assert_ne!(masks_a, masks_c, "different seed, different schedule");
         // p=100 never deactivates; activation rate is roughly p elsewhere.
-        let mut full = SeededRandomSsync::new(7, 100);
+        let mut full = SchedulerKind::Random(100).build(7);
         assert!(mask_of(&mut full, 0, 64).iter().all(|&x| x));
         let active: usize = masks_a.iter().flatten().filter(|&&x| x).count();
         let total = 32 * 64;
@@ -376,7 +239,7 @@ mod tests {
     #[test]
     fn kfair_activates_each_index_exactly_once_per_period() {
         let (k, n) = (4u32, 23usize);
-        let mut sched = KFair::new(99, k);
+        let mut sched = SchedulerKind::KFair(k).build(99);
         for window in 0..3 {
             let mut counts = vec![0usize; n];
             for round in window * k as u64..(window + 1) * k as u64 {
@@ -389,7 +252,7 @@ mod tests {
             assert_eq!(counts, vec![1; n], "window {window}");
         }
         // Phases are seed-scrambled: a different seed shifts them.
-        let mut other = KFair::new(100, k);
+        let mut other = SchedulerKind::KFair(k).build(100);
         let a: Vec<Vec<bool>> = (0..4).map(|r| mask_of(&mut sched, r, n)).collect();
         let b: Vec<Vec<bool>> = (0..4).map(|r| mask_of(&mut other, r, n)).collect();
         assert_ne!(a, b);

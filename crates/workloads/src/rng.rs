@@ -4,8 +4,8 @@
 //! schedulers and the workload generators share one implementation (and
 //! one stream definition); this module re-exports it under the historical
 //! `workloads::rng` path. Determinism is load-bearing: the experiment
-//! tables and the `run_batch` determinism tests rely on `(n, seed)` fully
-//! determining every generated chain.
+//! tables and the `run_batch_with` determinism tests rely on `(n, seed)`
+//! fully determining every generated chain.
 
 pub use chain_sim::rng::SplitMix64;
 

@@ -9,7 +9,7 @@
 //!    produced before the `Scheduler` trait existed — the golden values
 //!    below were recorded against that engine.
 //! 2. **Schedules are pure functions of their seed.** The same seed
-//!    yields the identical activation sequence, and `run_batch`
+//!    yields the identical activation sequence, and `run_batch_with`
 //!    fingerprints cannot depend on worker-thread count.
 //! 3. **Observers stay passive under SSYNC.** An instrumented SSYNC run —
 //!    including one in which the strategy breaks the chain, the common
@@ -298,7 +298,7 @@ fn large_k_kfair_runs_are_not_declared_falsely_quiescent() {
 
 /// Custom schedulers compose with the engine like observers do: the
 /// trait is open (here: a schedule that freezes the second half of the
-/// chain), and the boxed blanket impl forwards.
+/// chain) beside the activation rules that implement it.
 #[test]
 fn custom_scheduler_plugs_in() {
     struct FreezeUpperHalf;
@@ -311,9 +311,8 @@ fn custom_scheduler_plugs_in() {
         }
     }
     let chain = Family::Rectangle.generate(32, 0);
-    let boxed: Box<dyn Scheduler + Send> = Box::new(FreezeUpperHalf);
     let mut sim = Sim::new(chain, CompassSe::new())
-        .with_scheduler(Box::new(boxed))
+        .with_scheduler(Box::new(FreezeUpperHalf))
         .observe(MaskTape(Vec::new()));
     sim.step().unwrap();
     let mask = &sim.observer::<MaskTape>().unwrap().0[0];

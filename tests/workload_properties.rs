@@ -12,7 +12,7 @@
 //!    identical chain, and the same [`ScenarioSpec`] always produces the
 //!    identical run, round for round, regardless of batch parallelism.
 
-use bench::{run_batch, run_batch_with, BatchOptions, ScenarioSpec};
+use bench::{run_batch_with, BatchOptions, ScenarioSpec};
 use chain_sim::{Recorder, Sim};
 use gathering_core::ClosedChainGathering;
 use workloads::{Family, SplitMix64};
@@ -69,7 +69,7 @@ fn generation_is_deterministic_in_family_n_seed() {
     }
 }
 
-/// Same spec → identical run through `run_batch`, at every parallelism
+/// Same spec → identical run through `run_batch_with`, at every parallelism
 /// level: the batch fingerprint (actual n, rounds, merges, gap) is a pure
 /// function of the spec list.
 #[test]
@@ -78,8 +78,8 @@ fn run_batch_is_deterministic_across_parallelism() {
         .iter()
         .flat_map(|&fam| (0..2u64).map(move |seed| ScenarioSpec::paper(fam, 64, seed)))
         .collect();
-    let a = run_batch(&specs);
-    let b = run_batch(&specs);
+    let a = run_batch_with(&specs, BatchOptions::default());
+    let b = run_batch_with(&specs, BatchOptions::default());
     let serial = run_batch_with(&specs, BatchOptions::threads(1));
     let two = run_batch_with(&specs, BatchOptions::threads(2));
     for (((ra, rb), rs), r2) in a.iter().zip(&b).zip(&serial).zip(&two) {
