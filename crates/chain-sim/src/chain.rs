@@ -16,6 +16,7 @@ use crate::packed::{
 };
 use crate::robot::RobotId;
 use grid_geom::{chain_adjacent, Offset, Point, Rect};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Errors detected by [`ClosedChain::validate`].
@@ -88,38 +89,117 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// One merge of the merge pass: `removed` robots were spliced out because
-/// they coincided with chain neighbor `keeper`.
+/// One merge of the merge pass: the robots whose ids `removed` spans in
+/// the round's [`Merges::removed_ids`] were spliced out because they
+/// coincided with chain neighbor `keeper`. Read the ids through
+/// [`Merges::removed`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeEvent {
     /// Id of the surviving robot of the coincidence group.
     pub keeper: RobotId,
-    /// Ids of the removed robots (≥ 1).
-    pub removed: Vec<RobotId>,
-    /// Grid point where the merge happened.
-    pub at: Point,
+    /// Where the ids of the removed robots (≥ 1) lie in
+    /// [`Merges::removed_ids`].
+    pub removed: Range<usize>,
 }
 
-/// Result of a merge pass: which (pre-splice) indices were removed plus the
-/// merge events. Strategies use this to keep their per-robot state arrays in
-/// sync with the chain.
+/// The merge events of one merge pass and the ids they removed, in one
+/// buffer shared by all events: a round's merges cost no allocation once
+/// the buffers have grown.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Merges {
+    events: Vec<MergeEvent>,
+    removed_ids: Vec<RobotId>,
+}
+
+impl Merges {
+    /// The events, one per coincidence group, in keeper order (the group
+    /// that wraps index 0 last).
+    pub fn events(&self) -> &[MergeEvent] {
+        &self.events
+    }
+
+    /// The ids `event` removed, in chain order from its keeper on.
+    pub fn removed(&self, event: &MergeEvent) -> &[RobotId] {
+        &self.removed_ids[event.removed.clone()]
+    }
+
+    /// Every removed id, event by event.
+    pub fn removed_ids(&self) -> &[RobotId] {
+        &self.removed_ids
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// `true` if nothing merged.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Log an event: `keeper` removed `ids`, appended to the shared
+    /// buffer.
+    pub(crate) fn push(&mut self, keeper: RobotId, ids: impl IntoIterator<Item = RobotId>) {
+        let from = self.removed_ids.len();
+        self.removed_ids.extend(ids);
+        self.events.push(MergeEvent {
+            keeper,
+            removed: from..self.removed_ids.len(),
+        });
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.removed_ids.clear();
+    }
+}
+
+/// [`SpliceLog::fates`] entry of a robot that kept its coincidence group.
+pub const KEEPER: u8 = 1;
+/// [`SpliceLog::fates`] entry of a robot spliced out.
+pub const REMOVED: u8 = 2;
+
+/// Result of a merge pass: which (pre-splice) indices were removed and
+/// kept, the fate of every pre-splice index, and the merge events.
+/// Strategies use this to keep their per-robot state arrays in sync with
+/// the chain.
 #[derive(Clone, Debug, Default)]
 pub struct SpliceLog {
     /// Pre-splice indices removed, strictly ascending.
-    pub removed_indices: Vec<usize>,
+    pub(crate) removed_indices: Vec<usize>,
     /// Pre-splice index of the keeper for each removed index (parallel to
     /// `removed_indices`).
-    pub keeper_indices: Vec<usize>,
-    /// Merge events (one per coincidence group).
-    pub events: Vec<MergeEvent>,
+    pub(crate) keeper_indices: Vec<usize>,
+    /// [`KEEPER`], [`REMOVED`] or 0 by pre-splice index; at least as long
+    /// as the chain was, and 0 past it.
+    fates: Vec<u8>,
+    /// The merge events, one per coincidence group, with their ids.
+    pub(crate) merges: Merges,
 }
 
 impl SpliceLog {
-    /// Reset the log for the next merge pass (buffers keep their capacity).
+    /// A log with room for a merge pass over `n` robots, so that no merge
+    /// pass of a chain of at most `n` robots allocates.
+    pub fn with_capacity(n: usize) -> Self {
+        let mut log = SpliceLog::default();
+        log.removed_indices.reserve(n);
+        log.keeper_indices.reserve(n);
+        log.fates.resize(n, 0);
+        log.merges.events.reserve(n / 2);
+        log.merges.removed_ids.reserve(n);
+        log
+    }
+
+    /// Reset the log for the next merge pass (buffers keep their
+    /// capacity; only the fates the last pass set are cleared).
     pub fn clear(&mut self) {
+        for &i in self.removed_indices.iter().chain(&self.keeper_indices) {
+            self.fates[i] = 0;
+        }
         self.removed_indices.clear();
         self.keeper_indices.clear();
-        self.events.clear();
+        self.merges.clear();
     }
 
     /// Number of robots removed.
@@ -132,20 +212,62 @@ impl SpliceLog {
         self.removed_indices.is_empty()
     }
 
+    /// Pre-splice indices removed, strictly ascending.
+    pub fn removed_indices(&self) -> &[usize] {
+        &self.removed_indices
+    }
+
+    /// [`KEEPER`], [`REMOVED`] or 0 for every pre-splice index; the slice
+    /// may run past the pre-splice chain, with 0 there.
+    pub fn fates(&self) -> &[u8] {
+        &self.fates
+    }
+
+    /// The merge events and their removed ids.
+    pub fn merges(&self) -> &Merges {
+        &self.merges
+    }
+
+    /// The first pre-splice index with a fate, if anything merged: every
+    /// index below it keeps its place.
+    pub fn first_touched(&self) -> Option<usize> {
+        // A group's keeper directly precedes its first removed robot,
+        // unless the group wraps index 0, whose removed robots come first.
+        let &first = self.removed_indices.first()?;
+        Some(first.min(self.keeper_indices[0]))
+    }
+
+    /// Log that the robots at `removed` merged into the one at `keeper`,
+    /// indices ascending; `fates` must cover them.
+    pub(crate) fn log_group(&mut self, keeper: usize, removed: Range<usize>) {
+        self.fates[keeper] = KEEPER;
+        self.fates[removed.clone()].fill(REMOVED);
+        self.keeper_indices
+            .extend(std::iter::repeat_n(keeper, removed.len()));
+        self.removed_indices.extend(removed);
+    }
+
+    /// Make the fates cover a chain of `n` robots.
+    pub(crate) fn cover(&mut self, n: usize) {
+        if self.fates.len() < n {
+            self.fates.resize(n, 0);
+        }
+    }
+
     /// Remove the logged indices from `v`, an array parallel to the
     /// pre-splice chain, keeping the order of the rest: the merge pass's
-    /// own compaction, for per-robot state kept beside the chain. Moves
-    /// only what lies past the first removed index, one block per gap.
+    /// own compaction, for per-robot state kept beside the chain. From the
+    /// first removed index on, every entry is copied down without a
+    /// branch, and the write index advances past survivors only.
     pub fn splice<T: Copy>(&self, v: &mut Vec<T>) {
-        let removed = &self.removed_indices;
-        let Some(&first) = removed.first() else {
+        let Some(&first) = self.removed_indices.first() else {
             return;
         };
+        let fates = &self.fates[..v.len()];
         let mut write = first;
-        for (j, &r) in removed.iter().enumerate() {
-            let end = removed.get(j + 1).copied().unwrap_or(v.len());
-            v.copy_within(r + 1..end, write);
-            write += end - r - 1;
+        for read in first..fates.len() {
+            v[write] = v[read];
+            write += usize::from(fates[read] != REMOVED);
         }
         v.truncate(write);
     }
@@ -464,10 +586,10 @@ impl ClosedChain {
     /// The neighborhoods merge exactly as in the paper: the keeper
     /// inherits the group's outside neighbors. Events are logged in keeper
     /// order (the group that wraps index 0 last), the removed indices
-    /// ascending.
+    /// ascending, and every index of a group gets its fate.
     ///
     /// The edges go through the splice of [`crate::packed`], which the
-    /// kernels share; the ids follow the log.
+    /// kernels share; the ids follow the log's fates.
     ///
     /// Returns the number of robots removed; details land in `log`.
     pub fn merge_pass(&mut self, log: &mut SpliceLog) -> usize {
@@ -484,25 +606,22 @@ impl ClosedChain {
     }
 
     /// Log the merges the collapsed edges make (see
-    /// [`ClosedChain::merge_pass`]).
+    /// [`ClosedChain::merge_pass`]): indices and fates group by group, and
+    /// each group's event with its removed ids.
     fn log_merges(&self, log: &mut SpliceLog) {
-        let n = self.len();
-        let codes = &self.codes;
+        let (n, codes, ids) = (self.len(), &self.codes, &self.id);
+        log.cover(n);
         let lead = codes.iter().take_while(|&&c| c == EDGE_ZERO).count();
         if lead == n {
             // Every edge collapsed: everyone on one point.
-            log.removed_indices.extend(1..n);
-            log.keeper_indices.extend(std::iter::repeat_n(0, n - 1));
-            log.events.push(MergeEvent {
-                keeper: self.id[0],
-                removed: self.id[1..].to_vec(),
-                at: self.origin,
-            });
+            log.log_group(0, 1..n);
+            log.merges.push(ids[0], ids[1..].iter().copied());
             return;
         }
         // Robot 0 goes when the closing edge collapsed. Its group starts at
         // the last run of collapsed edges and takes in the leading run
-        // (edges 0..lead) too.
+        // (edges 0..lead) too; its robots 0 ..= lead are logged first, its
+        // event last.
         let wraps = codes[n - 1] == EDGE_ZERO;
         let lead = if wraps { lead } else { 0 };
         if wraps {
@@ -510,13 +629,9 @@ impl ClosedChain {
             while codes[start - 1] == EDGE_ZERO {
                 start -= 1;
             }
-            log.removed_indices.extend(0..=lead);
-            log.keeper_indices
-                .extend(std::iter::repeat_n(start, lead + 1));
+            log.log_group(start, 0..lead + 1);
         }
-        // One run of collapsed edges per group; a prefix walk from the
-        // origin finds each keeper's point and stops at the last keeper.
-        let (mut at, mut walked) = (self.origin, 0);
+        // One run of collapsed edges per group.
         let mut zeros = CollapsedEdges::starting_at(codes, lead);
         let mut found = zeros.next(codes);
         while let Some(keeper) = found {
@@ -528,25 +643,11 @@ impl ClosedChain {
             }
             // One past the group's last robot: n + 1 for the group that
             // wraps, whose robots n and on are 0 ..= lead.
-            let stop = last + 2;
-            let wrap_group = stop > n;
-            let mut removed =
-                Vec::with_capacity(stop - keeper - 1 + if wrap_group { lead } else { 0 });
-            removed.extend_from_slice(&self.id[keeper + 1..stop.min(n)]);
-            if wrap_group {
-                removed.extend_from_slice(&self.id[..=lead]);
-            }
-            for r in keeper + 1..stop.min(n) {
-                log.removed_indices.push(r);
-                log.keeper_indices.push(keeper);
-            }
-            at = walk(at, &codes[walked..keeper]);
-            walked = keeper;
-            log.events.push(MergeEvent {
-                keeper: self.id[keeper],
-                removed,
-                at,
-            });
+            let stop = (last + 2).min(n);
+            log.log_group(keeper, keeper + 1..stop);
+            let wrapped: &[RobotId] = if last + 2 > n { &ids[..=lead] } else { &[] };
+            let removed = ids[keeper + 1..stop].iter().chain(wrapped);
+            log.merges.push(ids[keeper], removed.copied());
         }
     }
 
@@ -755,7 +856,7 @@ mod tests {
         removed: usize,
         removed_indices: Vec<usize>,
         keeper_indices: Vec<usize>,
-        events: Vec<MergeEvent>,
+        merges: Merges,
     }
 
     fn edge_round(c: &mut ClosedChain, hops: &[Offset]) -> Result<Round, ChainError> {
@@ -767,7 +868,7 @@ mod tests {
             removed,
             removed_indices: log.removed_indices,
             keeper_indices: log.keeper_indices,
-            events: log.events,
+            merges: log.merges,
         })
     }
 
@@ -780,7 +881,7 @@ mod tests {
             removed,
             removed_indices: log.removed_indices,
             keeper_indices: log.keeper_indices,
-            events: log.events,
+            merges: log.merges,
         })
     }
 
@@ -855,7 +956,12 @@ mod tests {
                         merged += 1;
                     }
                     wrapped += usize::from(w.removed_indices.first() == Some(&0));
-                    big_groups += w.events.iter().filter(|e| e.removed.len() >= 2).count();
+                    big_groups += w
+                        .merges
+                        .events()
+                        .iter()
+                        .filter(|e| e.removed.len() >= 2)
+                        .count();
                     collapses += usize::from(oracle.pos.len() == 1);
                 }
                 _ => panic!("case {case}: oracle {want:?}, edge chain {got:?}"),
@@ -874,27 +980,34 @@ mod tests {
         assert!(collapses >= 1000, "{collapses} total collapses");
     }
 
-    /// `SpliceLog::splice` keeps exactly the entries whose index is not
-    /// logged, in order, for every removal set of small arrays.
+    /// `SpliceLog::splice`, driven by the fates, keeps exactly the
+    /// entries whose index is not logged as removed, in order, for every
+    /// removal set of small arrays that leaves a robot to keep the others
+    /// (each removed robot's keeper is the nearest survivor before it,
+    /// cyclically, as in a merge pass). One log serves every set: `clear`
+    /// leaves no fate behind.
     #[test]
     fn splice_matches_filtering() {
-        for n in 0..=9usize {
-            for set in 0u32..(1 << n) {
-                let removed: Vec<usize> = (0..n).filter(|i| set >> i & 1 == 1).collect();
-                let log = SpliceLog {
-                    keeper_indices: vec![0; removed.len()],
-                    removed_indices: removed,
-                    events: Vec::new(),
-                };
+        let mut log = SpliceLog::default();
+        for n in 1..=9usize {
+            for set in 0u32..(1 << n) - 1 {
+                let removed = |i: usize| set >> i & 1 == 1;
+                log.clear();
+                assert!(log.fates().iter().all(|&f| f == 0), "n={n} set={set:b}");
+                log.cover(n);
+                for r in (0..n).filter(|&r| removed(r)) {
+                    let keeper = (1..n)
+                        .map(|d| (r + n - d) % n)
+                        .find(|&k| !removed(k))
+                        .expect("a survivor");
+                    log.log_group(keeper, r..r + 1);
+                }
                 let mut v: Vec<usize> = (100..100 + n).collect();
-                let want: Vec<usize> = v
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| set >> i & 1 == 0)
-                    .map(|(_, &x)| x)
-                    .collect();
+                let want: Vec<usize> = (0..n).filter(|&i| !removed(i)).map(|i| v[i]).collect();
                 log.splice(&mut v);
-                assert_eq!(v, want, "n={n} removed={:?}", log.removed_indices);
+                assert_eq!(v, want, "n={n} removed={:?}", log.removed_indices());
+                let touched = (0..n).find(|&i| log.fates()[i] != 0);
+                assert_eq!(log.first_touched(), touched, "n={n} set={set:b}");
             }
         }
     }
@@ -954,7 +1067,7 @@ mod tests {
         assert!(c.is_gathered());
         // Keeper of each pair is the first of the coincidence group in
         // chain order: r1 keeps (r2 removed), r3 keeps (r4 removed).
-        assert_eq!(log.events.len(), 2);
+        assert_eq!(log.merges().len(), 2);
     }
 
     #[test]
@@ -973,8 +1086,8 @@ mod tests {
         let removed = c.merge_pass(&mut log);
         assert_eq!(removed, 3);
         assert_eq!(c.len(), 1);
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.events[0].removed.len(), 3);
+        assert_eq!(log.merges().len(), 1);
+        assert_eq!(log.merges().removed_ids().len(), 3);
     }
 
     #[test]
@@ -998,11 +1111,11 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(c.len(), 4);
         c.validate().unwrap();
-        assert_eq!(log.events.len(), 2);
+        assert_eq!(log.merges().len(), 2);
         // Exactly one of {0, 5} was removed, and remap agrees.
-        let wrap_gone = log.removed_indices.iter().any(|&i| i == 0 || i == 5);
+        let wrap_gone = log.removed_indices().iter().any(|&i| i == 0 || i == 5);
         assert!(wrap_gone);
-        for &gone in &log.removed_indices {
+        for &gone in log.removed_indices() {
             assert_eq!(log.remap(gone), None);
         }
     }
@@ -1032,11 +1145,10 @@ mod tests {
 
     #[test]
     fn splice_log_remap() {
-        let log = SpliceLog {
-            removed_indices: vec![2, 5],
-            keeper_indices: vec![1, 4],
-            events: vec![],
-        };
+        let mut log = SpliceLog::default();
+        log.cover(7);
+        log.log_group(1, 2..3);
+        log.log_group(4, 5..6);
         assert_eq!(log.remap(0), Some(0));
         assert_eq!(log.remap(1), Some(1));
         assert_eq!(log.remap(2), None);

@@ -14,9 +14,10 @@
 //! [`Observer`]s ([`Sim::observe`]) instead of owning a second loop.
 //!
 //! The round loop is the simulator's hot path. With no observers attached
-//! it retains nothing: the hop buffer and splice log are reused across
-//! rounds (each merge event still allocates its list of removed ids) and
-//! only the [`Progress`] aggregates (a few counters) are folded in-place.
+//! it retains nothing and allocates nothing: the hop buffer and splice
+//! log are reused across rounds (the merge events share one buffer of
+//! removed ids) and only the [`Progress`] aggregates (a few counters) are
+//! folded in-place.
 //! The chain stores its edges ([`ClosedChain`]): the move rewrites each
 //! edge from the hops of its two robots, the merge pass splices the ones
 //! that collapsed, and the gathering flag is kept exact by a stale
@@ -25,7 +26,7 @@
 //! Observers see each round through a borrowed [`RoundCtx`] and pay for
 //! exactly what they retain.
 
-use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
+use crate::chain::{ChainError, ClosedChain, Merges, SpliceLog};
 use crate::kernel::{FsyncRule, GatherCheck};
 use crate::observe::{AnyObserver, Observer, RoundCtx};
 use crate::scheduler::Scheduler;
@@ -250,12 +251,8 @@ impl<S: Strategy> Sim<S> {
         let n = chain.len();
         let guard = strategy.wants_chain_guard();
         let gather = GatherCheck::new(n, chain.bounding());
-        // Room for the largest merge pass, so that only the merge events'
-        // lists of removed ids allocate.
-        let mut splice = SpliceLog::default();
-        splice.removed_indices.reserve(n);
-        splice.keeper_indices.reserve(n);
-        splice.events.reserve(n / 2);
+        // Room for the largest merge pass: no merge pass allocates.
+        let splice = SpliceLog::with_capacity(n);
         Sim {
             chain,
             strategy,
@@ -392,11 +389,12 @@ impl<S: Strategy> Sim<S> {
             .fold(self.retired_travel, |acc, &t| acc.max(t))
     }
 
-    /// Merge events of the most recent round (reused buffer; valid until
-    /// the next [`Sim::step`]). Always reflects the latest round,
-    /// regardless of which observers are attached.
-    pub fn last_merges(&self) -> &[MergeEvent] {
-        &self.splice.events
+    /// Merge events of the most recent round, with their removed ids
+    /// (reused buffers; valid until the next [`Sim::step`]). Always
+    /// reflects the latest round, regardless of which observers are
+    /// attached.
+    pub fn last_merges(&self) -> &Merges {
+        self.splice.merges()
     }
 
     /// `true` if the gathering criterion (2×2 bounding box) holds.
@@ -489,7 +487,7 @@ impl<S: Strategy> Sim<S> {
             // Mirror the splice in the travel totals: removed robots
             // retire theirs into the running maximum, survivors compact
             // down as the chain did.
-            for &r in &self.splice.removed_indices {
+            for &r in self.splice.removed_indices() {
                 self.retired_travel = self.retired_travel.max(self.travel[r]);
             }
             self.splice.splice(&mut self.travel);
@@ -1071,7 +1069,7 @@ mod tests {
             let removed = self.chain.merge_pass(&mut self.splice);
             let mut write = 0;
             for read in 0..self.travel.len() {
-                if self.splice.removed_indices.contains(&read) {
+                if self.splice.removed_indices().contains(&read) {
                     self.retired = self.retired.max(self.travel[read]);
                 } else {
                     self.travel[write] = self.travel[read];
@@ -1197,11 +1195,7 @@ mod tests {
                             (*moved, *removed, *gathered)
                         );
                         assert_eq!(s.len_after, reference.chain.pos.len(), "case {case}");
-                        assert_eq!(
-                            sim.last_merges(),
-                            &reference.splice.events[..],
-                            "case {case}"
-                        );
+                        assert_eq!(sim.last_merges(), reference.splice.merges(), "case {case}");
                         if *removed > 0 {
                             merged += 1;
                         } else {

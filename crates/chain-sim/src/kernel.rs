@@ -1040,8 +1040,13 @@ mod tests {
                     } else {
                         merged += 1;
                     }
-                    wrapped += usize::from(log.removed_indices.first() == Some(&0));
-                    big_groups += log.events.iter().filter(|e| e.removed.len() >= 2).count();
+                    wrapped += usize::from(log.removed_indices().first() == Some(&0));
+                    big_groups += log
+                        .merges()
+                        .events()
+                        .iter()
+                        .filter(|e| e.removed.len() >= 2)
+                        .count();
                     collapses += usize::from(oracle.pos.len() == 1);
                 }
                 _ => panic!("case {case}: oracle {want:?}, kernel chain {got:?}"),

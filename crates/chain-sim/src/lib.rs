@@ -79,7 +79,7 @@ pub mod strategy;
 pub mod trace;
 pub mod view;
 
-pub use chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
+pub use chain::{ChainError, ClosedChain, MergeEvent, Merges, SpliceLog};
 pub use engine::{Outcome, RoundSummary, RunLimits, Sim, QUIESCENCE_WINDOW};
 pub use kernel::{
     ActivationRule, FsyncRule, KFairRule, KernelChain, KernelSim, RandomRule, RoundKernel,

@@ -167,7 +167,7 @@ impl<S: Strategy> Observer<S> for Recorder {
                 round: s.round,
                 moved: s.moved,
                 removed: s.removed,
-                merges: ctx.splice.events.clone(),
+                merges: ctx.splice.merges().clone(),
                 len_after: s.len_after,
                 bbox: ctx.chain.bounding(),
                 gathered: s.gathered,

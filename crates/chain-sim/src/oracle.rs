@@ -5,11 +5,14 @@
 //! [`KernelChain`](crate::KernelChain) are checked against, on the random
 //! rounds of [`oracle_case`].
 //!
-//! Beside it lives the chain guard as it ran before it skipped the
+//! Beside it live the chain guard as it ran before it skipped the
 //! confirming sweep ([`cancel_by_sweeps`]), the reference of the one-sweep
-//! [`cancel_breaking_hops`](crate::safety::cancel_breaking_hops).
+//! [`cancel_breaking_hops`](crate::safety::cancel_breaking_hops), and the
+//! code splice as it ran before it compacted eight codes per word
+//! ([`splice_by_gaps`]), the reference of the packed splice.
 
-use crate::chain::{ChainError, ClosedChain, MergeEvent, SpliceLog};
+use crate::chain::{ChainError, ClosedChain, SpliceLog};
+use crate::packed::{edge_offset, CollapsedEdges, EDGE_ZERO};
 use crate::rng::SplitMix64;
 use crate::robot::RobotId;
 use crate::safety::GuardHop;
@@ -93,22 +96,19 @@ impl PosChain {
     /// Splice out robots that coincide with their chain neighbours: each
     /// maximal group of consecutive robots on one point collapses to its
     /// first member in chain order (a group wrapping index 0 starts at its
-    /// true start), and the log is sorted by removed index.
+    /// true start), and the log is sorted by removed index. The survivors
+    /// are kept by a lookup of the sorted log, not by its fates.
     pub fn merge_pass(&mut self, log: &mut SpliceLog) -> usize {
         log.clear();
         let n = self.pos.len();
         if n < 2 {
             return 0;
         }
+        log.cover(n);
         let (pos, id) = (&self.pos, &self.id);
         if pos.iter().all(|&p| p == pos[0]) {
-            log.removed_indices.extend(1..n);
-            log.keeper_indices.extend(std::iter::repeat_n(0, n - 1));
-            log.events.push(MergeEvent {
-                keeper: id[0],
-                removed: id[1..].to_vec(),
-                at: pos[0],
-            });
+            log.log_group(0, 1..n);
+            log.merges.push(id[0], id[1..].iter().copied());
             self.pos.truncate(1);
             self.id.truncate(1);
             return n - 1;
@@ -127,21 +127,19 @@ impl PosChain {
             }
             if glen > 1 {
                 let ris: Vec<usize> = (1..glen).map(|j| (anchor + k + j) % n).collect();
-                log.events.push(MergeEvent {
-                    keeper: id[gi],
-                    removed: ris.iter().map(|&r| id[r]).collect(),
-                    at: pos[gi],
-                });
+                log.merges.push(id[gi], ris.iter().map(|&r| id[r]));
                 pairs.extend(ris.into_iter().map(|r| (r, gi)));
             }
             k += glen;
         }
         pairs.sort_unstable();
-        log.removed_indices.extend(pairs.iter().map(|&(r, _)| r));
-        log.keeper_indices.extend(pairs.iter().map(|&(_, k)| k));
-        log.splice(&mut self.pos);
-        log.splice(&mut self.id);
-        log.removed_indices.len()
+        for (r, keeper) in pairs {
+            log.log_group(keeper, r..r + 1);
+        }
+        let kept = |i: &usize| log.remap(*i).is_some();
+        self.pos = (0..n).filter(kept).map(|i| self.pos[i]).collect();
+        self.id = (0..n).filter(kept).map(|i| self.id[i]).collect();
+        log.removed_count()
     }
 
     /// The paper's gathering criterion on a fresh bounding box.
@@ -188,6 +186,39 @@ pub(crate) fn cancel_by_sweeps<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> (us
             return (cancelled, sweeps);
         }
     }
+}
+
+/// The splice of the collapsed edges with one `copy_within` per gap
+/// between them: same contract as the packed splice (origin handed over
+/// when robot 0 goes, one robot left when every edge collapsed), same
+/// return value.
+pub(crate) fn splice_by_gaps(origin: &mut Point, codes: &mut Vec<u8>) -> usize {
+    let n = codes.len();
+    let mut zeros = CollapsedEdges::starting_at(codes, 0);
+    let Some(mut gap) = zeros.next(codes) else {
+        return 0;
+    };
+    let wraps = codes[n - 1] == EDGE_ZERO;
+    let mut write = gap;
+    loop {
+        let end = zeros.next(codes);
+        let stop = end.unwrap_or(n);
+        codes.copy_within(gap + 1..stop, write);
+        write += stop - gap - 1;
+        match end {
+            Some(e) => gap = e,
+            None => break,
+        }
+    }
+    codes.truncate(write);
+    if write == 0 {
+        return n - 1;
+    }
+    if wraps {
+        *origin += edge_offset(codes[0]);
+        codes.rotate_left(1);
+    }
+    n - write
 }
 
 /// Seed of the random oracle rounds.

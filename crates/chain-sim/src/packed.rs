@@ -42,8 +42,9 @@
 //!   ([`GuardHop`]: [`Offset`]s for the boxed engine, hop codes for the
 //!   kernels), so each caller gets its own monomorphized loop.
 //! * `splice` removes the edges the rewrite collapsed to
-//!   [`EDGE_ZERO`], found eight per word (`CollapsedEdges`), with one
-//!   `copy_within` per gap, and hands the origin over when robot 0 goes.
+//!   [`EDGE_ZERO`], eight codes per word from the first one on (a word
+//!   without a collapsed edge is copied whole), and hands the origin over
+//!   when robot 0 goes.
 //!
 //! [`ClosedChain`] adds robot ids and the merge log on top of these.
 
@@ -489,29 +490,34 @@ pub(crate) fn rewrite<H: GuardHop>(
 /// survivors keep their cyclic order. Returns the number of robots
 /// removed.
 ///
-/// The codes are compacted with one `copy_within` per gap. When robot 0
-/// goes (the closing edge collapsed), the first survivor becomes robot 0:
-/// the origin moves along the first edge that kept its length, and the
-/// codes rotate so that edge comes last. When every edge collapsed, robot
-/// 0 is the one robot left.
+/// The codes are compacted from the first collapsed edge on, eight per
+/// word: a word without [`EDGE_ZERO`] is copied whole, and a word with one
+/// code by code, without a branch. When robot 0 goes (the closing edge
+/// collapsed), the first survivor becomes robot 0: the origin moves along
+/// the first edge that kept its length, and the codes rotate so that edge
+/// comes last. When every edge collapsed, robot 0 is the one robot left.
 pub(crate) fn splice(origin: &mut Point, codes: &mut Vec<u8>) -> usize {
     let n = codes.len();
-    let mut zeros = CollapsedEdges::starting_at(codes, 0);
-    let Some(mut gap) = zeros.next(codes) else {
+    let Some(first) = CollapsedEdges::starting_at(codes, 0).next(codes) else {
         return 0;
     };
     let wraps = codes[n - 1] == EDGE_ZERO;
-    let mut write = gap;
-    loop {
-        let end = zeros.next(codes);
-        let stop = end.unwrap_or(n);
-        codes.copy_within(gap + 1..stop, write);
-        write += stop - gap - 1;
-        match end {
-            Some(e) => gap = e,
-            None => break,
+    // Every write lands at or below the code it copies, and a word is
+    // read before any of it is overwritten.
+    let (mut read, mut write) = (first, first);
+    while read + 8 <= n {
+        let word: [u8; 8] = codes[read..read + 8].try_into().expect("8 codes");
+        if byte_hits(u64::from_le_bytes(word), EDGE_ZERO) == 0 {
+            codes[write..write + 8].copy_from_slice(&word);
+            write += 8;
+        } else {
+            write = compact(codes, write, word);
         }
+        read += 8;
     }
+    let mut tail = [EDGE_ZERO; 8];
+    tail[..n - read].copy_from_slice(&codes[read..]);
+    let write = compact(codes, write, tail);
     codes.truncate(write);
     if write == 0 {
         return n - 1;
@@ -521,6 +527,20 @@ pub(crate) fn splice(origin: &mut Point, codes: &mut Vec<u8>) -> usize {
         codes.rotate_left(1);
     }
     n - write
+}
+
+/// Write the codes of `word` that are not [`EDGE_ZERO`] to `codes` from
+/// `write` on; returns the next write index. Each code is stored, and the
+/// index advances past the ones kept. [`splice`] keeps `write` at or
+/// below the index of the code it stores, and the padding of its short
+/// last word below the chain's length, so every store is in bounds.
+#[inline]
+fn compact(codes: &mut [u8], mut write: usize, word: [u8; 8]) -> usize {
+    for c in word {
+        codes[write] = c;
+        write += usize::from(c != EDGE_ZERO);
+    }
+    write
 }
 
 /// A taut closed chain as origin + one edge code per byte (see the
@@ -889,6 +909,57 @@ mod tests {
         }
         edge_codes_into(&[Point::new(3, 3)], &mut bytes);
         assert!(bytes.is_empty());
+    }
+
+    /// The word-wide splice equals the per-gap splice it replaced
+    /// ([`crate::oracle::splice_by_gaps`]) in origin, codes and count, on
+    /// random codes of every length from 1 to 40 and near 1,000: with
+    /// [`EDGE_ZERO`] alone in each lane in turn, at random densities, in
+    /// runs that cross word boundaries, on the closing edge (with and
+    /// without a leading run), and everywhere.
+    #[test]
+    fn splice_matches_splice_by_gaps() {
+        let mut rng = SplitMix64::new(0x5b1c);
+        let mut cases: Vec<Vec<u8>> = Vec::new();
+        for len in (1..=40).chain(995..=1004) {
+            let base: Vec<u8> = (0..len).map(|_| rng.below(4) as u8).collect();
+            let with = |zeros: &mut dyn FnMut(usize) -> bool| -> Vec<u8> {
+                let mut codes = base.clone();
+                for (i, c) in codes.iter_mut().enumerate() {
+                    if zeros(i) {
+                        *c = EDGE_ZERO;
+                    }
+                }
+                codes
+            };
+            for k in (0..len).filter(|&k| k < 40 || k % 97 == 0 || k + 9 > len) {
+                cases.push(with(&mut |i| i == k));
+            }
+            for (num, den) in [(1, 5), (1, 2), (9, 10)] {
+                cases.push(with(&mut |_| rng.chance(num, den)));
+            }
+            for _ in 0..4 {
+                let from = rng.range_usize(0, len);
+                let to = (from + rng.range_usize(2, 20)).min(len);
+                cases.push(with(&mut |i| (from..to).contains(&i)));
+            }
+            let lead = rng.range_usize(0, len.min(12));
+            cases.push(with(&mut |i| i + 1 == len));
+            cases.push(with(&mut |i| i + 1 == len || i < lead));
+            cases.push(with(&mut |i| i + 3 >= len || i % 8 == 7));
+            cases.push(with(&mut |_| true));
+        }
+        let mut everything = 0;
+        for codes in cases {
+            let origin = Point::new(rng.range_i64_inclusive(-9, 9), 4);
+            let (mut want_origin, mut want) = (origin, codes.clone());
+            let removed = crate::oracle::splice_by_gaps(&mut want_origin, &mut want);
+            let (mut got_origin, mut got) = (origin, codes.clone());
+            assert_eq!(splice(&mut got_origin, &mut got), removed, "{codes:?}");
+            assert_eq!((got_origin, &got), (want_origin, &want), "{codes:?}");
+            everything += usize::from(codes.len() > 1 && got.is_empty());
+        }
+        assert!(everything >= 49, "{everything} total collapses");
     }
 
     /// The cursor finds exactly the collapsed edges, from any start, at

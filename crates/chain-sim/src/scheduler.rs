@@ -160,15 +160,18 @@ impl SchedulerKind {
     }
 
     /// Worst-case round-count inflation versus FSYNC: the inverse duty
-    /// cycle. Limit policies multiply their FSYNC-derived bounds by this
-    /// factor, so an SSYNC run gets proportionally more rounds before the
-    /// round cap or the stall window trips.
+    /// cycle, as the kind's rule states it
+    /// ([`ActivationRule::slowdown`]). Limit policies multiply their
+    /// FSYNC-derived bounds by this factor, so an SSYNC run gets
+    /// proportionally more rounds before the round cap or the stall window
+    /// trips. The slowdown does not depend on the seed, and a rule builds
+    /// its tables only when prepared, so this allocates nothing.
     pub fn slowdown(&self) -> u64 {
         match *self {
-            SchedulerKind::Fsync => 1,
-            SchedulerKind::RoundRobin(g) => u64::from(g.max(1)),
-            SchedulerKind::Random(p) => 100u64.div_ceil(u64::from(p.clamp(1, 100))),
-            SchedulerKind::KFair(k) => u64::from(k.max(1)),
+            SchedulerKind::Fsync => ActivationRule::slowdown(&FsyncRule),
+            SchedulerKind::RoundRobin(g) => ActivationRule::slowdown(&RoundRobinRule::new(g)),
+            SchedulerKind::Random(p) => ActivationRule::slowdown(&RandomRule::new(0, p)),
+            SchedulerKind::KFair(k) => ActivationRule::slowdown(&KFairRule::new(0, k)),
         }
     }
 
@@ -291,6 +294,28 @@ mod tests {
         assert_eq!(SchedulerKind::KFair(4).slowdown(), 4);
         assert!(SchedulerKind::Fsync.is_fsync());
         assert!(!SchedulerKind::KFair(4).is_fsync());
+    }
+
+    /// The kind's slowdown is the one its built scheduler reports, for
+    /// the sweep and the edge parameters of each rule, at any seed.
+    #[test]
+    fn slowdown_is_the_built_schedulers() {
+        let edges = [
+            SchedulerKind::Random(33),
+            SchedulerKind::Random(100),
+            SchedulerKind::RoundRobin(0),
+            SchedulerKind::KFair(0),
+        ];
+        for kind in SchedulerKind::SWEEP.into_iter().chain(edges) {
+            for seed in [0, 7, u64::MAX] {
+                assert_eq!(
+                    kind.slowdown(),
+                    Scheduler::slowdown(&*kind.build(seed)),
+                    "{} seed {seed}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   want a trace, and the observer-free engine stays on the zero-retention
 //!   hot path.
 
-use crate::chain::MergeEvent;
+use crate::chain::Merges;
 use grid_geom::{Point, Rect};
 
 /// What happened in one FSYNC round (full record, retained by the
@@ -29,8 +29,9 @@ pub struct RoundReport {
     pub moved: usize,
     /// Robots removed by the merge pass this round.
     pub removed: usize,
-    /// Merge events of the round.
-    pub merges: Vec<MergeEvent>,
+    /// Merge events of the round, with their removed ids: the one copy a
+    /// recording run makes of the engine's merge log.
+    pub merges: Merges,
     /// Chain length after the round.
     pub len_after: usize,
     /// Bounding box after the round.
@@ -236,7 +237,7 @@ mod tests {
             round: 0,
             moved: 0,
             removed,
-            merges: vec![],
+            merges: Merges::default(),
             len_after: 10,
             bbox: Rect::point(Point::ORIGIN),
             gathered: false,

@@ -12,7 +12,7 @@
 use crate::runs::{PlacedRun, RunMode, StopReason};
 use crate::strategy::{ClosedChainGathering, RunEvent};
 use chain_sim::observe::{Observer, RoundCtx};
-use chain_sim::{ClosedChain, MergeEvent, RobotId};
+use chain_sim::{ClosedChain, Merges, RobotId};
 use grid_geom::Offset;
 use std::collections::HashMap;
 
@@ -166,7 +166,7 @@ impl LemmaAuditor {
         strategy: &mut ClosedChainGathering,
         round: u64,
         removed: usize,
-        merges: &[MergeEvent],
+        merges: &Merges,
     ) {
         let events = strategy.take_events();
 
@@ -303,13 +303,13 @@ impl LemmaAuditor {
         &mut self,
         chain: &ClosedChain,
         strategy: &ClosedChainGathering,
-        merges: &[MergeEvent],
+        merges: &Merges,
     ) {
         // Map: removed robot -> keeper (for excusing merged successors).
         let mut keeper_of: HashMap<RobotId, RobotId> = HashMap::new();
-        for ev in merges {
-            for r in &ev.removed {
-                keeper_of.insert(*r, ev.keeper);
+        for ev in merges.events() {
+            for &r in merges.removed(ev) {
+                keeper_of.insert(r, ev.keeper);
             }
         }
         let mut now: HashMap<u64, RunTrack> = HashMap::new();
@@ -437,7 +437,7 @@ impl Observer<ClosedChainGathering> for LemmaAuditor {
             strategy,
             ctx.summary.round,
             ctx.summary.removed,
-            &ctx.splice.events,
+            ctx.splice.merges(),
         );
     }
 
@@ -594,8 +594,8 @@ mod tests {
         // violation), faster than the rr2 window 2L = 26.
         for round in 0..=(2 * l) {
             let removed = usize::from(round.is_multiple_of(20));
-            fsync.after_round(&chain, &mut strategy, round, removed, &[]);
-            rr2.after_round(&chain, &mut strategy, round, removed, &[]);
+            fsync.after_round(&chain, &mut strategy, round, removed, &Merges::default());
+            rr2.after_round(&chain, &mut strategy, round, removed, &Merges::default());
         }
         assert!(
             !fsync.summary().lemma1_violations.is_empty(),

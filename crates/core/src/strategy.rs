@@ -22,14 +22,10 @@ use crate::merge::MergeScan;
 use crate::quasi::{self, step_code, StartShape};
 use crate::runs::{PlacedRun, Run, RunAction, RunMode, RunSlots, RunStats, StopReason};
 use crate::signature::{self, Signatures};
+use chain_sim::chain::{KEEPER, REMOVED};
 use chain_sim::packed::{edge_code, edge_offset};
 use chain_sim::{ClosedChain, RobotId, SpliceLog, Strategy};
 use grid_geom::Offset;
-
-/// `post_merge` flag of a pre-splice index whose robot keeps its group.
-const KEEPER: u8 = 1;
-/// `post_merge` flag of a pre-splice index whose robot was spliced out.
-const REMOVED: u8 = 2;
 
 /// Instrumentation events (consumed by the audit module and tests).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,10 +83,8 @@ pub struct ClosedChainGathering {
     /// Previous round's inherent pattern sizes, compacted through splices
     /// (drives staggered suppression expiry).
     prev_inherent_k: Vec<u8>,
-    /// `post_merge` scratch: `KEEPER`/`REMOVED` flags by pre-splice index
-    /// (all clear between rounds), and the sorted ids of every robot of a
-    /// merge group.
-    merge_flags: Vec<u8>,
+    /// `post_merge` scratch: the sorted ids of every robot of a merge
+    /// group.
     merged_ids: Vec<RobotId>,
     next_run_id: u64,
     stats: RunStats,
@@ -114,7 +108,6 @@ impl ClosedChainGathering {
             suppress: Vec::new(),
             suppress_flags: Vec::new(),
             prev_inherent_k: Vec::new(),
-            merge_flags: Vec::new(),
             merged_ids: Vec::new(),
             next_run_id: 0,
             stats: RunStats::default(),
@@ -408,8 +401,6 @@ impl Strategy for ClosedChainGathering {
         self.staged_slots.resize(n, RunSlots::EMPTY);
         self.folds.clear();
         self.folds.reserve(n);
-        self.merge_flags.clear();
-        self.merge_flags.resize(n, 0);
         self.merged_ids.clear();
         self.merged_ids.reserve(n);
         let [none, none2] = signature::NO_VIEW;
@@ -560,15 +551,10 @@ impl Strategy for ClosedChainGathering {
             debug_assert_eq!(self.slots.len(), chain.len());
             return;
         }
-        // Flags by pre-splice index, cleared again on the way out.
+        // The log's fates by pre-splice index.
         let old_n = self.slots.len();
-        let removed = &log.removed_indices;
-        for &k in &log.keeper_indices {
-            self.merge_flags[k] = KEEPER;
-        }
-        for &r in removed {
-            self.merge_flags[r] = REMOVED;
-        }
+        let removed = log.removed_indices();
+        let fates = &log.fates()[..old_n];
 
         // Terminate runs on removed robots and on keepers (Table 1.3) and
         // move the others to their post-splice indices. Table and removed
@@ -589,7 +575,7 @@ impl Strategy for ClosedChainGathering {
                     robot: RobotId(u64::MAX),
                     reason: StopReason::RobotRemoved,
                 });
-            } else if self.merge_flags[at] == KEEPER {
+            } else if fates[at] == KEEPER {
                 self.stop_run(round, &run, chain.id(at - shift), StopReason::Merged);
             } else {
                 runs[kept] = PlacedRun {
@@ -609,28 +595,23 @@ impl Strategy for ClosedChainGathering {
         // before the first keeper or removed robot moves; every robot from
         // there on is copied down without a branch, and the write index
         // advances past survivors only.
-        let first_keeper = log.keeper_indices.iter().min();
-        let first = removed[0].min(*first_keeper.expect("a removed robot has a keeper"));
+        let first = log.first_touched().expect("something merged");
         let mut write = first;
         let [none, none2] = signature::NO_VIEW;
-        let flags = &self.merge_flags[..old_n];
         let slots = &mut self.slots[..old_n];
         let sig_prev = &mut self.sig_prev[..old_n];
         let sig_prev2 = &mut self.sig_prev2[..old_n];
         let suppress = &mut self.suppress[..old_n];
         let inherent_k = &mut self.prev_inherent_k[..old_n];
         for read in first..old_n {
-            let flag = flags[read];
-            let keeper = flag == KEEPER;
+            let fate = fates[read];
+            let keeper = fate == KEEPER;
             slots[write] = if keeper { RunSlots::EMPTY } else { slots[read] };
             sig_prev[write] = if keeper { none } else { sig_prev[read] };
             sig_prev2[write] = if keeper { none2 } else { sig_prev2[read] };
             suppress[write] = if keeper { 0 } else { suppress[read] };
             inherent_k[write] = if keeper { 0 } else { inherent_k[read] };
-            write += usize::from(flag != REMOVED);
-        }
-        for &i in log.keeper_indices.iter().chain(removed) {
-            self.merge_flags[i] = 0;
+            write += usize::from(fate != REMOVED);
         }
         self.slots.truncate(write);
         self.sig_prev.truncate(write);
@@ -651,11 +632,11 @@ impl Strategy for ClosedChainGathering {
             self.runs = runs;
             return;
         }
+        let merges = log.merges();
         self.merged_ids.clear();
-        for ev in &log.events {
-            self.merged_ids.push(ev.keeper);
-            self.merged_ids.extend_from_slice(&ev.removed);
-        }
+        self.merged_ids
+            .extend(merges.events().iter().map(|ev| ev.keeper));
+        self.merged_ids.extend_from_slice(merges.removed_ids());
         self.merged_ids.sort_unstable();
         let mut kept = 0;
         for r in 0..runs.len() {

@@ -2,9 +2,10 @@
 //! `ClosedChainGathering::compute` from round 1 on (round 0 sizes the merge
 //! scan's buffers; `init` reserves the run tables) and `post_merge` in
 //! every round, counted by a global allocator on the calling thread.
-//! The whole engine round (`Sim::step`) allocates nothing from round 1 on
-//! but each merge event's list of removed ids — so nothing on the hot path
-//! decodes the chain's positions, which would allocate their cache. A
+//! The whole engine round (`Sim::step`) allocates nothing from round 1 on,
+//! merge pass included: the merge events share one buffer of removed ids
+//! that `Sim::new` sizes, and nothing on the hot path decodes the chain's
+//! positions, which would allocate their cache. A
 //! standalone `MergeScan` reused on a chain no longer than its first one
 //! allocates nothing either: it reads the chain's edge codes in place.
 
@@ -144,10 +145,9 @@ fn reused_merge_scan_is_allocation_free() {
     assert_eq!(allocs() - before, 0, "a warm merge scan allocated");
 }
 
-/// Every engine round from round 1 on allocates exactly one list of
-/// removed ids per merge event: none on a round without a merge. Returns
-/// the number of rounds without a merge.
-fn assert_step_allocates_only_merge_events(chain: ClosedChain) -> u64 {
+/// Every engine round from round 1 on allocates nothing, merging or not.
+/// Returns the number of rounds without a merge.
+fn assert_step_allocates_nothing(chain: ClosedChain) -> u64 {
     let n = chain.len();
     let mut sim = Sim::new(chain, ClosedChainGathering::paper());
     sim.step().expect("round 0");
@@ -157,9 +157,8 @@ fn assert_step_allocates_only_merge_events(chain: ClosedChain) -> u64 {
         let before = allocs();
         sim.step().expect("the paper rule keeps the chain");
         let got = allocs() - before;
-        let events = sim.last_merges().len() as u64;
-        assert_eq!(got, events, "n={n}: round {}", sim.round() - 1);
-        if events == 0 {
+        assert_eq!(got, 0, "n={n}: round {}", sim.round() - 1);
+        if sim.last_merges().is_empty() {
             plain += 1;
         } else {
             merging += 1;
@@ -171,19 +170,19 @@ fn assert_step_allocates_only_merge_events(chain: ClosedChain) -> u64 {
 }
 
 #[test]
-fn rectangle_step_allocates_only_merge_events() {
+fn rectangle_step_allocates_nothing() {
     // Runs reshape the long sides between merges: most rounds merge
     // nothing.
-    let plain = assert_step_allocates_only_merge_events(workloads::rectangle(70, 60));
+    let plain = assert_step_allocates_nothing(workloads::rectangle(70, 60));
     assert!(plain > 100, "{plain} rounds without a merge");
 }
 
 #[test]
-fn random_loop_step_allocates_only_merge_events() {
-    assert_step_allocates_only_merge_events(workloads::random_loop(256, 7));
+fn random_loop_step_allocates_nothing() {
+    assert_step_allocates_nothing(workloads::random_loop(256, 7));
 }
 
 #[test]
-fn skyline_step_allocates_only_merge_events() {
-    assert_step_allocates_only_merge_events(workloads::Family::Skyline.generate(256, 3));
+fn skyline_step_allocates_nothing() {
+    assert_step_allocates_nothing(workloads::Family::Skyline.generate(256, 3));
 }
