@@ -12,6 +12,10 @@
 //! ```text
 //! cargo bench -p bench --bench engine_perf
 //! ```
+//!
+//! A full run (no section filter) writes `BENCH_engine.json`: the
+//! `kernel_vs_boxed`, `full_gathering` and `merge_scan` rows, stamped with
+//! the commit and the UTC date.
 
 use baselines::{CompassSeKernel, GlobalVisionKernel, NaiveLocalKernel};
 use bench::campaign::store::{git_commit, today_utc};
@@ -63,27 +67,41 @@ fn bench_single_round() {
     }
 }
 
-fn bench_merge_scan() {
-    println!("## merge_scan (pattern scan over a crenellated band)");
-    for n in [256usize, 4096] {
-        let chain = Family::Crenellated.generate(n, 0);
-        let len = chain.len();
-        let cfg = GatherConfig::paper();
-        let mut scan = MergeScan::default();
-        let (iters, _, elapsed) = time_until_stable(|| {
-            scan.scan(&chain, &cfg);
-            black_box(scan.patterns.len());
-            1
-        });
-        println!(
-            "  n={len:>5}  {:>12.0} robots/s  ({iters} iters)",
-            per_sec(iters as u128 * len as u128, elapsed)
-        );
+/// Merge-scan throughput on three families at two sizes; returns the
+/// `BENCH_engine.json` rows.
+fn bench_merge_scan() -> String {
+    println!("## merge_scan (pattern scan, seed 0, paper config)");
+    let mut rows = Vec::new();
+    for fam in [Family::Crenellated, Family::RandomLoop, Family::Rectangle] {
+        for n in [256usize, 4096] {
+            let chain = fam.generate(n, 0);
+            let len = chain.len();
+            let cfg = GatherConfig::paper();
+            let mut scan = MergeScan::default();
+            let (iters, _, elapsed) = time_until_stable(|| {
+                scan.scan(&chain, &cfg);
+                black_box(scan.patterns().len());
+                1
+            });
+            let rate = per_sec(iters as u128 * len as u128, elapsed);
+            println!(
+                "  {:<14} n={len:>5}  {rate:>12.0} robots/s  ({iters} iters)",
+                fam.name()
+            );
+            rows.push(format!(
+                "      {{\"family\": \"{}\", \"n\": {len}, \"robots_per_s\": {rate:.0}}}",
+                fam.name()
+            ));
+        }
     }
+    rows.join(",\n")
 }
 
-fn bench_full_gathering() {
+/// Complete paper runs (FSYNC, seed 1) per family at n = 256; returns
+/// the `BENCH_engine.json` rows.
+fn bench_full_gathering() -> String {
     println!("## full_gathering (complete run to the 2x2 square)");
+    let mut rows = Vec::new();
     for (fam, n) in [
         (Family::Rectangle, 256usize),
         (Family::Skyline, 256),
@@ -97,12 +115,19 @@ fn bench_full_gathering() {
             assert!(out.is_gathered());
             out.rounds()
         });
+        let rate = per_sec(rounds_total * len as u128, elapsed);
         println!(
-            "  {:<14} n={len:>4}  {:>12.0} robot·rounds/s  ({iters} runs)",
+            "  {:<14} n={len:>4}  {rate:>12.0} robot·rounds/s  ({iters} runs)",
             fam.name(),
-            per_sec(rounds_total * len as u128, elapsed)
         );
+        rows.push(format!(
+            "      {{\"family\": \"{}\", \"n\": {len}, \"rounds\": {}, \
+             \"robot_rounds_per_s\": {rate:.0}}}",
+            fam.name(),
+            rounds_total / u128::from(iters)
+        ));
     }
+    rows.join(",\n")
 }
 
 /// What instrumentation costs: the same full gathering with no observers
@@ -272,12 +297,11 @@ fn kernel_capped_kind(kind: StrategyKind, chain: &ClosedChain, cap: u64) -> u64 
 }
 
 /// The tentpole acceptance bench: observer-free throughput of the packed
-/// kernel path vs the boxed engine, per strategy, at three sizes. Writes
-/// the `BENCH_engine.json` artifact (full mode, stamped with the commit
-/// and the UTC date) and, with `--gate`, asserts kernel ≥ 5× boxed at
-/// n ≥ 16384 and exits non-zero otherwise (the CI smoke; the full bench
-/// targets ≥ 10×).
-fn bench_kernel_vs_boxed(gate: bool) {
+/// kernel path vs the boxed engine, per strategy, at three sizes. Returns
+/// the `BENCH_engine.json` rows; with `--gate`, asserts kernel ≥ 5× boxed
+/// at n ≥ 16384 and exits non-zero otherwise (the CI smoke; the full
+/// bench targets ≥ 10×).
+fn bench_kernel_vs_boxed(gate: bool) -> String {
     println!("## kernel_vs_boxed (observer-free capped stepping, FSYNC)");
     let sizes: &[usize] = if gate {
         &[16384]
@@ -317,31 +341,41 @@ fn bench_kernel_vs_boxed(gate: bool) {
                 rows.push_str(",\n");
             }
             rows.push_str(&format!(
-                "    {{\"strategy\": \"{}\", \"n\": {len}, \"rounds_per_iter\": {cap}, \
+                "      {{\"strategy\": \"{}\", \"n\": {len}, \"rounds_per_iter\": {cap}, \
                  \"boxed_robot_rounds_per_s\": {boxed_rps:.0}, \
                  \"kernel_robot_rounds_per_s\": {kernel_rps:.0}, \"speedup\": {speedup:.2}}}",
                 kind.name()
             ));
         }
     }
-    if !gate {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-        let body = format!(
-            "{{\n  \"bench\": \"engine_perf/kernel_vs_boxed\",\n  \
-             \"commit\": \"{}\",\n  \"date\": \"{}\",\n  \
-             \"unit\": \"robot_rounds_per_sec\",\n  \"schedule\": \"fsync\",\n  \
-             \"rows\": [\n{rows}\n  ]\n}}\n",
-            git_commit(),
-            today_utc()
-        );
-        std::fs::write(path, body).expect("write BENCH_engine.json");
-        println!("  wrote {path}");
-    } else if gate_ok {
+    if gate && gate_ok {
         println!("  GATE OK: kernel >= 5x boxed at n >= 16384");
-    } else {
+    } else if gate {
         println!("  GATE FAILED: kernel < 5x boxed at n >= 16384");
         std::process::exit(1);
     }
+    rows
+}
+
+/// Write `BENCH_engine.json`, stamped with the commit and the UTC date:
+/// one object per section with its unit and rows.
+fn write_artifact(kernel_vs_boxed: &str, full_gathering: &str, merge_scan: &str) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+    let section = |unit: &str, rows: &str| {
+        format!("{{\n    \"unit\": \"{unit}\",\n    \"rows\": [\n{rows}\n    ]\n  }}")
+    };
+    let body = format!(
+        "{{\n  \"bench\": \"engine_perf\",\n  \
+         \"commit\": \"{}\",\n  \"date\": \"{}\",\n  \"schedule\": \"fsync\",\n  \
+         \"kernel_vs_boxed\": {},\n  \"full_gathering\": {},\n  \"merge_scan\": {}\n}}\n",
+        git_commit(),
+        today_utc(),
+        section("robot_rounds_per_sec", kernel_vs_boxed),
+        section("robot_rounds_per_sec", full_gathering),
+        section("robots_per_sec", merge_scan),
+    );
+    std::fs::write(path, body).expect("write BENCH_engine.json");
+    println!("wrote {path}");
 }
 
 fn main() {
@@ -353,17 +387,18 @@ fn main() {
         .unwrap_or_default();
     let gate = std::env::args().any(|a| a == "--gate");
     let want = |name: &str| filter.is_empty() || name.contains(&filter);
-    if want("kernel_vs_boxed") {
-        bench_kernel_vs_boxed(gate);
-    }
+    let kernel_vs_boxed = want("kernel_vs_boxed").then(|| bench_kernel_vs_boxed(gate));
     if want("single_round") {
         bench_single_round();
     }
-    if want("merge_scan") {
-        bench_merge_scan();
-    }
-    if want("full_gathering") {
-        bench_full_gathering();
+    let merge_scan = want("merge_scan").then(bench_merge_scan);
+    let full_gathering = want("full_gathering").then(bench_full_gathering);
+    // Only a full run (no filter, no gate) measures every section of the
+    // artifact.
+    if let (Some(k), Some(f), Some(m), false) =
+        (&kernel_vs_boxed, &full_gathering, &merge_scan, gate)
+    {
+        write_artifact(k, f, m);
     }
     if want("observer_overhead") {
         bench_observer_overhead();

@@ -627,8 +627,8 @@ pub fn t9_ablation(e: Effort, sel: &FamilySelection) -> Table {
     t
 }
 
-/// T10 — oscillation suppression (DESIGN.md §2.3): the symmetry breaker is
-/// dormant on healthy inputs and fires only on closed interference cycles.
+/// T10 — oscillation suppression (DESIGN.md §2.3): how often the symmetry
+/// breaker fires per family, and whether every input still gathers.
 pub fn t10_suppression(e: Effort, sel: &FamilySelection) -> Table {
     let mut t = Table::new(
         "T10",

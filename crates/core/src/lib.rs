@@ -43,6 +43,8 @@ pub mod audit;
 pub mod config;
 pub mod local;
 pub mod merge;
+#[cfg(test)]
+mod oracle;
 pub mod quasi;
 pub mod runs;
 mod signature;

@@ -181,20 +181,29 @@ mod tests {
             let local = merge_role_at(&view, cfg);
             assert_eq!(
                 local.black,
-                scan.black[i],
+                scan.is_black(i),
                 "black mismatch at {i} ({:?})",
                 chain.pos(i)
             );
             assert_eq!(
                 local.white,
-                scan.white[i],
+                scan.is_white(i),
                 "white mismatch at {i} ({:?})",
                 chain.pos(i)
             );
-            if scan.black[i] {
-                assert_eq!(local.hop, scan.hop[i], "hop mismatch at {i}");
+            if scan.is_black(i) {
+                assert_eq!(local.hop, scan.merge_hop(i), "hop mismatch at {i}");
             }
         }
+    }
+
+    /// Every robot's merge hop, black role and white role.
+    fn roles(scan: &MergeScan, n: usize) -> (Vec<Offset>, Vec<bool>, Vec<bool>) {
+        (
+            (0..n).map(|i| scan.merge_hop(i)).collect(),
+            (0..n).map(|i| scan.is_black(i)).collect(),
+            (0..n).map(|i| scan.is_white(i)).collect(),
+        )
     }
 
     fn chain(coords: &[(i64, i64)]) -> ClosedChain {
@@ -321,14 +330,12 @@ mod tests {
             fired.push(*p);
         }
         let key = |p: &MergePattern| (p.first_black, p.k, p.dir);
-        let mut got = scan.patterns.clone();
+        let mut got = scan.patterns().to_vec();
         got.sort_by_key(key);
         fired.sort_by_key(key);
         assert_eq!(got, fired, "fired patterns, n = {n}, mask {mask:?}");
-        assert_eq!(scan.hop, hop, "hops, n = {n}");
-        assert_eq!(scan.black, black, "blacks, n = {n}");
-        assert_eq!(scan.white, white, "whites, n = {n}");
-        assert_eq!(scan.inherent_k, inherent_k, "inherent k, n = {n}");
+        assert_eq!(roles(scan, n), (hop, black, white), "roles, n = {n}");
+        assert_eq!(scan.inherent_k(), inherent_k, "inherent k, n = {n}");
     }
 
     /// Chains of 4 to 8 robots, where patterns and the view wrap around
@@ -383,11 +390,10 @@ mod tests {
             reused.scan(&b, &cfg);
             let mut fresh = MergeScan::default();
             fresh.scan(&b, &cfg);
-            assert_eq!(reused.patterns, fresh.patterns, "seed {seed}");
-            assert_eq!(reused.hop, fresh.hop, "seed {seed}");
-            assert_eq!(reused.black, fresh.black, "seed {seed}");
-            assert_eq!(reused.white, fresh.white, "seed {seed}");
-            assert_eq!(reused.inherent_k, fresh.inherent_k, "seed {seed}");
+            assert_eq!(reused.patterns(), fresh.patterns(), "seed {seed}");
+            let n = b.len();
+            assert_eq!(roles(&reused, n), roles(&fresh, n), "seed {seed}");
+            assert_eq!(reused.inherent_k(), fresh.inherent_k(), "seed {seed}");
         }
     }
 

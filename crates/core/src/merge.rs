@@ -25,6 +25,23 @@
 //! entirely inside each participant's viewing range (`k + 1 ≤ V`), so it is
 //! observationally equivalent to the per-robot local detection the paper
 //! describes — a property checked by `tests::local_equivalence`.
+//!
+//! ## The boundary walk and the role byte
+//!
+//! A robot sits on a *run boundary* when its in-edge and out-edge codes
+//! differ. The scan marks the boundaries eight robots per word (one XOR of
+//! the codes with themselves shifted by one robot) and visits each with
+//! `trailing_zeros`, so a straight stretch costs one word per eight robots.
+//! At a boundary the run that ends there is complete: its length is the
+//! distance to the previous boundary, its flanks are the previous
+//! boundary's in-code and this one's out-code. A fold tip (`k = 1`) is a
+//! boundary whose two codes are opposite, tested at the same visit.
+//!
+//! The roles of a robot are one byte: bit `c` (`c` an edge code) is set
+//! when the robot is a black hopping along code `c`, and bit 4 when
+//! it is a white. Two black roles are always orthogonal (Fig. 3b), so
+//! their bits never repeat a direction and the hop is a 16-entry table
+//! over the low nibble.
 
 use crate::config::GatherConfig;
 use chain_sim::packed::{edge_offset, opposite};
@@ -59,21 +76,43 @@ impl MergePattern {
     }
 }
 
+/// Role-byte bit of a white.
+const WHITE: u8 = 0b1_0000;
+
+/// Role-byte bits of the black roles, one per hop direction's edge code.
+const BLACKS: u8 = 0b1111;
+
+/// The hop of each set of black directions (bit `c`: edge code `c`).
+const HOP: [Offset; 16] = {
+    let mut t = [Offset::ZERO; 16];
+    let mut m = 0;
+    while m < 16 {
+        let mut c = 0;
+        while c < 4 {
+            if m & (1 << c) != 0 {
+                let d = edge_offset(c);
+                t[m] = Offset::new(t[m].dx + d.dx, t[m].dy + d.dy);
+            }
+            c += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// Bit 0 of every byte of a word.
+const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
+
 /// Per-round merge scan result (reusable buffers).
 #[derive(Clone, Debug, Default)]
 pub struct MergeScan {
-    /// Detected patterns.
-    pub patterns: Vec<MergePattern>,
-    /// Accumulated merge hop per robot (`ZERO` = not a black).
-    pub hop: Vec<Offset>,
-    /// Robot is a black of some pattern.
-    pub black: Vec<bool>,
-    /// Robot is a white of some pattern.
-    pub white: Vec<bool>,
+    /// Fired patterns, in no particular order.
+    patterns: Vec<MergePattern>,
+    /// One role byte per robot: black directions and [`WHITE`].
+    role: Vec<u8>,
     /// Largest `k` over all *detected* patterns (including suppressed
-    /// ones) in which the robot is a black; 0 if none. Drives the
-    /// staggered expiry of oscillation suppression (strategy.rs).
-    pub inherent_k: Vec<u8>,
+    /// ones) in which the robot is a black; 0 if none.
+    inherent_k: Vec<u8>,
 }
 
 /// `i + 1` on a cycle of `n` (`i < n`).
@@ -96,37 +135,74 @@ fn pred(i: usize, n: usize) -> usize {
     }
 }
 
+/// The merge pattern of a run of `len` equal steps `u`, if it is one: the
+/// run covers `len + 1` robots, the black candidates, and is a pattern
+/// with `k = len + 1 ≤ max_k` when its flanks — `flank_in` into its first
+/// robot, `flank_out` out of its last — are opposite and perpendicular to
+/// `u`. Opposite codes differ in bit 1 only; perpendicular ones differ in
+/// bit 0 (the axis).
+#[inline]
+fn run_k(len: usize, flank_in: u8, u: u8, flank_out: u8, max_k: usize) -> Option<usize> {
+    let k = len + 1;
+    (k <= max_k && flank_in == opposite(flank_out) && (flank_out ^ u) & 1 == 1).then_some(k)
+}
+
+/// The eight codes from `base` on as one little-endian word; lanes past
+/// the last code are 0.
+#[inline]
+fn load_word(codes: &[u8], base: usize) -> u64 {
+    match codes.get(base..base + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 codes")),
+        None => {
+            let mut word = [0; 8];
+            let tail = &codes[base..];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
 impl MergeScan {
     fn reset(&mut self, n: usize) {
-        // Only the last scan's fired patterns set hops and roles: clear
-        // those, on the last scan's chain, instead of the whole arrays.
-        let last_n = self.hop.len();
-        for p in &self.patterns {
-            let mut b = p.first_black;
-            self.white[pred(b, last_n)] = false;
-            for _ in 0..p.k {
-                self.hop[b] = Offset::ZERO;
-                self.black[b] = false;
-                b = succ(b, last_n);
-            }
-            self.white[b] = false;
-        }
         self.patterns.clear();
         // At most one pattern per maximal monotone run plus one per fold
         // tip: reserving 2n once keeps later (shorter) rounds from
         // allocating.
         self.patterns.reserve(2 * n);
-        self.hop.resize(n, Offset::ZERO);
-        self.black.resize(n, false);
-        self.white.resize(n, false);
+        self.role.clear();
+        self.role.resize(n, 0);
         self.inherent_k.clear();
         self.inherent_k.resize(n, 0);
+    }
+
+    /// The fired patterns of the last scan, in no particular order.
+    pub fn patterns(&self) -> &[MergePattern] {
+        &self.patterns
     }
 
     /// `true` if robot `i` participates in any fired pattern.
     #[inline]
     pub fn participates(&self, i: usize) -> bool {
-        self.black[i] || self.white[i]
+        self.role[i] != 0
+    }
+
+    /// `true` if robot `i` is a black of some fired pattern.
+    #[cfg(test)]
+    pub(crate) fn is_black(&self, i: usize) -> bool {
+        self.role[i] & BLACKS != 0
+    }
+
+    /// `true` if robot `i` is a white of some fired pattern.
+    #[cfg(test)]
+    pub(crate) fn is_white(&self, i: usize) -> bool {
+        self.role[i] & WHITE != 0
+    }
+
+    /// Per robot, the largest `k` over all *detected* patterns (including
+    /// suppressed ones) in which it is a black; 0 if none. Drives the
+    /// staggered expiry of oscillation suppression (strategy.rs).
+    pub(crate) fn inherent_k(&self) -> &[u8] {
+        &self.inherent_k
     }
 
     /// Run the scan on the current (taut) chain.
@@ -141,9 +217,9 @@ impl MergeScan {
     /// [`MergeScan::scan`] with per-robot oscillation suppression: a
     /// pattern fires only if none of its robots is currently suppressed
     /// (see `strategy.rs` — robots that detect a period-2 oscillation of
-    /// their local view hold their merge hops for 2L rounds so the runner
-    /// machinery can break the symmetry). `suppressed` may be empty (no
-    /// suppression) or one flag per robot.
+    /// their local view hold their merge hops for `2L + 2 − min(k, L)`
+    /// rounds so the runner machinery can break the symmetry).
+    /// `suppressed` may be empty (no suppression) or one flag per robot.
     pub fn scan_suppressed(
         &mut self,
         chain: &ClosedChain,
@@ -173,84 +249,68 @@ impl MergeScan {
         debug_assert!(suppressed.is_empty() || suppressed.len() == n);
         let max_k = cfg.effective_max_k();
 
-        // Decompose the cyclic step sequence into maximal monotone runs.
-        // Anchor at a run boundary so no run wraps.
-        let mut anchor = 0;
-        while codes[pred(anchor, n)] == codes[anchor] {
-            anchor += 1;
-            if anchor == n {
-                // All steps equal — impossible for a closed chain (the step
-                // sum must vanish); defensive: nothing to merge.
-                debug_assert!(false, "closed chain with uniform steps");
-                return;
+        // The run that ends at a boundary started at the previous one,
+        // `last`, whose in-code `last_in` is that run's in-flank. The
+        // first boundary's run is closed after the walk, around index 0.
+        let mut first: Option<(usize, u8)> = None;
+        let (mut last, mut last_in) = (0, 0);
+        for base in (0..n).step_by(8) {
+            // Lane j: robot base + j, its out-edge in `cur`, its in-edge
+            // in `prev`.
+            let cur = load_word(codes, base);
+            let prev = if base == 0 {
+                (cur << 8) | u64::from(codes[n - 1])
+            } else {
+                load_word(codes, base - 1)
+            };
+            let diff = prev ^ cur;
+            let lanes = n - base;
+            let live = if lanes >= 8 {
+                u64::MAX
+            } else {
+                (1 << (8 * lanes)) - 1
+            };
+            let mut marks = (diff | diff >> 1) & BYTE_LOW & live;
+            while marks != 0 {
+                let lane = marks.trailing_zeros() as usize / 8;
+                marks &= marks - 1;
+                let b = base + lane;
+                let (s_in, s_out) = ((prev >> (8 * lane)) as u8, (cur >> (8 * lane)) as u8);
+                if first.is_none() {
+                    first = Some((b, s_in));
+                } else if let Some(k) = run_k(b - last, last_in, s_in, s_out, max_k) {
+                    self.try_push(n, last, k, s_out, suppressed);
+                }
+                if s_in == opposite(s_out) {
+                    // k = 1: a fold/hairpin tip (Fig. 2 bottom), between
+                    // two monotone runs and in neither.
+                    self.try_push(n, b, 1, s_out, suppressed);
+                }
+                (last, last_in) = (b, s_in);
             }
         }
-
-        // Walk the runs from the anchor. A run of `len` equal steps `u`
-        // covers robots first ..= first + len: k = len + 1 black
-        // candidates. Its flanks are the previous run's step (into
-        // `first`) and the next run's first step (out of the last robot).
-        // Opposite codes differ in bit 1 only; perpendicular ones differ
-        // in bit 0 (the axis).
-        let mut i = anchor;
-        let mut flank_in = codes[pred(anchor, n)];
-        let mut remaining = n;
-        while remaining > 0 {
-            let first = i;
-            let u = codes[i];
-            let mut len = 1;
-            i = succ(i, n);
-            while len < remaining && codes[i] == u {
-                len += 1;
-                i = succ(i, n);
-            }
-            // `i` is the next run's first edge (the anchor after the last
-            // run).
-            let flank_out = codes[i];
-            let k = len + 1;
-            if k <= max_k && flank_in == opposite(flank_out) && (flank_out ^ u) & 1 == 1 {
-                self.try_push(
-                    n,
-                    MergePattern {
-                        first_black: first,
-                        k,
-                        dir: edge_offset(flank_out),
-                    },
-                    suppressed,
-                );
-            }
-            flank_in = u;
-            remaining -= len;
-        }
-
-        // k = 1 patterns: a robot whose two incident steps are exact
-        // opposites (fold/hairpin tip, Fig. 2 bottom). These robots sit
-        // *between* two monotone runs and are not covered above.
-        let mut s_in = codes[n - 1];
-        for (i, &s_out) in codes.iter().enumerate() {
-            if s_in == opposite(s_out) {
-                self.try_push(
-                    n,
-                    MergePattern {
-                        first_black: i,
-                        k: 1,
-                        dir: edge_offset(s_out),
-                    },
-                    suppressed,
-                );
-            }
-            s_in = s_out;
+        let Some((b, s_in)) = first else {
+            // All steps equal — impossible for a closed chain (the step
+            // sum must vanish); defensive: nothing to merge.
+            debug_assert!(false, "closed chain with uniform steps");
+            return;
+        };
+        if let Some(k) = run_k(n - last + b, last_in, s_in, codes[b], max_k) {
+            self.try_push(n, last, k, codes[b], suppressed);
         }
     }
 
-    fn try_push(&mut self, n: usize, p: MergePattern, suppressed: &[bool]) {
+    /// Record the detected pattern of `k` blacks from `first_black` on,
+    /// hopping along code `code`, and fire it unless a black is
+    /// suppressed.
+    fn try_push(&mut self, n: usize, first_black: usize, k: usize, code: u8, suppressed: &[bool]) {
         // Inherent blackness is recorded for every *detected* pattern,
         // fired or not — it drives the staggered expiry of oscillation
         // suppression.
-        let k8 = p.k.min(255) as u8;
-        let mut b = p.first_black;
+        let k8 = k.min(255) as u8;
+        let mut b = first_black;
         let mut any_suppressed = false;
-        for _ in 0..p.k {
+        for _ in 0..k {
             self.inherent_k[b] = self.inherent_k[b].max(k8);
             // Oscillation suppression is pattern-wide over the *blacks*: a
             // pattern with any suppressed black does not fire (partial
@@ -260,49 +320,48 @@ impl MergeScan {
             any_suppressed |= !suppressed.is_empty() && suppressed[b];
             b = succ(b, n);
         }
-        if !any_suppressed {
-            self.push_pattern(n, p);
+        if any_suppressed {
+            return;
         }
-    }
-
-    fn push_pattern(&mut self, n: usize, p: MergePattern) {
         // Accumulate roles. Two black roles on one robot are always
         // orthogonal (a horizontal and a vertical pattern meeting at a
-        // corner, Fig. 3b) — the sum is the paper's diagonal hop.
-        let mut b = p.first_black;
-        for _ in 0..p.k {
+        // corner, Fig. 3b): the directions' bits never repeat, and the
+        // hop of the nibble is the paper's diagonal hop.
+        let bit = 1 << code;
+        let mut b = first_black;
+        for _ in 0..k {
             debug_assert!(
-                (self.hop[b] + p.dir).is_hop(),
+                self.role[b] & bit == 0,
                 "conflicting black roles at {b}: {:?} + {:?}",
-                self.hop[b],
-                p.dir
+                HOP[usize::from(self.role[b] & BLACKS)],
+                edge_offset(code)
             );
-            self.hop[b] += p.dir;
-            self.black[b] = true;
+            self.role[b] |= bit;
             b = succ(b, n);
         }
         // The whites: the robots before the first and after the last black
         // (`b` is now the latter).
-        self.white[pred(p.first_black, n)] = true;
-        self.white[b] = true;
-        self.patterns.push(p);
+        self.role[pred(first_black, n)] |= WHITE;
+        self.role[b] |= WHITE;
+        self.patterns.push(MergePattern {
+            first_black,
+            k,
+            dir: edge_offset(code),
+        });
     }
 
     /// The hop robot `i` performs due to merge roles: blacks hop their
     /// accumulated direction, whites stand still, black beats white.
     #[inline]
     pub fn merge_hop(&self, i: usize) -> Offset {
-        if self.black[i] {
-            self.hop[i]
-        } else {
-            Offset::ZERO
-        }
+        HOP[usize::from(self.role[i] & BLACKS)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chain_sim::rng::SplitMix64;
     use chain_sim::ClosedChain;
     use grid_geom::Point;
 
@@ -326,7 +385,7 @@ mod tests {
         // in a single round).
         let c = chain(&[(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]);
         let s = scan(&c);
-        assert_eq!(s.patterns.len(), 4);
+        assert_eq!(s.patterns().len(), 4);
         // Corner robots: two orthogonal black roles → diagonal hops.
         assert_eq!(s.merge_hop(2), Offset::DOWN + Offset::RIGHT);
         assert_eq!(s.merge_hop(3), Offset::DOWN + Offset::LEFT);
@@ -337,7 +396,7 @@ mod tests {
         assert_eq!(s.merge_hop(4), Offset::LEFT);
         // Everyone is black in some pattern and white in another.
         for i in 0..6 {
-            assert!(s.black[i] && s.white[i]);
+            assert!(s.is_black(i) && s.is_white(i));
         }
     }
 
@@ -354,8 +413,8 @@ mod tests {
         // its two coinciding neighbors; robot 0 symmetric hopping RIGHT.
         assert_eq!(s.merge_hop(2), Offset::LEFT);
         assert_eq!(s.merge_hop(0), Offset::RIGHT);
-        assert!(s.black[0] && s.black[2]);
-        assert!(s.white[1] && s.white[3]);
+        assert!(s.is_black(0) && s.is_black(2));
+        assert!(s.is_white(1) && s.is_white(3));
     }
 
     #[test]
@@ -414,10 +473,10 @@ mod tests {
         ]);
         let s = scan(&c);
         assert!(
-            !s.patterns.is_empty(),
+            !s.patterns().is_empty(),
             "closed chains always develop patterns at turns"
         );
-        for p in &s.patterns {
+        for p in s.patterns() {
             assert!(p.k <= 2, "unexpected long pattern {p:?}");
         }
     }
@@ -450,7 +509,7 @@ mod tests {
         let c = ClosedChain::new(pts).unwrap();
         let s = scan(&c);
         // Stairway interior robots: indices 1..11 (the R/U alternation).
-        for p in &s.patterns {
+        for p in s.patterns() {
             for b in p.blacks(&c) {
                 assert!(
                     !(2..11).contains(&b),
@@ -474,12 +533,12 @@ mod tests {
         }
         let c = ClosedChain::new(pts).unwrap();
         let s = scan(&c);
-        for p in &s.patterns {
+        for p in s.patterns() {
             // Only the two vertical end patterns (k = 2) fire.
             assert_eq!(p.k, 2, "pattern {p:?}");
             assert_eq!(p.dir.dy, 0);
         }
-        assert_eq!(s.patterns.len(), 2);
+        assert_eq!(s.patterns().len(), 2);
     }
 
     #[test]
@@ -498,7 +557,7 @@ mod tests {
         ]);
         let mut s = MergeScan::default();
         s.scan(&c, &GatherConfig::proof_mode());
-        for p in &s.patterns {
+        for p in s.patterns() {
             assert!(p.k <= 2);
         }
     }
@@ -508,7 +567,7 @@ mod tests {
         let c = chain(&[(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]);
         let s = scan(&c);
         let top = s
-            .patterns
+            .patterns()
             .iter()
             .find(|p| p.dir == Offset::DOWN)
             .expect("top pattern");
@@ -517,6 +576,129 @@ mod tests {
         assert_eq!(top.w2(&c), c.nb(top.first_black, 2));
         let blacks: Vec<usize> = top.blacks(&c).collect();
         assert_eq!(blacks.len(), 2);
+    }
+
+    /// The boundary walk against the per-edge scan
+    /// ([`crate::oracle::per_edge_scan`]) on the codes `codes` under every
+    /// suppression density: the same fired patterns as sets, and the same
+    /// hop, black, white and inherent `k` of every robot.
+    fn assert_matches_per_edge(
+        scan: &mut MergeScan,
+        codes: &[u8],
+        rng: &mut SplitMix64,
+        what: &str,
+    ) {
+        let n = codes.len();
+        let configs = [
+            GatherConfig::paper(),
+            GatherConfig::proof_mode(),
+            GatherConfig {
+                view: 64,
+                max_merge_k: 64,
+                ..GatherConfig::paper()
+            },
+        ];
+        for cfg in &configs {
+            for density in [0, 8, 3, 1] {
+                let mask: Vec<bool> = match density {
+                    0 => Vec::new(),
+                    d => (0..n).map(|_| rng.chance(1, d)).collect(),
+                };
+                scan.scan_codes(n, codes, cfg, &mask);
+                let want = crate::oracle::per_edge_scan(n, codes, cfg, &mask);
+                let key = |p: &MergePattern| (p.first_black, p.k, p.dir.dx, p.dir.dy);
+                let mut got = scan.patterns().to_vec();
+                let mut fired = want.patterns.clone();
+                got.sort_by_key(key);
+                fired.sort_by_key(key);
+                let ctx = format!(
+                    "{what}, n = {n}, k ≤ {}, 1/{density}",
+                    cfg.effective_max_k()
+                );
+                assert_eq!(got, fired, "patterns, {ctx}");
+                let hop: Vec<Offset> = (0..n).map(|i| scan.merge_hop(i)).collect();
+                let black: Vec<bool> = (0..n).map(|i| scan.is_black(i)).collect();
+                let white: Vec<bool> = (0..n).map(|i| scan.is_white(i)).collect();
+                assert_eq!(hop, want.hop, "hops, {ctx}");
+                assert_eq!(black, want.black, "blacks, {ctx}");
+                assert_eq!(white, want.white, "whites, {ctx}");
+                assert_eq!(scan.inherent_k(), &want.inherent_k[..], "inherent k, {ctx}");
+            }
+        }
+    }
+
+    /// Random codes, not all equal (a closed chain never has one run).
+    fn random_codes(rng: &mut SplitMix64, n: usize) -> Vec<u8> {
+        loop {
+            let codes: Vec<u8> = (0..n).map(|_| rng.below(4) as u8).collect();
+            if codes.iter().any(|&c| c != codes[0]) {
+                return codes;
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_walk_matches_per_edge_scan_on_random_codes() {
+        let mut rng = SplitMix64::new(0xb0d1);
+        let mut scan = MergeScan::default();
+        for n in (4..=40).chain(995..=1004) {
+            for _ in 0..if n < 100 { 20 } else { 2 } {
+                let codes = random_codes(&mut rng, n);
+                assert_matches_per_edge(&mut scan, &codes, &mut rng, "random codes");
+            }
+        }
+    }
+
+    /// Runs of random lengths and codes, rotated so that runs cross word
+    /// edges and wrap around index 0, and a boundary falls in every lane.
+    #[test]
+    fn boundary_walk_matches_per_edge_scan_on_long_runs() {
+        let mut rng = SplitMix64::new(0x12a5);
+        let mut scan = MergeScan::default();
+        for max_run in [2, 5, 12, 30] {
+            for _ in 0..60 {
+                let target = rng.range_usize(4, 300);
+                let mut codes = Vec::new();
+                while codes.len() < target {
+                    let c = rng.below(4) as u8;
+                    let len = rng.range_usize(1, max_run + 1);
+                    codes.extend(std::iter::repeat_n(c, len));
+                }
+                if codes.iter().all(|&c| c == codes[0]) {
+                    continue;
+                }
+                let turn = rng.range_usize(0, codes.len());
+                codes.rotate_left(turn);
+                assert_matches_per_edge(&mut scan, &codes, &mut rng, "long runs");
+            }
+        }
+        // A lone boundary pair in each lane of each of the first two words.
+        for lane in 0..16 {
+            for n in [lane + 4, 24, 64] {
+                let mut codes = vec![0u8; n.max(lane + 4)];
+                codes[lane] = 1;
+                codes[lane + 1] = 2;
+                assert_matches_per_edge(&mut scan, &codes, &mut rng, "one lane");
+            }
+        }
+    }
+
+    /// Chains of exactly two runs (out-and-back lines and bent pairs), at
+    /// every rotation.
+    #[test]
+    fn boundary_walk_matches_per_edge_scan_on_two_runs() {
+        let mut rng = SplitMix64::new(0x2u64);
+        let mut scan = MergeScan::default();
+        for (a, b) in [(0u8, 2u8), (1, 3), (0, 1), (3, 2)] {
+            for (l1, l2) in [(1, 3), (2, 2), (5, 5), (9, 9), (11, 11), (7, 20)] {
+                let mut codes = vec![a; l1];
+                codes.extend(std::iter::repeat_n(b, l2));
+                for _ in 0..codes.len() {
+                    assert_matches_per_edge(&mut scan, &codes, &mut rng, "two runs");
+                    codes.rotate_left(1);
+                }
+            }
+        }
     }
 
     /// Local-equivalence: every reported pattern fits inside the viewing
@@ -537,7 +719,7 @@ mod tests {
             (1, 0),
         ]);
         let s = scan(&c);
-        for p in &s.patterns {
+        for p in s.patterns() {
             // Pattern spans k + 2 robots; max pairwise chain distance k+1.
             assert!(p.k < cfg.view);
         }

@@ -98,7 +98,7 @@ impl PlacedRun {
 /// Which runs one robot carries, in one byte: per chain direction a
 /// presence bit and the run's fold side as a 2-bit direction code. This is
 /// all the sequent/opposing-run scans of a runner read about the robots
-/// ahead of it.
+/// ahead of it ([`look_ahead`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct RunSlots(u8);
 
@@ -140,6 +140,120 @@ impl RunSlots {
     pub fn clear(&mut self, dir: isize) {
         self.0 &= !(0b111 << Self::shift(dir));
     }
+}
+
+/// What a runner sees of the runs ahead of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ahead {
+    /// A sequent run — same direction, fold side on the same axis — lies
+    /// on the runner's line (Table 1.1): the run dies.
+    Sequent,
+    /// No sequent run; the nearest opposing run, if any, with its chain
+    /// distance and fold side.
+    Clear(Option<(isize, Offset)>),
+}
+
+/// The widest look-ahead read as one word, one slot per byte.
+const WORD_SLOTS: usize = 16;
+
+/// Bit 0 of every byte of a look-ahead word.
+const LANE_LOW: u128 = u128::MAX / 0xff;
+
+/// Mask of the low `lanes` bytes of a look-ahead word.
+#[inline]
+fn lanes_below(lanes: usize) -> u128 {
+    if lanes >= WORD_SLOTS {
+        u128::MAX
+    } else {
+        (1 << (8 * lanes)) - 1
+    }
+}
+
+/// The runs within `horizon` robots ahead of robot `i` in direction `dir`
+/// on a chain with run occupancy `slots`, for a run with fold side
+/// `fold_side` whose quasi line reaches `line_extent` robots ahead: a
+/// same-direction run on the fold side's axis within
+/// `min(line_extent, horizon)` is sequent; otherwise the first
+/// opposite-direction run within `horizon` is the opposing one.
+///
+/// A window of at most [`WORD_SLOTS`] slots that does not wrap around
+/// index 0 is read as one word, nearest slot first; others slot by slot.
+pub(crate) fn look_ahead(
+    slots: &[RunSlots],
+    i: usize,
+    dir: isize,
+    fold_side: Offset,
+    horizon: usize,
+    line_extent: isize,
+) -> Ahead {
+    let n = slots.len();
+    if horizon <= WORD_SLOTS {
+        let bytes = |window: &[RunSlots]| -> [u8; WORD_SLOTS] {
+            let mut b = [0; WORD_SLOTS];
+            for (b, s) in b.iter_mut().zip(window) {
+                *b = s.0;
+            }
+            b
+        };
+        let word = if dir > 0 && i + horizon < n {
+            Some(match slots.get(i + 1..i + 1 + WORD_SLOTS) {
+                Some(w) => u128::from_le_bytes(bytes(w)),
+                None => u128::from_le_bytes(bytes(&slots[i + 1..])),
+            })
+        } else if dir < 0 && horizon <= i {
+            Some(match i.checked_sub(WORD_SLOTS) {
+                Some(from) => u128::from_be_bytes(bytes(&slots[from..i])),
+                None => {
+                    let mut b = bytes(&slots[..i]);
+                    b[..i].reverse();
+                    u128::from_le_bytes(b)
+                }
+            })
+        } else {
+            None
+        };
+        if let Some(word) = word {
+            return read_ahead(word & lanes_below(horizon), dir, fold_side, line_extent);
+        }
+    }
+    let same_axis = |a: Offset, b: Offset| (a.dx == 0) == (b.dx == 0);
+    let mut opposing = None;
+    for j in 1..=horizon as isize {
+        if opposing.is_some() && j > line_extent {
+            // Nothing further ahead can matter.
+            break;
+        }
+        let s = slots[(i as isize + j * dir).rem_euclid(n as isize) as usize];
+        if let Some(side) = s.fold_side(dir) {
+            if same_axis(side, fold_side) && j <= line_extent {
+                return Ahead::Sequent;
+            }
+        }
+        if opposing.is_none() {
+            opposing = s.fold_side(-dir).map(|side| (j, side));
+        }
+    }
+    Ahead::Clear(opposing)
+}
+
+/// [`look_ahead`] on the slots ahead as one word: byte `j − 1` holds the
+/// slot `j` robots ahead, and bytes past the horizon are empty.
+#[inline]
+fn read_ahead(word: u128, dir: isize, fold_side: Offset, line_extent: isize) -> Ahead {
+    let (same, other) = (RunSlots::shift(dir), RunSlots::shift(-dir));
+    // A slot code's bit 0 is its axis (1: vertical), as for `fold_side`.
+    let axis = LANE_LOW * u128::from(fold_side.dx == 0);
+    let sequent = (word >> (same + 2)) & !((word >> same) ^ axis) & LANE_LOW;
+    let on_line = lanes_below(line_extent.max(0) as usize);
+    if sequent & on_line != 0 {
+        return Ahead::Sequent;
+    }
+    let opposing = (word >> (other + 2)) & LANE_LOW;
+    Ahead::Clear((opposing != 0).then(|| {
+        let lane = opposing.trailing_zeros() / 8;
+        let code = (word >> (8 * lane + other)) as usize & 3;
+        (lane as isize + 1, RunSlots::SIDES[code])
+    }))
 }
 
 /// What a run decides to do this round (pure decision output; the strategy
@@ -233,6 +347,54 @@ mod tests {
         let placed = |at, dir| PlacedRun { at, run: run(dir) };
         assert!(placed(3, 1).order_key() < placed(3, -1).order_key());
         assert!(placed(3, -1).order_key() < placed(4, 1).order_key());
+    }
+
+    /// The word-wide look-ahead against the per-slot loop
+    /// ([`crate::oracle::per_slot_look_ahead`]) on random slot tables:
+    /// both directions, every fold side, horizons 1..=24 (past 16 the
+    /// per-slot path runs), every line extent up to the horizon, and every
+    /// position, so windows that wrap around index 0 are covered too.
+    #[test]
+    fn look_ahead_matches_per_slot_loop() {
+        let mut rng = chain_sim::rng::SplitMix64::new(0x100c);
+        let mut slots = Vec::new();
+        for n in (2..=40).chain([63, 64, 65, 200]) {
+            for density in [1, 4, 16, 64] {
+                slots.clear();
+                slots.extend((0..n).map(|_| {
+                    let mut s = RunSlots::EMPTY;
+                    for dir in [1, -1] {
+                        if rng.chance(1, density) {
+                            s.set(dir, RunSlots::SIDES[rng.below(4) as usize]);
+                        }
+                    }
+                    s
+                }));
+                for i in 0..n {
+                    for horizon in 1..=24.min(n - 1) {
+                        let line_extent = rng.below(horizon as u64 + 1) as isize;
+                        for dir in [1, -1] {
+                            for side in RunSlots::SIDES {
+                                let got = look_ahead(&slots, i, dir, side, horizon, line_extent);
+                                let want = crate::oracle::per_slot_look_ahead(
+                                    &slots,
+                                    i,
+                                    dir,
+                                    side,
+                                    horizon,
+                                    line_extent,
+                                );
+                                assert_eq!(
+                                    got, want,
+                                    "n {n}, i {i}, dir {dir}, side {side:?}, horizon {horizon}, \
+                                     extent {line_extent}, slots {slots:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! the window, whose window wraps onto itself: the edges of a closed chain
 //! sum to zero.
 //!
-//! [`Signatures`] therefore slides a 12-bit window over the round's edge
-//! codes, one edge per robot, and looks each key up in a 4096-entry table
-//! that the compiler builds from the same hash. The table is 32 KiB of
+//! [`WindowKeys`] therefore slides a 12-bit window over the round's edge
+//! codes, one edge per robot, and [`window_class`] looks each key up in a
+//! 4096-entry table that the compiler builds from the same hash. The table is 32 KiB of
 //! static data and reproduces every signature bit for bit.
 //!
 //! ## Collisions
@@ -62,7 +62,7 @@ const fn view_hash(view: &View) -> u64 {
 /// between exactly two local views without any merge.
 ///
 /// This is the definition; the round reads the same values through
-/// [`Signatures`].
+/// [`WindowKeys`] and [`window_class`].
 #[cfg(test)]
 pub(crate) fn local_signature(chain: &chain_sim::ClosedChain, i: usize) -> u64 {
     let p = chain.pos(i);
@@ -145,7 +145,7 @@ pub(crate) const COLLAPSED: Class = CLASSES[WINDOWS];
 /// The signature class a window key denotes (bits `2j, 2j+1` hold the
 /// code of the robot's edge `j − 3`).
 #[inline]
-fn window_class(key: usize) -> Class {
+pub(crate) fn window_class(key: usize) -> Class {
     WINDOW_CLASSES[key & (WINDOWS - 1)]
 }
 
@@ -167,11 +167,11 @@ pub(crate) fn window_key(codes: &[u8], i: usize) -> usize {
     }
 }
 
-/// Every robot's signature, in chain order, from the edge codes of a taut
-/// chain ([`ClosedChain::codes`]): one table lookup and one
-/// shift per robot. Yields one signature per code, so nothing for a
-/// one-robot chain (its signature is [`COLLAPSED`]).
-pub(crate) struct Signatures<'a> {
+/// Every robot's window key ([`window_key`]), in chain order, from the
+/// edge codes of a taut chain ([`ClosedChain::codes`]): one shift per
+/// robot. Yields one key per code, so nothing for a one-robot chain (its
+/// signature is [`COLLAPSED`]).
+pub(crate) struct WindowKeys<'a> {
     codes: &'a [u8],
     /// Window key of the next robot: the codes of its edges `−3 ..= +2`,
     /// lowest bits first.
@@ -181,7 +181,7 @@ pub(crate) struct Signatures<'a> {
     left: usize,
 }
 
-impl<'a> Signatures<'a> {
+impl<'a> WindowKeys<'a> {
     pub(crate) fn new(codes: &'a [u8]) -> Self {
         let n = codes.len();
         let mut key = 0;
@@ -191,7 +191,7 @@ impl<'a> Signatures<'a> {
                 key |= usize::from(codes[e] & 3) << (2 * j);
             }
         }
-        Signatures {
+        WindowKeys {
             codes,
             key,
             next: if n > 0 { 3 % n } else { 0 },
@@ -200,22 +200,22 @@ impl<'a> Signatures<'a> {
     }
 }
 
-impl Iterator for Signatures<'_> {
-    type Item = Class;
+impl Iterator for WindowKeys<'_> {
+    type Item = usize;
 
     #[inline]
-    fn next(&mut self) -> Option<Class> {
+    fn next(&mut self) -> Option<usize> {
         if self.left == 0 {
             return None;
         }
         self.left -= 1;
-        let sig = window_class(self.key);
+        let key = self.key;
         self.key = (self.key >> 2) | (usize::from(self.codes[self.next] & 3) << 10);
         self.next += 1;
         if self.next == self.codes.len() {
             self.next = 0;
         }
-        Some(sig)
+        Some(key)
     }
 }
 
@@ -251,9 +251,9 @@ mod tests {
     fn assert_table_matches(chain: &ClosedChain) {
         let n = chain.len();
         // As the round reads them: a one-robot chain has no windows.
-        let mut windows = Signatures::new(chain.codes());
+        let mut windows = WindowKeys::new(chain.codes());
         let sigs: Vec<Class> = (0..n)
-            .map(|_| windows.next().unwrap_or(COLLAPSED))
+            .map(|_| windows.next().map_or(COLLAPSED, window_class))
             .collect();
         assert_eq!(windows.next(), None, "{n} robots");
         let class_of = class_of();
@@ -380,7 +380,7 @@ mod tests {
     fn collapsed_chain_signature() {
         let one = ClosedChain::new(vec![Point::new(4, -2)]).unwrap();
         assert_eq!(class_of()[&local_signature(&one, 0)], COLLAPSED);
-        assert_eq!(Signatures::new(&[]).next(), None);
+        assert_eq!(WindowKeys::new(&[]).next(), None);
     }
 
     /// The hash maps the 4096 windows to 3646 classes; pin the count and

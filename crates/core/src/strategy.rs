@@ -20,8 +20,10 @@
 use crate::config::GatherConfig;
 use crate::merge::MergeScan;
 use crate::quasi::{self, step_code, StartShape};
-use crate::runs::{PlacedRun, Run, RunAction, RunMode, RunSlots, RunStats, StopReason};
-use crate::signature::{self, Signatures};
+use crate::runs::{
+    self, Ahead, PlacedRun, Run, RunAction, RunMode, RunSlots, RunStats, StopReason,
+};
+use crate::signature::{self, WindowKeys};
 use chain_sim::chain::{KEEPER, REMOVED};
 use chain_sim::packed::{edge_code, edge_offset};
 use chain_sim::{ClosedChain, RobotId, SpliceLog, Strategy};
@@ -80,6 +82,9 @@ pub struct ClosedChainGathering {
     sig_prev2: Vec<signature::Class>,
     suppress: Vec<u16>,
     suppress_flags: Vec<bool>,
+    /// On run-start rounds, one bit per robot (64 per word) whose window
+    /// matches a Figure 5 shape, set by `detect_oscillation`.
+    start_bits: Vec<u64>,
     /// Previous round's inherent pattern sizes, compacted through splices
     /// (drives staggered suppression expiry).
     prev_inherent_k: Vec<u8>,
@@ -107,6 +112,7 @@ impl ClosedChainGathering {
             sig_prev2: Vec::new(),
             suppress: Vec::new(),
             suppress_flags: Vec::new(),
+            start_bits: Vec::new(),
             prev_inherent_k: Vec::new(),
             merged_ids: Vec::new(),
             next_run_id: 0,
@@ -166,36 +172,49 @@ impl ClosedChainGathering {
     /// Update signature histories and the suppression countdowns; fill
     /// `suppress_flags` for this round's merge scan. Signatures
     /// (`signature::local_signature`) are read from the chain's edge
-    /// codes through the window table ([`Signatures`]).
+    /// codes: each robot's window key ([`WindowKeys`]) indexes the class
+    /// table (`signature::window_class`).
     ///
     /// A robot that sees its local view alternate with period 2
     /// (`s_t == s_{t-2} ≠ s_{t-1}`) suppresses its merge participation:
     /// the oscillating region becomes mergeless, so Lemma 1's machinery
-    /// (runs start on mergeless chains every L rounds) can act. Healthy
-    /// dynamics never alternate — merges remove robots and runs move every
-    /// round — so suppression stays dormant outside pathological closed
-    /// interference cycles (DESIGN.md §2.3).
+    /// (runs start on mergeless chains every L rounds) can act. The
+    /// trigger also fires on healthy runs, where a view can repeat two
+    /// rounds apart without a livelock: it costs rounds there, and some
+    /// inputs stall without it (DESIGN.md §2.3).
     ///
     /// Expiry is **staggered by inherent pattern size**: a robot black in a
     /// detected pattern of length `k` suppresses for `2L + 2 − min(k, L)`
     /// rounds. Larger patterns resume first and fire onto still-suppressed
     /// (standing) whites, which breaks the symmetric ties that uniform
     /// suppression cannot (e.g. a k=3 segment whose whites are k=1 blacks).
-    fn detect_oscillation(&mut self, chain: &ClosedChain) {
+    ///
+    /// With `STARTS`, the same sweep fills `start_bits` from the window
+    /// keys it slides: the robots whose window matches a Figure 5 shape.
+    fn detect_oscillation<const STARTS: bool>(&mut self, chain: &ClosedChain) {
         let n = chain.len();
         debug_assert_eq!(self.sig_prev.len(), n);
         // Every flag is written below.
         self.suppress_flags.resize(n, false);
+        self.start_bits.clear();
+        if STARTS {
+            self.start_bits.resize(n.div_ceil(64), 0);
+        }
         let base = 2 * self.cfg.l_period + 2;
         // Inherent pattern sizes from the previous round's scan, compacted
         // through splices in post_merge so indices stay aligned.
         let prev_k = &self.prev_inherent_k;
         let (sig_prev, sig_prev2) = (&mut self.sig_prev[..n], &mut self.sig_prev2[..n]);
         let (suppress, flags) = (&mut self.suppress[..n], &mut self.suppress_flags[..n]);
-        let mut sigs = Signatures::new(chain.codes());
+        let mut keys = WindowKeys::new(chain.codes());
         for i in 0..n {
             // A one-robot chain has no edges, hence no windows.
-            let sig = sigs.next().unwrap_or(signature::COLLAPSED);
+            let key = keys.next();
+            let sig = key.map_or(signature::COLLAPSED, signature::window_class);
+            if STARTS {
+                let key = key.expect("start rounds have eight or more robots");
+                self.start_bits[i / 64] |= u64::from(quasi::starts_any(key)) << (i % 64);
+            }
             suppress[i] = suppress[i].saturating_sub(1);
             if sig == sig_prev2[i] && sig != sig_prev[i] {
                 let k = prev_k.get(i).copied().unwrap_or(0) as u64;
@@ -237,36 +256,11 @@ impl ClosedChainGathering {
         // the same quasi line: same fold-side axis, not beyond the line's
         // visible end. (A run beyond a corner belongs to another line;
         // killing for it would mass-extinguish runs on square rings.)
-        let same_axis = |a: Offset, b: Offset| (a.dx == 0) == (b.dx == 0);
-        let mut opposing: Option<(isize, Offset)> = None;
-        // Most runs see no other run ahead: test the slots in one sweep
-        // when they do not wrap around index 0.
-        let ahead = if d > 0 {
-            self.slots.get(i + 1..=i + horizon)
-        } else {
-            i.checked_sub(horizon).map(|from| &self.slots[from..i])
-        };
-        let clear = ahead.is_some_and(|slots| slots.iter().all(|&s| s == RunSlots::EMPTY));
-        for j in 1..=if clear { 0 } else { horizon as isize } {
-            if opposing.is_some() && j > line_extent {
-                // Nothing further ahead can matter.
-                break;
-            }
-            let slots = self.slots[chain.nb(i, j * d)];
-            if slots == RunSlots::EMPTY {
-                continue;
-            }
-            if let Some(side) = slots.fold_side(d) {
-                if same_axis(side, run.fold_side) && j <= line_extent {
-                    return RunAction::Die(StopReason::SequentAhead);
-                }
-            }
-            if opposing.is_none() {
-                if let Some(side) = slots.fold_side(-d) {
-                    opposing = Some((j, side));
-                }
-            }
-        }
+        let opposing =
+            match runs::look_ahead(&self.slots, i, d, run.fold_side, horizon, line_extent) {
+                Ahead::Sequent => return RunAction::Die(StopReason::SequentAhead),
+                Ahead::Clear(opposing) => opposing,
+            };
 
         // --- Endpoint of the quasi line ahead (Table 1.2). ---
         if let Some(b) = brk {
@@ -412,6 +406,8 @@ impl Strategy for ClosedChainGathering {
         self.suppress.resize(n, 0);
         self.suppress_flags.clear();
         self.suppress_flags.resize(n, false);
+        self.start_bits.clear();
+        self.start_bits.reserve(n.div_ceil(64));
         self.prev_inherent_k.clear();
         self.prev_inherent_k.resize(n, 0);
     }
@@ -421,9 +417,15 @@ impl Strategy for ClosedChainGathering {
         debug_assert_eq!(self.slots.len(), n, "run slots out of sync");
 
         // Step 0: oscillation detection (constant-memory symmetry breaker
-        // for closed interference cycles of merge patterns). Steps 0 and 1
-        // read the chain's edge codes.
-        self.detect_oscillation(chain);
+        // for closed interference cycles of merge patterns), which on
+        // run-start rounds also marks the robots whose window matches a
+        // Figure 5 shape. Steps 0 and 1 read the chain's edge codes.
+        let start_round = round.is_multiple_of(self.cfg.l_period) && n >= 8;
+        if start_round {
+            self.detect_oscillation::<true>(chain);
+        } else {
+            self.detect_oscillation::<false>(chain);
+        }
 
         // Step 1: merge patterns (suppressed robots' patterns do not fire).
         self.scan
@@ -505,10 +507,10 @@ impl Strategy for ClosedChainGathering {
         // Resolve hops: merge hop (blacks) > run fold > stand. Whites of
         // fired patterns stand still (their runs walked); `hops` arrives
         // zeroed, and only the blacks take the scan's hop.
-        for p in &self.scan.patterns {
+        for p in self.scan.patterns() {
             let mut b = p.first_black;
             for _ in 0..p.k {
-                hops[b] = self.scan.hop[b];
+                hops[b] = self.scan.merge_hop(b);
                 b = if b + 1 == n { 0 } else { b + 1 };
             }
         }
@@ -518,13 +520,17 @@ impl Strategy for ClosedChainGathering {
             }
         }
 
-        // Step 3: start new runs every L-th round, from the same snapshot.
-        // The started runs are staged and act from round + 1.
-        if round.is_multiple_of(self.cfg.l_period) && n >= 8 {
-            for (i, hop) in hops.iter().enumerate().take(n) {
-                if *hop == Offset::ZERO && !self.scan.participates(i) {
-                    let key = signature::window_key(chain.codes(), i);
-                    if quasi::starts_any(key) {
+        // Step 3: start new runs every L-th round, from the same snapshot,
+        // at the standing robots step 0 marked, in ascending order. The
+        // started runs are staged and act from round + 1.
+        if start_round {
+            for w in 0..self.start_bits.len() {
+                let mut bits = self.start_bits[w];
+                while bits != 0 {
+                    let i = 64 * w + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if hops[i] == Offset::ZERO && !self.scan.participates(i) {
+                        let key = signature::window_key(chain.codes(), i);
                         self.try_starts(chain, round, i, key);
                     }
                 }
@@ -542,7 +548,7 @@ impl Strategy for ClosedChainGathering {
         self.runs.sort_unstable_by_key(PlacedRun::order_key);
         self.prev_inherent_k.clear();
         self.prev_inherent_k
-            .extend_from_slice(&self.scan.inherent_k);
+            .extend_from_slice(self.scan.inherent_k());
         self.stats.max_live_runs = self.stats.max_live_runs.max(self.runs.len() as u64);
     }
 

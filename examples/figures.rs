@@ -80,7 +80,7 @@ fn fig2() {
     scan.scan(&c, &GatherConfig::paper());
     println!(
         "patterns found: {} (the two fold tips hop onto their coinciding neighbors)",
-        scan.patterns.len()
+        scan.patterns().len()
     );
     let mut sim = Sim::new(c, ClosedChainGathering::paper());
     sim.step().unwrap();
@@ -202,7 +202,7 @@ fn fig16_stairways() {
     scan.scan(&c, &GatherConfig::paper());
     println!(
         "merge patterns on the diamond: {} (only at the 4 tips, k ≤ 2)",
-        scan.patterns.len()
+        scan.patterns().len()
     );
     let mut sim = Sim::new(c, ClosedChainGathering::paper());
     let outcome = sim.run_default();

@@ -35,7 +35,7 @@ fn figure2_k1() {
     let mut scan = MergeScan::default();
     scan.scan(&c, &GatherConfig::paper());
     // Both fold tips are k=1 patterns.
-    assert_eq!(scan.patterns.iter().filter(|p| p.k == 1).count(), 2);
+    assert_eq!(scan.patterns().iter().filter(|p| p.k == 1).count(), 2);
     let mut sim = Sim::new(c, ClosedChainGathering::paper());
     sim.step().unwrap();
     assert!(sim.is_gathered());
@@ -56,7 +56,7 @@ fn figure2_k4() {
     ]);
     let mut scan = MergeScan::default();
     scan.scan(&c, &GatherConfig::paper());
-    assert!(scan.patterns.iter().any(|p| p.k == 4));
+    assert!(scan.patterns().iter().any(|p| p.k == 4));
     let mut sim = Sim::new(c, ClosedChainGathering::paper());
     let report = sim.step().unwrap();
     assert!(report.removed >= 2);
@@ -159,10 +159,10 @@ fn figure16_stairways_merge_free() {
     let mut scan = MergeScan::default();
     scan.scan(&c, &GatherConfig::paper());
     // Only tip patterns, all short.
-    for p in &scan.patterns {
+    for p in scan.patterns() {
         assert!(p.k <= 2, "{p:?}");
     }
-    assert!(scan.patterns.len() <= 8);
+    assert!(scan.patterns().len() <= 8);
 }
 
 /// The 2×2 square is the target: the algorithm stops there and does not
@@ -186,7 +186,7 @@ fn mergeless_chain_starts_runs() {
     let c = rectangle(30, 14);
     let mut scan = MergeScan::default();
     scan.scan(&c, &GatherConfig::paper());
-    assert!(scan.patterns.is_empty(), "mergeless by construction");
+    assert!(scan.patterns().is_empty(), "mergeless by construction");
     let mut sim = Sim::new(c, ClosedChainGathering::paper().with_event_recording());
     sim.step().unwrap();
     let starts = sim
