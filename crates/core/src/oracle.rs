@@ -10,7 +10,6 @@ use chain_sim::packed::{edge_offset, opposite};
 use grid_geom::Offset;
 
 /// What the per-edge scan reports; the vectors hold one entry per robot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct EdgeScan {
     /// Fired patterns: the runs from the first run boundary at or after
     /// index 0 on, then the fold tips by index.
