@@ -97,17 +97,20 @@ fn bench_merge_scan() -> String {
     rows.join(",\n")
 }
 
-/// Complete paper runs (FSYNC, seed 1) per family at n = 256; returns
-/// the `BENCH_engine.json` rows.
+/// Complete paper runs (FSYNC) per family, each at its own `(n, seed)`;
+/// returns the `BENCH_engine.json` rows.
 fn bench_full_gathering() -> String {
     println!("## full_gathering (complete run to the 2x2 square)");
     let mut rows = Vec::new();
-    for (fam, n) in [
-        (Family::Rectangle, 256usize),
-        (Family::Skyline, 256),
-        (Family::RandomLoop, 256),
+    // Each row runs at least 100 rounds (rectangle 718, skyline 525,
+    // random loop 124), so it times the round rather than `Sim::new` and
+    // the chain clone.
+    for (fam, n, seed) in [
+        (Family::Rectangle, 256usize, 1u64),
+        (Family::Skyline, 4096, 1),
+        (Family::RandomLoop, 4096, 0),
     ] {
-        let chain = fam.generate(n, 1);
+        let chain = fam.generate(n, seed);
         let len = chain.len();
         let (iters, rounds_total, elapsed) = time_until_stable(|| {
             let mut sim = Sim::new(chain.clone(), ClosedChainGathering::paper());
@@ -115,13 +118,14 @@ fn bench_full_gathering() -> String {
             assert!(out.is_gathered());
             out.rounds()
         });
+        assert!(rounds_total >= 100 * u128::from(iters), "{}", fam.name());
         let rate = per_sec(rounds_total * len as u128, elapsed);
         println!(
             "  {:<14} n={len:>4}  {rate:>12.0} robot·rounds/s  ({iters} runs)",
             fam.name(),
         );
         rows.push(format!(
-            "      {{\"family\": \"{}\", \"n\": {len}, \"rounds\": {}, \
+            "      {{\"family\": \"{}\", \"n\": {len}, \"seed\": {seed}, \"rounds\": {}, \
              \"robot_rounds_per_s\": {rate:.0}}}",
             fam.name(),
             rounds_total / u128::from(iters)

@@ -654,7 +654,7 @@ pub fn t10_suppression(e: Effort, sel: &FamilySelection) -> Table {
             },
         ]);
     }
-    t.note("Suppression fires on period-2 swap states (closed interference cycles, common in late-stage dense blobs), stays dormant elsewhere, and every input still gathers.");
+    t.note("Suppression fires on period-2 swap states (closed interference cycles, common in late-stage dense blobs), and every input still gathers. It also fires on runs that would gather without it, and there it costs rounds: 13% more over 600 paper-mode runs that gather either way (DESIGN.md §2.3).");
     t
 }
 

@@ -221,8 +221,7 @@ pub struct Sim<S: Strategy> {
     /// round without an O(n) bounding box per round.
     gather: GatherCheck,
     /// Chain-safety guard switch (see [`crate::safety`]): seeded from
-    /// [`Strategy::wants_chain_guard`], overridable with
-    /// [`Sim::with_chain_guard`].
+    /// [`Strategy::wants_chain_guard`].
     guard: bool,
     /// Total hops the guard cancelled over the run's lifetime.
     guard_cancels: u64,
@@ -287,16 +286,6 @@ impl<S: Strategy> Sim<S> {
     /// Attach (or replace) the sampling phase timer in place.
     pub fn set_phase_timer(&mut self, timer: Arc<PhaseTimer>) {
         self.phases = Some(timer);
-    }
-
-    /// Force the chain-safety guard on (builder style), regardless of
-    /// what [`Strategy::wants_chain_guard`] says — the way to run an
-    /// FSYNC-designed strategy under an SSYNC scheduler without wrapping
-    /// it. Strategies that opt in via the trait hook get the guard from
-    /// [`Sim::new`] already.
-    pub fn with_chain_guard(mut self) -> Self {
-        self.guard = true;
-        self
     }
 
     /// `true` when the chain-safety guard runs on this simulation's hops.

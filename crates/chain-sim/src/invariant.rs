@@ -1,12 +1,9 @@
 //! Global invariant checks used by tests and auditors.
 //!
 //! These checks have global knowledge (they are instrumentation, not part
-//! of the robot model): tautness, connectivity, and configuration equality
-//! up to the symmetries the robots cannot perceive (translation, rotation,
-//! mirroring, cyclic relabeling, orientation reversal).
+//! of the robot model): tautness and the chain's total turning.
 
 use crate::chain::ClosedChain;
-use grid_geom::Point;
 
 /// All chain edges are unit steps (taut chain between rounds).
 pub fn is_taut(chain: &ClosedChain) -> bool {
@@ -31,60 +28,10 @@ pub fn signed_turning_quarters(chain: &ClosedChain) -> i64 {
     total
 }
 
-/// Normal form of a configuration under translation: positions relative to
-/// the lexicographically smallest position.
-pub fn translation_normal_form(chain: &ClosedChain) -> Vec<Point> {
-    let min = chain
-        .positions()
-        .iter()
-        .copied()
-        .min()
-        .expect("non-empty chain");
-    chain
-        .positions()
-        .iter()
-        .map(|p| Point::new(p.x - min.x, p.y - min.y))
-        .collect()
-}
-
-/// `true` if two chains are the same configuration up to translation and
-/// cyclic relabeling (used by oscillation detectors in tests).
-pub fn same_up_to_translation_and_rotation(a: &ClosedChain, b: &ClosedChain) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let na = translation_normal_form(a);
-    // Try every cyclic rotation of b (and its reversal).
-    let n = b.len();
-    for rev in [false, true] {
-        for shift in 0..n {
-            let candidate: Vec<Point> = (0..n)
-                .map(|i| {
-                    let idx = if rev {
-                        (2 * n - i - shift) % n
-                    } else {
-                        (i + shift) % n
-                    };
-                    b.pos(idx)
-                })
-                .collect();
-            let min = candidate.iter().copied().min().unwrap();
-            let normalized: Vec<Point> = candidate
-                .iter()
-                .map(|p| Point::new(p.x - min.x, p.y - min.y))
-                .collect();
-            if normalized == na {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_geom::Offset;
+    use grid_geom::Point;
 
     fn chain(coords: &[(i64, i64)]) -> ClosedChain {
         ClosedChain::new(coords.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
@@ -102,24 +49,5 @@ mod tests {
         assert_eq!(signed_turning_quarters(&ccw).abs(), 4);
         let rect = chain(&[(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]);
         assert_eq!(signed_turning_quarters(&rect).abs(), 4);
-    }
-
-    #[test]
-    fn configuration_equality_mod_symmetry() {
-        let a = chain(&[(0, 0), (1, 0), (1, 1), (0, 1)]);
-        let mut b = chain(&[(0, 0), (1, 0), (1, 1), (0, 1)]);
-        b.translate(Offset::new(7, -2));
-        b.rotate_origin(2);
-        assert!(same_up_to_translation_and_rotation(&a, &b));
-        let c = chain(&[(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]);
-        assert!(!same_up_to_translation_and_rotation(&a, &c));
-    }
-
-    #[test]
-    fn reversal_is_recognized() {
-        let a = chain(&[(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]);
-        let mut b = chain(&[(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]);
-        b.reverse_orientation();
-        assert!(same_up_to_translation_and_rotation(&a, &b));
     }
 }

@@ -63,7 +63,6 @@ pub mod chain;
 pub mod engine;
 pub mod invariant;
 pub mod kernel;
-pub mod metrics;
 pub mod observe;
 pub mod open_chain;
 #[cfg(test)]
@@ -74,7 +73,6 @@ pub mod rng;
 pub mod robot;
 pub mod safety;
 pub mod scheduler;
-pub mod snapshot;
 pub mod strategy;
 pub mod trace;
 pub mod view;
@@ -85,7 +83,6 @@ pub use kernel::{
     ActivationRule, FsyncRule, KFairRule, KernelChain, KernelSim, RandomRule, RoundKernel,
     RoundRobinRule, StandKernel,
 };
-pub use metrics::{metrics, ChainMetrics};
 pub use observe::{Observer, ProgressProbe, ProgressSlot, ProgressSnapshot, Recorder, RoundCtx};
 pub use open_chain::OpenChain;
 pub use packed::PackedChain;

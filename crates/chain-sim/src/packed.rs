@@ -638,19 +638,6 @@ impl PackedChain {
             (prev >> 1) & !(cur >> 1) & BYTE_LOW
         }));
     }
-
-    /// Word-parallel turn count: the number of robots whose two incident
-    /// edges lie on different axes (equivalently, the number of maximal
-    /// straight runs of the cyclic direction sequence). Zero for
-    /// `len < 2`.
-    pub fn turn_count(&self) -> usize {
-        if self.codes.len() < 2 {
-            return 0;
-        }
-        neighbour_words(&self.codes, |prev, cur| (prev ^ cur) & BYTE_LOW)
-            .map(|marks| marks.count_ones() as usize)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -759,7 +746,6 @@ mod tests {
         assert!(p.codes().is_empty());
         assert_eq!(p.positions(), vec![Point::new(7, -3)]);
         assert_eq!(p.bounding(), Rect::point(Point::new(7, -3)));
-        assert_eq!(p.turn_count(), 0);
     }
 
     #[test]
@@ -882,19 +868,6 @@ mod tests {
             let want =
                 key(pos[(i + n - 1) % n]) > key(pos[i]) && key(pos[(i + 1) % n]) > key(pos[i]);
             assert_eq!(mask[i / 8] >> (8 * (i % 8)) & 1 == 1, want, "robot {i}");
-        }
-    }
-
-    #[test]
-    fn turn_count_matches_bruteforce() {
-        for packed in closed_rings().into_iter().chain(random_codes()) {
-            let codes = packed.codes();
-            let n = codes.len();
-            let vertical = |c: u8| edge_offset(c).dx == 0;
-            let brute = (0..n)
-                .filter(|&i| vertical(codes[(i + n - 1) % n]) != vertical(codes[i]))
-                .count();
-            assert_eq!(packed.turn_count(), brute, "n={n}");
         }
     }
 

@@ -29,7 +29,6 @@ pub struct Frame {
 pub struct FrameCapture {
     every: u64,
     max: usize,
-    opts: AsciiOptions,
     frames: Vec<Frame>,
 }
 
@@ -40,25 +39,13 @@ impl FrameCapture {
         FrameCapture {
             every: every.max(1),
             max,
-            opts: AsciiOptions::default(),
             frames: Vec::new(),
         }
-    }
-
-    /// Use custom rendering options.
-    pub fn with_options(mut self, opts: AsciiOptions) -> Self {
-        self.opts = opts;
-        self
     }
 
     /// The frames captured so far.
     pub fn frames(&self) -> &[Frame] {
         &self.frames
-    }
-
-    /// Take the captured frames, leaving the buffer empty.
-    pub fn take_frames(&mut self) -> Vec<Frame> {
-        std::mem::take(&mut self.frames)
     }
 
     fn capture<S: Strategy>(&mut self, rounds: u64, chain: &ClosedChain, strategy: &S) {
@@ -68,7 +55,7 @@ impl FrameCapture {
         self.frames.push(Frame {
             rounds,
             robots: chain.len(),
-            art: render_with_markers(chain, |i| strategy.marker(i), self.opts),
+            art: render_with_markers(chain, |i| strategy.marker(i), AsciiOptions::default()),
         });
     }
 }

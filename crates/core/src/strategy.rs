@@ -158,11 +158,6 @@ impl ClosedChainGathering {
         std::mem::take(&mut self.events)
     }
 
-    /// The merge scan of the last computed round (auditors).
-    pub fn last_scan(&self) -> &MergeScan {
-        &self.scan
-    }
-
     fn emit(&mut self, ev: RunEvent) {
         if self.record_events {
             self.events.push(ev);

@@ -115,46 +115,24 @@ pub struct Stats {
 }
 
 /// Latency histograms: per-endpoint request service time, job queue
-/// wait, and simulation run duration — all in microseconds.
-///
-/// Built on an [`obs::Registry`] so the `/metrics` expositions (flat
-/// text and `?json`) come for free; the hot paths record through cached
-/// `Arc<Histogram>` handles and never touch the registry lock again.
-pub struct Latencies {
-    registry: obs::Registry,
-    run_hit: Arc<obs::Histogram>,
-    run_miss: Arc<obs::Histogram>,
-    run_other: Arc<obs::Histogram>,
-    result: Arc<obs::Histogram>,
-    progress: Arc<obs::Histogram>,
-    metrics: Arc<obs::Histogram>,
-    healthz: Arc<obs::Histogram>,
-    replay: Arc<obs::Histogram>,
-    other: Arc<obs::Histogram>,
-    queue_wait: Arc<obs::Histogram>,
-    run_duration: Arc<obs::Histogram>,
+/// wait, and simulation run duration — all in microseconds. Both
+/// `/metrics` expositions (flat text and `?json`) walk `Latencies::all`.
+#[derive(Default)]
+struct Latencies {
+    run_hit: obs::Histogram,
+    run_miss: obs::Histogram,
+    run_other: obs::Histogram,
+    result: obs::Histogram,
+    progress: obs::Histogram,
+    metrics: obs::Histogram,
+    healthz: obs::Histogram,
+    replay: obs::Histogram,
+    other: obs::Histogram,
+    queue_wait: obs::Histogram,
+    run_duration: obs::Histogram,
 }
 
 impl Latencies {
-    fn new() -> Latencies {
-        let registry = obs::Registry::new();
-        let h = |name: &str| registry.histogram(name);
-        Latencies {
-            run_hit: h("request_us_run_hit"),
-            run_miss: h("request_us_run_miss"),
-            run_other: h("request_us_run_other"),
-            result: h("request_us_result"),
-            progress: h("request_us_progress"),
-            metrics: h("request_us_metrics"),
-            healthz: h("request_us_healthz"),
-            replay: h("request_us_replay"),
-            other: h("request_us_other"),
-            queue_wait: h("queue_wait_us"),
-            run_duration: h("run_duration_us"),
-            registry,
-        }
-    }
-
     /// The histogram a finished request records into: routes mirror
     /// [`route`], and `POST /run` splits on the cache verdict the
     /// response carries (429/400 answers have no verdict → `run_other`).
@@ -180,13 +158,8 @@ impl Latencies {
         }
     }
 
-    /// The underlying registry (tests and exposition).
-    pub fn registry(&self) -> &obs::Registry {
-        &self.registry
-    }
-
-    /// Every histogram with its exposition name, sorted — the `?json`
-    /// rendering walks this so its key order matches the flat text.
+    /// Every histogram with its exposition name, sorted — both
+    /// renderings walk this, so their name order is the same.
     fn all(&self) -> [(&'static str, &obs::Histogram); 11] {
         [
             ("queue_wait_us", &self.queue_wait),
@@ -220,11 +193,6 @@ impl ServiceState {
     /// The result cache (tests inspect it).
     pub fn cache(&self) -> &ResultCache {
         &self.cache
-    }
-
-    /// The latency histograms (tests inspect them).
-    pub fn latencies(&self) -> &Latencies {
-        &self.lats
     }
 }
 
@@ -289,7 +257,7 @@ impl Server {
             cache,
             jobs: JobTable::new(cfg.queue),
             stats: Stats::default(),
-            lats: Latencies::new(),
+            lats: Latencies::default(),
             workers: cfg.effective_workers(),
             shutdown: AtomicBool::new(false),
             addr,
@@ -854,7 +822,19 @@ fn metrics(state: &ServiceState) -> Response {
     for (name, value) in lines {
         body.push_str(&format!("gatherd_{name} {value}\n"));
     }
-    body.push_str(&state.lats.registry().render_text("gatherd_"));
+    for (name, h) in state.lats.all() {
+        let s = h.summary();
+        for (suffix, v) in [
+            ("count", s.count),
+            ("sum", s.sum),
+            ("p50", s.p50),
+            ("p90", s.p90),
+            ("p99", s.p99),
+            ("max", s.max),
+        ] {
+            body.push_str(&format!("gatherd_{name}_{suffix} {v}\n"));
+        }
+    }
     Response::text(200, body)
 }
 

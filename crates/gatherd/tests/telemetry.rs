@@ -476,3 +476,67 @@ fn metrics_and_guarded_progress() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `/metrics` exposition's histogram block is pinned: the text
+/// scrape ends with six lines (`_count`, `_sum`, `_p50`, `_p90`, `_p99`,
+/// `_max`) for each of the eleven latency histograms in sorted name
+/// order, and `/metrics?json` lists the same names in the same order.
+#[test]
+fn metrics_histogram_block_is_pinned() {
+    use bench::campaign::json::Json;
+
+    const HISTOGRAMS: [&str; 11] = [
+        "queue_wait_us",
+        "request_us_healthz",
+        "request_us_metrics",
+        "request_us_other",
+        "request_us_progress",
+        "request_us_replay",
+        "request_us_result",
+        "request_us_run_hit",
+        "request_us_run_miss",
+        "request_us_run_other",
+        "run_duration_us",
+    ];
+    let dir = scratch("hist-block");
+    let handle = Server::spawn(config(&dir)).unwrap();
+    let addr = handle.addr();
+    let run = client::post_run(&addr, &spec_body("rectangle", 32, 0, "paper"), false).unwrap();
+    assert_eq!(run.status, 200, "{}", run.body);
+
+    let text = client::request(&addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(text.status, 200);
+    let names: Vec<&str> = text
+        .body
+        .lines()
+        .map(|l| {
+            let (name, value) = l.split_once(' ').expect("`name value` line");
+            value.parse::<u64>().expect("integer value");
+            name
+        })
+        .collect();
+    let expected: Vec<String> = HISTOGRAMS
+        .iter()
+        .flat_map(|h| {
+            ["count", "sum", "p50", "p90", "p99", "max"]
+                .map(|suffix| format!("gatherd_{h}_{suffix}"))
+        })
+        .collect();
+    let start = names
+        .iter()
+        .position(|&n| n == expected[0])
+        .unwrap_or_else(|| panic!("no histogram block in:\n{}", text.body));
+    assert_eq!(names[start..], expected[..], "text histogram block");
+
+    let json = client::request(&addr, "GET", "/metrics?json", None).unwrap();
+    assert_eq!(json.status, 200);
+    let v = Json::parse(&json.body).unwrap();
+    let Some(Json::Obj(hists)) = v.get("histograms") else {
+        panic!("no histograms object in {}", json.body);
+    };
+    let keys: Vec<&str> = hists.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, HISTOGRAMS, "json histogram keys");
+
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

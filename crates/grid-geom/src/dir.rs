@@ -1,30 +1,20 @@
-//! Axis directions on the grid.
+//! Axes of the grid.
 //!
-//! The robots have no compass: "up", "down", "left", "right" are names for
-//! *our* description of configurations (the paper uses them the same way,
-//! "to be understood in a mirrored or rotated manner"). All algorithmic
-//! rules are formulated relative to local offsets; these enums exist for
-//! construction, tests and rendering.
+//! The robots have no compass: an axis names *our* description of a
+//! configuration (the paper uses directions the same way, "to be
+//! understood in a mirrored or rotated manner"). The algorithm only asks
+//! whether two unit steps lie on the same axis.
 
 use crate::point::Offset;
 
 /// The two grid axes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Axis {
     X,
     Y,
 }
 
 impl Axis {
-    /// The other axis.
-    #[inline]
-    pub fn perpendicular(self) -> Axis {
-        match self {
-            Axis::X => Axis::Y,
-            Axis::Y => Axis::X,
-        }
-    }
-
     /// The axis a unit step lies on. Panics (debug) on non-unit steps.
     #[inline]
     pub fn of_step(step: Offset) -> Axis {
@@ -33,139 +23,6 @@ impl Axis {
             Axis::X
         } else {
             Axis::Y
-        }
-    }
-
-    /// Component of `o` along this axis.
-    #[inline]
-    pub fn component(self, o: Offset) -> i64 {
-        match self {
-            Axis::X => o.dx,
-            Axis::Y => o.dy,
-        }
-    }
-
-    /// The positive unit step along this axis.
-    #[inline]
-    pub fn unit(self) -> Offset {
-        match self {
-            Axis::X => Offset::RIGHT,
-            Axis::Y => Offset::UP,
-        }
-    }
-}
-
-/// The four axis-aligned unit directions.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Dir4 {
-    Right,
-    Up,
-    Left,
-    Down,
-}
-
-impl Dir4 {
-    pub const ALL: [Dir4; 4] = [Dir4::Right, Dir4::Up, Dir4::Left, Dir4::Down];
-
-    #[inline]
-    pub fn offset(self) -> Offset {
-        match self {
-            Dir4::Right => Offset::RIGHT,
-            Dir4::Up => Offset::UP,
-            Dir4::Left => Offset::LEFT,
-            Dir4::Down => Offset::DOWN,
-        }
-    }
-
-    /// Inverse mapping from a unit step; `None` for non-unit offsets.
-    #[inline]
-    pub fn from_offset(o: Offset) -> Option<Dir4> {
-        match (o.dx, o.dy) {
-            (1, 0) => Some(Dir4::Right),
-            (-1, 0) => Some(Dir4::Left),
-            (0, 1) => Some(Dir4::Up),
-            (0, -1) => Some(Dir4::Down),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    pub fn opposite(self) -> Dir4 {
-        match self {
-            Dir4::Right => Dir4::Left,
-            Dir4::Left => Dir4::Right,
-            Dir4::Up => Dir4::Down,
-            Dir4::Down => Dir4::Up,
-        }
-    }
-
-    /// Rotate 90° counter-clockwise.
-    #[inline]
-    pub fn rotate_ccw(self) -> Dir4 {
-        match self {
-            Dir4::Right => Dir4::Up,
-            Dir4::Up => Dir4::Left,
-            Dir4::Left => Dir4::Down,
-            Dir4::Down => Dir4::Right,
-        }
-    }
-
-    /// Rotate 90° clockwise.
-    #[inline]
-    pub fn rotate_cw(self) -> Dir4 {
-        self.rotate_ccw()
-            .opposite()
-            .rotate_ccw()
-            .opposite()
-            .rotate_ccw()
-    }
-
-    #[inline]
-    pub fn axis(self) -> Axis {
-        match self {
-            Dir4::Right | Dir4::Left => Axis::X,
-            Dir4::Up | Dir4::Down => Axis::Y,
-        }
-    }
-}
-
-/// The eight hop directions (plus [`Offset::ZERO`] for "stay", which is not
-/// part of this enum). Used mostly by baselines and rendering.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Dir8 {
-    E,
-    NE,
-    N,
-    NW,
-    W,
-    SW,
-    S,
-    SE,
-}
-
-impl Dir8 {
-    pub const ALL: [Dir8; 8] = [
-        Dir8::E,
-        Dir8::NE,
-        Dir8::N,
-        Dir8::NW,
-        Dir8::W,
-        Dir8::SW,
-        Dir8::S,
-        Dir8::SE,
-    ];
-
-    #[inline]
-    pub fn offset(self) -> Offset {
-        match self {
-            Dir8::E => Offset::new(1, 0),
-            Dir8::NE => Offset::new(1, 1),
-            Dir8::N => Offset::new(0, 1),
-            Dir8::NW => Offset::new(-1, 1),
-            Dir8::W => Offset::new(-1, 0),
-            Dir8::SW => Offset::new(-1, -1),
-            Dir8::S => Offset::new(0, -1),
-            Dir8::SE => Offset::new(1, -1),
         }
     }
 }
@@ -180,44 +37,5 @@ mod tests {
         assert_eq!(Axis::of_step(Offset::LEFT), Axis::X);
         assert_eq!(Axis::of_step(Offset::UP), Axis::Y);
         assert_eq!(Axis::of_step(Offset::DOWN), Axis::Y);
-        assert_eq!(Axis::X.perpendicular(), Axis::Y);
-        assert_eq!(Axis::Y.perpendicular(), Axis::X);
-    }
-
-    #[test]
-    fn dir4_offset_round_trip() {
-        for d in Dir4::ALL {
-            assert_eq!(Dir4::from_offset(d.offset()), Some(d));
-            assert!(d.offset().is_unit_step());
-            assert_eq!(d.opposite().offset(), -d.offset());
-        }
-        assert_eq!(Dir4::from_offset(Offset::new(1, 1)), None);
-        assert_eq!(Dir4::from_offset(Offset::ZERO), None);
-    }
-
-    #[test]
-    fn dir4_rotations_cycle() {
-        for d in Dir4::ALL {
-            assert_eq!(d.rotate_ccw().rotate_ccw().rotate_ccw().rotate_ccw(), d);
-            assert_eq!(d.rotate_ccw().axis(), d.axis().perpendicular());
-            assert_eq!(d.rotate_cw().rotate_ccw(), d);
-        }
-    }
-
-    #[test]
-    fn dir8_offsets_are_hops() {
-        for d in Dir8::ALL {
-            assert!(d.offset().is_hop());
-            assert_ne!(d.offset(), Offset::ZERO);
-        }
-    }
-
-    #[test]
-    fn axis_component_and_unit() {
-        let o = Offset::new(3, -7);
-        assert_eq!(Axis::X.component(o), 3);
-        assert_eq!(Axis::Y.component(o), -7);
-        assert_eq!(Axis::X.unit(), Offset::RIGHT);
-        assert_eq!(Axis::Y.unit(), Offset::UP);
     }
 }

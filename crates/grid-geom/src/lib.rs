@@ -10,28 +10,22 @@
 //!
 //! * [`Point`] — a position on Z².
 //! * [`Offset`] — a displacement between positions (also used for hops).
-//! * [`Dir4`] / [`Axis`] — the four axis directions and the two axes.
+//! * [`Axis`] — the two grid axes (which axis a unit step lies on).
 //! * [`Rect`] — axis-aligned bounding boxes (used for the 2×2 gathering
 //!   criterion).
-//! * [`align`] — alignment and monotone-run predicates used by merge
-//!   detection and quasi-line scans.
 //! * [`GridSpace`] — the grid as a `geom_core::ChainGeometry` backend:
 //!   zero-cost inline delegation to the primitives above, making Z² one
 //!   value of the system's geometry axis (the other is `euclid-geom`).
 //!
 //! Everything here is `no_std`-shaped plain data whose only dependency is
-//! the `geom-core` trait crate (itself dependency-free); snapshot
-//! serialization lives in `chain_sim::snapshot` as a hand-rolled text
-//! format.
+//! the `geom-core` trait crate (itself dependency-free).
 
-pub mod align;
 pub mod dir;
 pub mod point;
 pub mod rect;
 pub mod space;
 
-pub use align::{is_monotone_aligned, monotone_axis, MonotoneRun, RunScanner};
-pub use dir::{Axis, Dir4, Dir8};
+pub use dir::Axis;
 pub use point::{Offset, Point};
 pub use rect::Rect;
 pub use space::GridSpace;

@@ -1,13 +1,10 @@
 //! Dependency-free observability primitives for the gathering stack.
 //!
-//! Three layers, each usable on its own:
+//! Two layers, each usable on its own:
 //!
 //! - [`hist`] — lock-free log-bucketed [`Histogram`]s (power-of-two
 //!   octaves with 32 linear sub-buckets, ~3% relative error) with
 //!   `p50/p90/p99/max`, count/sum, and order-insensitive merge.
-//! - [`registry`] — a [`Registry`] of named counters / gauges /
-//!   histograms with stable flat-text and JSON exposition; the
-//!   service's `/metrics` endpoint is a thin wrapper over it.
 //! - [`phase`] + [`trace`] — a sampling [`PhaseTimer`] attributing
 //!   per-round wall time to compute/guard/apply/merge spans, and a
 //!   bounded Chrome trace-event buffer ([`TraceEvents`]) whose JSON
@@ -21,10 +18,8 @@
 
 pub mod hist;
 pub mod phase;
-pub mod registry;
 pub mod trace;
 
 pub use hist::{Histogram, Summary};
 pub use phase::{Phase, PhaseTimer, RoundClock};
-pub use registry::{Counter, Gauge, Registry};
 pub use trace::{trace_tid, TraceEvents};

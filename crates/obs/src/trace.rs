@@ -117,7 +117,7 @@ impl TraceEvents {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
                  \"ts\":{}.{:03},\"dur\":{}.{:03}",
-                crate::registry::escape(ev.name),
+                escape(ev.name),
                 ev.tid,
                 ev.start_ns / 1_000,
                 ev.start_ns % 1_000,
@@ -125,16 +125,31 @@ impl TraceEvents {
                 ev.dur_ns % 1_000,
             ));
             if let Some((k, v)) = ev.arg {
-                out.push_str(&format!(
-                    ",\"args\":{{\"{}\":{v}}}",
-                    crate::registry::escape(k)
-                ));
+                out.push_str(&format!(",\"args\":{{\"{}\":{v}}}", escape(k)));
             }
             out.push('}');
         }
         out.push_str("]}");
         out
     }
+}
+
+/// Minimal JSON string escaping — span names are expected to be
+/// identifiers, but a stray quote must not corrupt the document.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// A small per-thread lane id for trace tracks: stable within a thread,

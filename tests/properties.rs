@@ -133,15 +133,3 @@ fn bounding_box_never_grows() {
         }
     }
 }
-
-/// Snapshot round trip for arbitrary chains.
-#[test]
-fn snapshot_round_trip() {
-    for case in 0..32u64 {
-        let mut rng = SplitMix64::new(0x5AFE ^ (case << 20));
-        let chain = arb_closed_chain(&mut rng, 32);
-        let s = chain_sim::snapshot::to_string(&chain);
-        let back = chain_sim::snapshot::from_str(&s).unwrap();
-        assert_eq!(back.positions(), chain.positions(), "case={case}");
-    }
-}
