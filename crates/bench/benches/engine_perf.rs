@@ -14,15 +14,20 @@
 //! ```
 //!
 //! A full run (no section filter) writes `BENCH_engine.json`: the
-//! `kernel_vs_boxed`, `full_gathering` and `merge_scan` rows, stamped with
-//! the commit and the UTC date.
+//! `kernel_vs_boxed`, `full_gathering`, `merge_scan` and `guard` rows,
+//! stamped with the commit and the UTC date.
 
-use baselines::{CompassSeKernel, GlobalVisionKernel, NaiveLocalKernel};
+use baselines::kernel::MIDPOINT_HOP;
+use baselines::{
+    center_hop, enclosing_center, CompassSeKernel, GlobalVisionKernel, NaiveLocalKernel,
+};
 use bench::campaign::store::{git_commit, today_utc};
 use bench::{run_batch_with, BatchOptions, ScenarioSpec, StrategyKind};
-use chain_sim::kernel::{FsyncRule, KernelChain, KernelSim, RoundKernel};
+use chain_sim::kernel::{hop_code, hop_offset, FsyncRule, KernelChain, KernelSim, RoundKernel};
+use chain_sim::safety::{cancel_breaking_hops, GuardHop};
 use chain_sim::{ClosedChain, PackedChain, Recorder, RunLimits, Sim};
 use gathering_core::{ClosedChainGathering, GatherConfig, MergeScan};
+use grid_geom::Offset;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use workloads::Family;
@@ -97,6 +102,20 @@ fn bench_merge_scan() -> String {
     rows.join(",\n")
 }
 
+/// Step a paper run until it gathers; returns its rounds and its
+/// robot·rounds — Σ of the live chain length over the rounds stepped, as
+/// in [`boxed_capped`], so a chain that merges fast does not read high.
+fn gather(mut sim: Sim<ClosedChainGathering>) -> (u64, u64) {
+    let cap = RunLimits::for_chain_len(sim.chain().len()).max_rounds;
+    let mut work = 0u64;
+    while !sim.is_gathered() {
+        assert!(sim.round() < cap, "the paper rule gathers within its limit");
+        work += sim.chain().len() as u64;
+        sim.step().expect("the paper rule never breaks the chain");
+    }
+    (sim.round(), work)
+}
+
 /// Complete paper runs (FSYNC) per family, each at its own `(n, seed)`;
 /// returns the `BENCH_engine.json` rows.
 fn bench_full_gathering() -> String {
@@ -112,23 +131,22 @@ fn bench_full_gathering() -> String {
     ] {
         let chain = fam.generate(n, seed);
         let len = chain.len();
-        let (iters, rounds_total, elapsed) = time_until_stable(|| {
-            let mut sim = Sim::new(chain.clone(), ClosedChainGathering::paper());
-            let out = sim.run(RunLimits::for_chain_len(len));
-            assert!(out.is_gathered());
-            out.rounds()
+        let mut rounds = 0;
+        let (iters, work, elapsed) = time_until_stable(|| {
+            let (r, work) = gather(Sim::new(chain.clone(), ClosedChainGathering::paper()));
+            rounds = r;
+            work
         });
-        assert!(rounds_total >= 100 * u128::from(iters), "{}", fam.name());
-        let rate = per_sec(rounds_total * len as u128, elapsed);
+        assert!(rounds >= 100, "{}", fam.name());
+        let rate = per_sec(work, elapsed);
         println!(
-            "  {:<14} n={len:>4}  {rate:>12.0} robot·rounds/s  ({iters} runs)",
+            "  {:<14} n={len:>4}  {rate:>12.0} robot·rounds/s  ({iters} runs of {rounds} rounds)",
             fam.name(),
         );
         rows.push(format!(
-            "      {{\"family\": \"{}\", \"n\": {len}, \"seed\": {seed}, \"rounds\": {}, \
+            "      {{\"family\": \"{}\", \"n\": {len}, \"seed\": {seed}, \"rounds\": {rounds}, \
              \"robot_rounds_per_s\": {rate:.0}}}",
             fam.name(),
-            rounds_total / u128::from(iters)
         ));
     }
     rows.join(",\n")
@@ -141,22 +159,13 @@ fn bench_full_gathering() -> String {
 fn bench_observer_overhead() {
     println!("## observer_overhead (full gathering at n=256, observer-free vs Recorder)");
     let chain = Family::Rectangle.generate(256, 1);
-    let len = chain.len();
-    let (_, rounds_free, elapsed_free) = time_until_stable(|| {
-        let mut sim = Sim::new(chain.clone(), ClosedChainGathering::paper());
-        let out = sim.run(RunLimits::for_chain_len(len));
-        assert!(out.is_gathered());
-        out.rounds()
+    let (_, work_free, elapsed_free) =
+        time_until_stable(|| gather(Sim::new(chain.clone(), ClosedChainGathering::paper())).1);
+    let (_, work_rec, elapsed_rec) = time_until_stable(|| {
+        gather(Sim::new(chain.clone(), ClosedChainGathering::paper()).observe(Recorder::new())).1
     });
-    let (_, rounds_rec, elapsed_rec) = time_until_stable(|| {
-        let mut sim =
-            Sim::new(chain.clone(), ClosedChainGathering::paper()).observe(Recorder::new());
-        let out = sim.run(RunLimits::for_chain_len(len));
-        assert!(out.is_gathered());
-        out.rounds()
-    });
-    let free = per_sec(rounds_free * len as u128, elapsed_free);
-    let rec = per_sec(rounds_rec * len as u128, elapsed_rec);
+    let free = per_sec(work_free, elapsed_free);
+    let rec = per_sec(work_rec, elapsed_rec);
     println!("  observer-free   {free:>12.0} robot·rounds/s");
     println!(
         "  with Recorder   {rec:>12.0} robot·rounds/s  ({:.1}% of free)",
@@ -166,32 +175,30 @@ fn bench_observer_overhead() {
 
 /// What phase timing costs: the same full gathering with no timer vs a
 /// [`PhaseTimer`] at the default sampling rate (one round in 16). The
-/// acceptance contract is < 2% overhead — sampled rounds pay four clock
-/// reads and two histogram records; the other fifteen pay one branch.
+/// contract is < 2% overhead — sampled rounds pay four clock reads and
+/// two histogram records; the other fifteen pay one branch. The two sides
+/// alternate over five ~200 ms windows each and each side reports its
+/// best, so a contention spell on a shared host does not land on one side
+/// only. Above 2% the section warns; it does not fail.
 fn bench_phase_overhead() {
     println!("## phase_overhead (full gathering at n=256, no timer vs default-rate PhaseTimer)");
     let chain = Family::Rectangle.generate(256, 1);
-    let len = chain.len();
-    let (_, rounds_free, elapsed_free) = time_until_stable(|| {
-        let mut sim = Sim::new(chain.clone(), ClosedChainGathering::paper());
-        let out = sim.run(RunLimits::for_chain_len(len));
-        assert!(out.is_gathered());
-        out.rounds()
-    });
     let timer = std::sync::Arc::new(obs::PhaseTimer::default_rate());
-    let (_, rounds_timed, elapsed_timed) = time_until_stable(|| {
-        let mut sim =
-            Sim::new(chain.clone(), ClosedChainGathering::paper()).with_phase_timer(timer.clone());
-        let out = sim.run(RunLimits::for_chain_len(len));
-        assert!(out.is_gathered());
-        out.rounds()
-    });
-    let free = per_sec(rounds_free * len as u128, elapsed_free);
-    let timed = per_sec(rounds_timed * len as u128, elapsed_timed);
+    let (mut free, mut timed) = (0f64, 0f64);
+    for _ in 0..5 {
+        let (_, work, elapsed) =
+            time_until_stable(|| gather(Sim::new(chain.clone(), ClosedChainGathering::paper())).1);
+        free = free.max(per_sec(work, elapsed));
+        let (_, work, elapsed) = time_until_stable(|| {
+            let sim = Sim::new(chain.clone(), ClosedChainGathering::paper());
+            gather(sim.with_phase_timer(timer.clone())).1
+        });
+        timed = timed.max(per_sec(work, elapsed));
+    }
     let overhead = 100.0 * (1.0 - timed / free);
-    println!("  timer-free      {free:>12.0} robot·rounds/s");
+    println!("  timer-free      {free:>12.0} robot·rounds/s  (best of 5)");
     println!(
-        "  with PhaseTimer {timed:>12.0} robot·rounds/s  ({overhead:+.1}% overhead, \
+        "  with PhaseTimer {timed:>12.0} robot·rounds/s  (best of 5, {overhead:+.1}% overhead, \
          {} rounds sampled)",
         timer.rounds_sampled()
     );
@@ -219,7 +226,9 @@ fn bench_workload_generation() {
 
 /// The acceptance check for the scenario pipeline: batch execution scales
 /// with available cores. Runs the same spec grid serially and with one
-/// worker per core, and prints the speedup.
+/// worker per core, and prints the speedup. The chains are large enough
+/// (n = 2048) that the serial run takes over half a second, so thread
+/// start-up does not decide the ratio.
 fn bench_batch_scaling() {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -227,7 +236,7 @@ fn bench_batch_scaling() {
     println!("## batch_scaling (run_batch_with over {cores} cores)");
     let specs: Vec<ScenarioSpec> = Family::ALL
         .iter()
-        .flat_map(|&fam| (0..4u64).map(move |seed| ScenarioSpec::paper(fam, 192, seed)))
+        .flat_map(|&fam| (0..4u64).map(move |seed| ScenarioSpec::paper(fam, 2048, seed)))
         .collect();
 
     let t0 = Instant::now();
@@ -256,6 +265,105 @@ fn bench_batch_scaling() {
     if cores >= 2 && speedup < 1.2 {
         println!("  WARNING: expected >1.2x speedup on {cores} cores");
     }
+}
+
+/// The guard's input of every round of a kernel run: the chain's edge
+/// codes and the hop codes before the guard, for up to `cap` rounds.
+fn record_guard_inputs<K: RoundKernel>(
+    kernel: K,
+    chain: &ClosedChain,
+    cap: u64,
+    hops_of: impl Fn(&PackedChain) -> Vec<u8>,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let packed = PackedChain::from_chain(chain).expect("generated chains pack");
+    let mut sim = KernelSim::new(KernelChain::new(packed), kernel, FsyncRule);
+    let mut rounds = Vec::new();
+    while (rounds.len() as u64) < cap && !sim.chain().is_gathered() {
+        let packed = sim.chain().packed();
+        rounds.push((packed.codes().to_vec(), hops_of(packed)));
+        if sim.step().expect("FSYNC kernels never break").moved == 0 {
+            break;
+        }
+    }
+    rounds
+}
+
+/// Robots per second through `cancel_breaking_hops` over recorded
+/// rounds, in the hop alphabet `H` (each round's hops are copied into a
+/// scratch vector first, and the copy is timed too).
+fn guard_rate<H: GuardHop>(rounds: &[(Vec<u8>, Vec<H>)]) -> f64 {
+    let mut scratch = Vec::new();
+    let (_, robots, elapsed) = time_until_stable(|| {
+        for (edges, hops) in rounds {
+            scratch.clear();
+            scratch.extend_from_slice(hops);
+            black_box(cancel_breaking_hops(edges, &mut scratch));
+        }
+        rounds.iter().map(|(e, _)| e.len() as u64).sum()
+    });
+    per_sec(robots, elapsed)
+}
+
+/// The chain guard alone: `cancel_breaking_hops` on the hop vectors that
+/// naive-local (random loop and skyline, n = 4096) and global-vision
+/// (rectangle, n = 16384) hand it in an FSYNC kernel run, in both hop
+/// alphabets: the kernels' codes and the boxed engine's offsets. Returns
+/// the `BENCH_engine.json` rows.
+fn bench_guard() -> String {
+    println!("## guard (cancel_breaking_hops on recorded pre-guard hops)");
+    let midpoint = |p: &PackedChain| {
+        let c = p.codes();
+        let n = c.len();
+        (0..n)
+            .map(|i| MIDPOINT_HOP[usize::from(c[(i + n - 1) % n])][usize::from(c[i])])
+            .collect()
+    };
+    let center = |p: &PackedChain| {
+        let target = enclosing_center(p.bounding());
+        let pos = p.positions();
+        pos.iter()
+            .map(|&q| hop_code(center_hop(q, target)))
+            .collect()
+    };
+    let mut rows = Vec::new();
+    for (kind, fam, n) in [
+        (StrategyKind::NaiveLocal, Family::RandomLoop, 4096usize),
+        (StrategyKind::NaiveLocal, Family::Skyline, 4096),
+        (StrategyKind::GlobalVision, Family::Rectangle, 16384),
+    ] {
+        let chain = fam.generate(n, 1);
+        let rounds = match kind {
+            StrategyKind::NaiveLocal => {
+                record_guard_inputs(NaiveLocalKernel::new(), &chain, 256, midpoint)
+            }
+            _ => record_guard_inputs(GlobalVisionKernel::new(), &chain, 64, center),
+        };
+        let offsets: Vec<(Vec<u8>, Vec<Offset>)> = rounds
+            .iter()
+            .map(|(e, h)| (e.clone(), h.iter().map(|&h| hop_offset(h)).collect()))
+            .collect();
+        for (alphabet, rate) in [
+            ("code", guard_rate(&rounds)),
+            ("offset", guard_rate(&offsets)),
+        ] {
+            println!(
+                "  {:<13} {:<12} n={:>5}  {alphabet:<6}  {rate:>12.0} robots/s  ({} rounds)",
+                kind.name(),
+                fam.name(),
+                chain.len(),
+                rounds.len()
+            );
+            rows.push(format!(
+                "      {{\"strategy\": \"{}\", \"family\": \"{}\", \"n\": {}, \"seed\": 1, \
+                 \"rounds\": {}, \"hops\": \"{alphabet}\", \"robots_per_s\": {rate:.0}}}",
+                kind.name(),
+                fam.name(),
+                chain.len(),
+                rounds.len()
+            ));
+        }
+    }
+    rows.join(",\n")
 }
 
 /// Step the boxed (observer-free) engine for up to `cap` rounds and
@@ -363,7 +471,7 @@ fn bench_kernel_vs_boxed(gate: bool) -> String {
 
 /// Write `BENCH_engine.json`, stamped with the commit and the UTC date:
 /// one object per section with its unit and rows.
-fn write_artifact(kernel_vs_boxed: &str, full_gathering: &str, merge_scan: &str) {
+fn write_artifact(kernel_vs_boxed: &str, full_gathering: &str, merge_scan: &str, guard: &str) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     let section = |unit: &str, rows: &str| {
         format!("{{\n    \"unit\": \"{unit}\",\n    \"rows\": [\n{rows}\n    ]\n  }}")
@@ -371,12 +479,14 @@ fn write_artifact(kernel_vs_boxed: &str, full_gathering: &str, merge_scan: &str)
     let body = format!(
         "{{\n  \"bench\": \"engine_perf\",\n  \
          \"commit\": \"{}\",\n  \"date\": \"{}\",\n  \"schedule\": \"fsync\",\n  \
-         \"kernel_vs_boxed\": {},\n  \"full_gathering\": {},\n  \"merge_scan\": {}\n}}\n",
+         \"kernel_vs_boxed\": {},\n  \"full_gathering\": {},\n  \"merge_scan\": {},\n  \
+         \"guard\": {}\n}}\n",
         git_commit(),
         today_utc(),
         section("robot_rounds_per_sec", kernel_vs_boxed),
         section("robot_rounds_per_sec", full_gathering),
         section("robots_per_sec", merge_scan),
+        section("robots_per_sec", guard),
     );
     std::fs::write(path, body).expect("write BENCH_engine.json");
     println!("wrote {path}");
@@ -397,12 +507,13 @@ fn main() {
     }
     let merge_scan = want("merge_scan").then(bench_merge_scan);
     let full_gathering = want("full_gathering").then(bench_full_gathering);
+    let guard = want("guard").then(bench_guard);
     // Only a full run (no filter, no gate) measures every section of the
     // artifact.
-    if let (Some(k), Some(f), Some(m), false) =
-        (&kernel_vs_boxed, &full_gathering, &merge_scan, gate)
+    if let (Some(k), Some(f), Some(m), Some(g), false) =
+        (&kernel_vs_boxed, &full_gathering, &merge_scan, &guard, gate)
     {
-        write_artifact(k, f, m);
+        write_artifact(k, f, m, g);
     }
     if want("observer_overhead") {
         bench_observer_overhead();

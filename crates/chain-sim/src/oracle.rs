@@ -5,8 +5,8 @@
 //! [`KernelChain`](crate::KernelChain) are checked against, on the random
 //! rounds of [`oracle_case`].
 //!
-//! Beside it live the chain guard as it ran before it skipped the
-//! confirming sweep ([`cancel_by_sweeps`]), the reference of the one-sweep
+//! Beside it live the chain guard as it is defined, one robot per step
+//! until a sweep cancels nothing ([`cancel_by_sweeps`]), the reference of
 //! [`cancel_breaking_hops`](crate::safety::cancel_breaking_hops), and the
 //! code splice as it ran before it compacted eight codes per word
 //! ([`splice_by_gaps`]), the reference of the packed splice.
@@ -150,9 +150,13 @@ impl PosChain {
     }
 }
 
-/// The cancel-to-fixpoint of the chain guard, sweeping in ascending index
-/// order until a sweep cancels nothing. Returns the hops cancelled and the
-/// sweeps run, the last of which changed nothing.
+/// The cancel-to-fixpoint of the chain guard by its definition: sweep in
+/// ascending index order, one robot at a time, cancelling a moving robot
+/// whose prev-side edge (as the sweep has left it) or next-side edge
+/// fails, until a sweep cancels nothing. It takes no shortcut: no group
+/// of eight, no skip over equal hops, no skipped confirming sweep.
+/// Returns the hops cancelled and the sweeps run, the last of which
+/// changed nothing.
 pub(crate) fn cancel_by_sweeps<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> (usize, usize) {
     let n = hops.len();
     if n < 2 {
@@ -163,12 +167,7 @@ pub(crate) fn cancel_by_sweeps<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> (us
         sweeps += 1;
         let mut changed = false;
         let mut ok_left = H::edge_ok(edges[n - 1], hops[n - 1], hops[0]);
-        let mut i = 0;
-        while i < n {
-            if ok_left && i + 9 <= n && H::nine_equal(hops, i) {
-                i += 8;
-                continue;
-            }
+        for i in 0..n {
             let h = hops[i];
             let next = if i + 1 == n { 0 } else { i + 1 };
             let ok_right = H::edge_ok(edges[i], h, hops[next]);
@@ -180,7 +179,6 @@ pub(crate) fn cancel_by_sweeps<H: GuardHop>(edges: &[u8], hops: &mut [H]) -> (us
                 changed = true;
                 ok_left = H::edge_ok(edges[i], H::STAY, hops[next]);
             }
-            i += 1;
         }
         if !changed {
             return (cancelled, sweeps);

@@ -68,7 +68,7 @@ pub const EDGE_N: u8 = 0b11;
 pub const EDGE_ZERO: u8 = 4;
 
 /// Bit 0 of every byte of a word.
-const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
+pub(crate) const BYTE_LOW: u64 = 0x0101_0101_0101_0101;
 
 /// Bits 0..=6 of every byte: the exact zero-byte test of [`byte_hits`].
 const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
